@@ -11,13 +11,6 @@
 
 namespace certfix {
 
-namespace {
-/// Rows staged per probe block: enough independent probes in flight to
-/// cover DRAM latency, small enough to stay within L1 and the prefetch
-/// queues.
-constexpr size_t kProbeBlock = 32;
-}  // namespace
-
 void BatchRepair::RepairRange(const Relation& data, AttrSet trusted,
                               AttrSet all, size_t begin, size_t end,
                               const PoolPtr& local_pool,

@@ -44,6 +44,11 @@ struct FixReport {
   bool conflicting() const { return kind == FixClass::kConflicting; }
 };
 
+/// Rows every engine stages per probe block before repairing any of them:
+/// enough independent master-index probes in flight to cover DRAM
+/// latency, few enough to stay within L1 and the prefetch queues.
+constexpr size_t kProbeBlock = 32;
+
 /// \brief One repaired tuple: the fixed row plus its report. On conflict
 /// the input is left unchanged and `fixed` is an empty default Tuple —
 /// callers use the row they already hold (the batch engine skips the row

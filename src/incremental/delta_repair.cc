@@ -1,76 +1,14 @@
 #include "incremental/delta_repair.h"
 
 #include <algorithm>
+#include <mutex>
+#include <stdexcept>
 
 #include "analysis/analyzer.h"
 #include "core/repair_memo.h"
 #include "telemetry/trace.h"
-#include "util/thread_pool.h"
 
 namespace certfix {
-
-namespace {
-/// Jobs staged per probe block (see batch_repair.cc): one PopBatch hands
-/// a worker up to this many tuples whose memo and master-index buckets
-/// are prefetched together before any repair runs.
-constexpr size_t kProbeBlock = 32;
-}  // namespace
-
-DeltaMetrics::DeltaMetrics() {
-  telemetry::Registry* reg = telemetry::Registry::Global();
-  deltas_applied = reg->GetCounter("delta.deltas_applied");
-  tuples_repaired = reg->GetCounter("delta.tuples_repaired");
-  tuples_invalidated = reg->GetCounter("delta.tuples_invalidated");
-  master_rebuilds = reg->GetCounter("delta.master_rebuilds");
-  noop_updates = reg->GetCounter("delta.noop_updates");
-  memo_hits = reg->GetCounter("delta.memo_hits");
-  memo_misses = reg->GetCounter("delta.memo_misses");
-  pool_recycles = reg->GetCounter("delta.pool_recycles");
-  fully_covered = reg->GetGauge("delta.fully_covered");
-  partial = reg->GetGauge("delta.partial");
-  untouched = reg->GetGauge("delta.untouched");
-  conflicting = reg->GetGauge("delta.conflicting");
-  cells_changed = reg->GetGauge("delta.cells_changed");
-  max_reorder_global = reg->GetMaxGauge("delta.max_reorder");
-  baseline.deltas_applied = deltas_applied->Value();
-  baseline.tuples_repaired = tuples_repaired->Value();
-  baseline.tuples_invalidated = tuples_invalidated->Value();
-  baseline.master_rebuilds = master_rebuilds->Value();
-  baseline.noop_updates = noop_updates->Value();
-  baseline.memo_hits = memo_hits->Value();
-  baseline.memo_misses = memo_misses->Value();
-  baseline.pool_recycles = pool_recycles->Value();
-  baseline.fully_covered = static_cast<uint64_t>(fully_covered->Value());
-  baseline.partial = static_cast<uint64_t>(partial->Value());
-  baseline.untouched = static_cast<uint64_t>(untouched->Value());
-  baseline.conflicting = static_cast<uint64_t>(conflicting->Value());
-  baseline.cells_changed = static_cast<uint64_t>(cells_changed->Value());
-}
-
-DeltaRepairStats DeltaMetrics::Snapshot(uint64_t rows) const {
-  DeltaRepairStats s;
-  s.deltas_applied = deltas_applied->Value() - baseline.deltas_applied;
-  s.tuples_repaired = tuples_repaired->Value() - baseline.tuples_repaired;
-  s.tuples_invalidated =
-      tuples_invalidated->Value() - baseline.tuples_invalidated;
-  s.master_rebuilds = master_rebuilds->Value() - baseline.master_rebuilds;
-  s.noop_updates = noop_updates->Value() - baseline.noop_updates;
-  s.rows = rows;
-  s.fully_covered =
-      static_cast<uint64_t>(fully_covered->Value()) - baseline.fully_covered;
-  s.partial = static_cast<uint64_t>(partial->Value()) - baseline.partial;
-  s.untouched =
-      static_cast<uint64_t>(untouched->Value()) - baseline.untouched;
-  s.conflicting =
-      static_cast<uint64_t>(conflicting->Value()) - baseline.conflicting;
-  s.cells_changed =
-      static_cast<uint64_t>(cells_changed->Value()) - baseline.cells_changed;
-  s.memo_hits = memo_hits->Value() - baseline.memo_hits;
-  s.memo_misses = memo_misses->Value() - baseline.memo_misses;
-  s.max_reorder = max_reorder.Value();
-  s.pool_recycles = pool_recycles->Value() - baseline.pool_recycles;
-  return s;
-}
 
 namespace {
 /// Private master copy for the copying constructor: the engine mutates
@@ -83,6 +21,13 @@ Relation CopyToPrivatePool(const Relation& master) {
     (void)copy.Append(master.at(i));  // same schema by construction
   }
   return copy;
+}
+
+/// Shard workers for `num_shards`: one shard repairs inline on the
+/// caller's thread (zero workers).
+size_t Workers(size_t num_shards) {
+  const size_t shards = ResolveShards(num_shards);
+  return shards > 1 ? shards : 0;
 }
 }  // namespace
 
@@ -98,83 +43,45 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
       schema_(rules.r_schema()),
       master_schema_(rules.rm_schema()),
       trusted_(trusted),
-      all_(rules.r_schema()->AllAttrs()),
       options_(options),
       graph_(rules),
       summary_(graph_, trusted),
       master_(std::move(master)),
+      index_(std::make_unique<MasterIndex>(rules, master_,
+                                           options_.index_kind)),
+      sat_(std::make_unique<Saturator>(rules, master_, *index_)),
+      // The analyze_first gate runs before any worker exists: a strict
+      // rejection leaves the engine inert (no workers) with the verdict
+      // in precheck_status_ — every mutator returns it via CheckLive.
+      precheck_status_(GateRuleset(*sat_, trusted_, options_.analyze_first,
+                                   "DeltaRepairEngine")),
       input_(schema_),
-      repaired_(schema_) {
-  index_ = std::make_unique<MasterIndex>(*rules_, master_, options_.index_kind);
-  sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
-
-  // The analyze_first gate runs before any worker exists: a strict
-  // rejection leaves the engine inert with the verdict in
-  // precheck_status_ — every mutator returns it via CheckLive.
-  precheck_status_ = GateRuleset(*sat_, trusted_, options_.analyze_first,
-                                 "DeltaRepairEngine");
-  if (!precheck_status_.ok()) return;
-
-  size_t shards = options_.num_shards == 0 ? DefaultParallelism()
-                                           : options_.num_shards;
-  shards = std::min(shards, std::max<size_t>(16, 2 * DefaultParallelism()));
-  if (options_.queue_capacity < 1) options_.queue_capacity = 1;
-  if (shards > 1) {
-    window_ = static_cast<uint64_t>(shards) * options_.queue_capacity;
-    queues_.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      queues_.push_back(
-          std::make_unique<BoundedQueue<Job>>(options_.queue_capacity));
-    }
-    workers_.reserve(shards);
-    try {
-      for (size_t s = 0; s < shards; ++s) {
-        workers_.emplace_back([this, s] { WorkerLoop(s); });
-      }
-    } catch (const std::system_error&) {
-      // Thread-resource exhaustion mid-spawn (same stance as the stream
-      // engine): run with the workers that did start, or fall back to the
-      // inline path when none did.
-      queues_.resize(workers_.size());
-      window_ = static_cast<uint64_t>(queues_.size()) * options_.queue_capacity;
-    }
-  }
-}
-
-DeltaRepairEngine::~DeltaRepairEngine() {
-  for (auto& q : queues_) q->Close();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-}
-
-size_t DeltaRepairEngine::num_shards() const {
-  return queues_.empty() ? 1 : queues_.size();
-}
+      repaired_(schema_),
+      counts_({{"delta.deltas_applied", &DeltaRepairStats::deltas_applied},
+               {"delta.tuples_repaired", &DeltaRepairStats::tuples_repaired},
+               {"delta.tuples_invalidated",
+                &DeltaRepairStats::tuples_invalidated},
+               {"delta.master_rebuilds", &DeltaRepairStats::master_rebuilds},
+               {"delta.noop_updates", &DeltaRepairStats::noop_updates},
+               {"delta.memo_hits", &DeltaRepairStats::memo_hits},
+               {"delta.memo_misses", &DeltaRepairStats::memo_misses},
+               {"delta.pool_recycles", &DeltaRepairStats::pool_recycles},
+               {"delta.fully_covered", &DeltaRepairStats::fully_covered, true},
+               {"delta.partial", &DeltaRepairStats::partial, true},
+               {"delta.untouched", &DeltaRepairStats::untouched, true},
+               {"delta.conflicting", &DeltaRepairStats::conflicting, true},
+               {"delta.cells_changed", &DeltaRepairStats::cells_changed,
+                true}}),
+      pipeline_(precheck_status_.ok() ? Workers(options_.num_shards) : 0,
+                options_.queue_capacity, [this] { return MakeShardStep(); },
+                [this](uint64_t, Done& done) { ApplyResult(done); },
+                "delta.merge") {}
 
 Status DeltaRepairEngine::CheckLive() {
   if (!precheck_status_.ok()) return precheck_status_;
-  std::lock_guard<std::mutex> lock(merge_mutex_);
-  if (failed_) {
+  if (pipeline_.failed()) {
     return Status::Internal(
         "delta engine worker failed; Flush() rethrows the cause");
-  }
-  return Status::OK();
-}
-
-Status DeltaRepairEngine::MasterSchemaCheck(const Tuple& t) const {
-  if (t.schema().get() != master_schema_.get() &&
-      !t.schema()->Equals(*master_schema_)) {
-    return Status::InvalidArgument(
-        "tuple schema does not match master schema " + master_schema_->name());
-  }
-  return Status::OK();
-}
-
-Status DeltaRepairEngine::InputSchemaCheck(const Tuple& t) const {
-  if (t.schema().get() != schema_.get() && !t.schema()->Equals(*schema_)) {
-    return Status::InvalidArgument("tuple schema does not match relation " +
-                                   schema_->name());
   }
   return Status::OK();
 }
@@ -182,24 +89,9 @@ Status DeltaRepairEngine::InputSchemaCheck(const Tuple& t) const {
 // ---------------------------------------------------------------------------
 // Pipeline
 
-bool DeltaRepairEngine::Admit(uint64_t* seq) {
-  if (workers_.empty()) {
-    *seq = next_seq_++;
-    return true;
-  }
-  std::unique_lock<std::mutex> lock(merge_mutex_);
-  if (in_flight_ >= window_) {
-    progress_.wait(lock, [this] { return in_flight_ < window_ || failed_; });
-  }
-  if (failed_) return false;
-  *seq = next_seq_++;
-  ++in_flight_;
-  return true;
-}
-
 Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   CERTFIX_SPAN("delta.ingest");
-  metrics_.tuples_repaired->Increment();
+  CERTFIX_TL_COUNTER("delta.tuples_repaired")->Increment();
   Job job;
   job.slot = slot;
   job.epoch = sat_epoch_;
@@ -209,16 +101,8 @@ Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   for (size_t a = 0; a < schema_->num_attrs(); ++a) {
     job.values.push_back(input_.Cell(slot, static_cast<AttrId>(a)));
   }
-  if (!Admit(&job.seq)) {
-    return Status::Internal("delta engine worker failed");
-  }
-  if (workers_.empty()) {
-    RepairInline(job);
-    return Status::OK();
-  }
-  if (!queues_[slot % queues_.size()]->Push(std::move(job))) {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    --in_flight_;
+  if (!pipeline_.Submit(std::move(job),
+                        [](const Job& j, uint64_t) { return j.slot; })) {
     return Status::Internal("delta engine worker failed");
   }
   return Status::OK();
@@ -247,176 +131,53 @@ void DeltaRepairEngine::ApplyMemoFlush(RepairMemo* memo,
   }
 }
 
-void DeltaRepairEngine::RepairInline(const Job& job) {
-  CERTFIX_SPAN("delta.shard_repair");
-  if (options_.use_memo && local_memo_ == nullptr) {
-    local_memo_ = std::make_unique<RepairMemo>(*rules_, trusted_);
-  }
-  if (local_pool_ == nullptr) local_pool_ = std::make_shared<ValuePool>();
-  if (local_epoch_ != job.epoch || local_bridge_ == nullptr) {
-    // Master rebuilt: the pool (and the memo keyed on its ids) survive;
-    // only the bridge cache and the flushed memo entries go. The caller
-    // thread runs this, so reading memo_flush_head_ directly is safe.
-    local_bridge_ = std::make_unique<PoolBridge>(
-        local_pool_.get(), job.sat->index().pool().get());
-    if (local_memo_ != nullptr) {
-      ApplyMemoFlush(local_memo_.get(), memo_flush_head_.get(), local_epoch_);
+DeltaRepairEngine::Pipeline::Step DeltaRepairEngine::MakeShardStep() {
+  auto shard = std::make_shared<ShardRepairer>(*rules_, trusted_,
+                                               options_.use_memo);
+  return [this, shard, epoch = ~uint64_t{0}](
+             std::vector<Pipeline::Ticket>& block,
+             const Pipeline::Emit& emit) mutable {
+    CERTFIX_SPAN("delta.shard_repair");
+    // Master deltas drain the pipeline before the epoch advances, so a
+    // ring never holds jobs of two epochs at once — one check covers the
+    // whole block.
+    const Job& head = block.front().job;
+    if (epoch != head.epoch) {
+      // New epoch = the master (and its pool) changed under a rebuild
+      // barrier; the ring's mutex published the new saturator.
+      shard->Bind(*head.sat);
+      if (shard->memo() != nullptr) {
+        ApplyMemoFlush(shard->memo(), head.flush.get(), epoch);
+      }
+      epoch = head.epoch;
     }
-    local_epoch_ = job.epoch;
-  }
-  if (local_pool_->size() > options_.pool_recycle_values) {
-    local_pool_ = std::make_shared<ValuePool>();
-    local_bridge_ = std::make_unique<PoolBridge>(
-        local_pool_.get(), job.sat->index().pool().get());
-    if (local_memo_ != nullptr) local_memo_->Clear();
-    metrics_.pool_recycles->Increment();
-  }
-  Tuple row(schema_, local_pool_);
-  for (size_t a = 0; a < job.values.size(); ++a) {
-    row.Set(static_cast<AttrId>(a), job.values[a]);
-  }
-  ProbeLog probes;
-  const uint64_t hits_before =
-      local_memo_ != nullptr ? local_memo_->hits() : 0;
-  TupleRepair r = RepairOneTuple(*job.sat, row, trusted_, all_,
-                                 local_bridge_.get(), &probes,
-                                 local_memo_.get());
-  Done done;
-  done.seq = job.seq;
-  done.slot = job.slot;
-  done.report = r.report;
-  done.probes = std::move(probes.hashes);
-  if (local_memo_ != nullptr) {
-    done.memo = local_memo_->hits() > hits_before ? 1 : 0;
-  }
-  const Tuple& emit = r.report.conflicting() ? row : r.fixed;
-  done.fixed.reserve(schema_->num_attrs());
-  for (size_t a = 0; a < schema_->num_attrs(); ++a) {
-    done.fixed.push_back(emit.at(static_cast<AttrId>(a)));
-  }
-  std::lock_guard<std::mutex> lock(merge_mutex_);
-  ApplyResult(done);
-  ++next_apply_;
-}
-
-void DeltaRepairEngine::WorkerLoop(size_t shard) {
-  try {
-    PoolPtr pool = std::make_shared<ValuePool>();
-    std::unique_ptr<PoolBridge> bridge;
-    std::unique_ptr<RepairMemo> memo;
-    if (options_.use_memo) {
-      memo = std::make_unique<RepairMemo>(*rules_, trusted_);
+    if (shard->RecycleIfOver(options_.pool_recycle_values)) {
+      CERTFIX_TL_COUNTER("delta.pool_recycles")->Increment();
     }
-    uint64_t epoch = ~0ULL;
-    std::vector<size_t> first_round;
-    std::vector<Job> batch;
-    std::vector<Tuple> rows;
-    batch.reserve(kProbeBlock);
-    rows.reserve(kProbeBlock);
-    while (queues_[shard]->PopBatch(&batch, kProbeBlock) > 0) {
-      CERTFIX_SPAN("delta.shard_repair");
-      // Master deltas drain the pipeline before the epoch advances, so a
-      // ring never holds jobs of two epochs at once — one check covers
-      // the whole batch.
-      const Saturator& sat = *batch.front().sat;
-      if (epoch != batch.front().epoch || bridge == nullptr) {
-        // New epoch = the master (and its pool) changed under a rebuild
-        // barrier; the ring's mutex published the new saturator. The
-        // shard pool (and the memo keyed on its ids) survive — only the
-        // bridge cache and the flushed memo entries go.
-        bridge = std::make_unique<PoolBridge>(pool.get(),
-                                              sat.index().pool().get());
-        if (memo != nullptr) {
-          ApplyMemoFlush(memo.get(), batch.front().flush.get(), epoch);
-        }
-        epoch = batch.front().epoch;
-        first_round = sat.FirstRoundProbeRules(trusted_);
-      }
-      // The recycle check runs once per batch, before any row is built:
-      // a mid-batch reset would mix pools within one staged block.
-      if (pool->size() > options_.pool_recycle_values) {
-        pool = std::make_shared<ValuePool>();
-        bridge = std::make_unique<PoolBridge>(pool.get(),
-                                              sat.index().pool().get());
-        if (memo != nullptr) memo->Clear();
-        metrics_.pool_recycles->Increment();
-      }
-      // Stage: materialize the batch's rows, prefetching each row's memo
-      // bucket and round-1 value-summary buckets...
-      for (Job& job : batch) {
-        Tuple row(schema_, pool);
-        for (size_t a = 0; a < job.values.size(); ++a) {
-          row.Set(static_cast<AttrId>(a), std::move(job.values[a]));
-        }
-        if (memo != nullptr) memo->Prefetch(row);
-        sat.index().PrefetchRhsProbes(row, first_round, bridge.get());
-        rows.push_back(std::move(row));
-      }
-      // ...then resolve: repair in seq order while lines are in flight.
-      for (size_t j = 0; j < rows.size(); ++j) {
-        const Tuple& row = rows[j];
-        ProbeLog probes;
-        const uint64_t hits_before = memo != nullptr ? memo->hits() : 0;
-        TupleRepair r = RepairOneTuple(sat, row, trusted_, all_,
-                                       bridge.get(), &probes, memo.get());
-        Done done;
-        done.seq = batch[j].seq;
-        done.slot = batch[j].slot;
-        done.report = r.report;
-        done.probes = std::move(probes.hashes);
-        if (memo != nullptr) {
-          done.memo = memo->hits() > hits_before ? 1 : 0;
-        }
-        // Results cross the merge boundary as owned Values (conflicting
-        // rows re-emit their input), exactly like the stream engine's
-        // records.
-        const Tuple& emit = r.report.conflicting() ? row : r.fixed;
-        done.fixed.reserve(schema_->num_attrs());
-        for (size_t a = 0; a < schema_->num_attrs(); ++a) {
-          done.fixed.push_back(emit.at(static_cast<AttrId>(a)));
-        }
-        ApplyOrdered(std::move(done));
-      }
-      batch.clear();
-      rows.clear();
-    }
-  } catch (...) {
-    Fail(std::current_exception());
-  }
-}
-
-void DeltaRepairEngine::ApplyOrdered(Done done) {
-  CERTFIX_SPAN("delta.merge");
-  std::unique_lock<std::mutex> lock(merge_mutex_);
-  pending_.emplace(done.seq, std::move(done));
-  metrics_.NoteReorderDepth(pending_.size());
-  uint64_t applied = 0;
-  while (!pending_.empty() && pending_.begin()->first == next_apply_) {
-    Done d = std::move(pending_.begin()->second);
-    pending_.erase(pending_.begin());
-    ApplyResult(d);
-    ++next_apply_;
-    ++applied;
-  }
-  if (applied > 0) {
-    in_flight_ -= applied;
-    progress_.notify_all();
-  }
+    shard->RepairBlock(
+        block.size(),
+        [&block](size_t j) -> std::vector<Value>& {
+          return block[j].job.values;
+        },
+        /*record_probes=*/true, [&](size_t j, RepairedRow row) {
+          emit(j, Done{block[j].job.slot, std::move(row)});
+        });
+  };
 }
 
 void DeltaRepairEngine::AddClass(uint8_t cls, int delta) {
   switch (static_cast<FixClass>(cls)) {
     case FixClass::kFullyCovered:
-      metrics_.fully_covered->Add(delta);
+      CERTFIX_TL_GAUGE("delta.fully_covered")->Add(delta);
       break;
     case FixClass::kPartial:
-      metrics_.partial->Add(delta);
+      CERTFIX_TL_GAUGE("delta.partial")->Add(delta);
       break;
     case FixClass::kUntouched:
-      metrics_.untouched->Add(delta);
+      CERTFIX_TL_GAUGE("delta.untouched")->Add(delta);
       break;
     case FixClass::kConflicting:
-      metrics_.conflicting->Add(delta);
+      CERTFIX_TL_GAUGE("delta.conflicting")->Add(delta);
       break;
   }
 }
@@ -432,64 +193,41 @@ void DeltaRepairEngine::UnregisterProbes(uint32_t slot) {
   slot_probes_[slot].clear();
 }
 
-void DeltaRepairEngine::ApplyResult(Done& d) {
-  uint32_t slot = d.slot;
+void DeltaRepairEngine::ApplyResult(Done& done) {
+  const uint32_t slot = done.slot;
+  RepairedRow& r = done.row;
   // Memo tallies count every finished repair, even one whose slot died
   // in flight — they measure saturation work saved, not live state.
-  if (d.memo == 1) metrics_.memo_hits->Increment();
-  if (d.memo == 0) metrics_.memo_misses->Increment();
+  if (r.memo == 1) CERTFIX_TL_COUNTER("delta.memo_hits")->Increment();
+  if (r.memo == 0) CERTFIX_TL_COUNTER("delta.memo_misses")->Increment();
   if (slot_class_[slot] == kDeadClass) {
     return;  // deleted while the repair was in flight
   }
   UnregisterProbes(slot);
-  std::sort(d.probes.begin(), d.probes.end());
-  d.probes.erase(std::unique(d.probes.begin(), d.probes.end()),
-                 d.probes.end());
-  for (uint64_t h : d.probes) probe_to_slots_[h].push_back(slot);
-  slot_probes_[slot] = std::move(d.probes);
+  std::sort(r.probes.begin(), r.probes.end());
+  r.probes.erase(std::unique(r.probes.begin(), r.probes.end()),
+                 r.probes.end());
+  for (uint64_t h : r.probes) probe_to_slots_[h].push_back(slot);
+  slot_probes_[slot] = std::move(r.probes);
 
-  for (size_t a = 0; a < d.fixed.size(); ++a) {
+  for (size_t a = 0; a < r.fixed.size(); ++a) {
     AttrId attr = static_cast<AttrId>(a);
-    if (repaired_.Cell(slot, attr) != d.fixed[a]) {
-      repaired_.SetCell(slot, attr, std::move(d.fixed[a]));
+    if (repaired_.Cell(slot, attr) != r.fixed[a]) {
+      repaired_.SetCell(slot, attr, std::move(r.fixed[a]));
     }
   }
 
   if (slot_class_[slot] != kPendingClass) AddClass(slot_class_[slot], -1);
-  slot_class_[slot] = static_cast<uint8_t>(d.report.kind);
+  slot_class_[slot] = static_cast<uint8_t>(r.report.kind);
   AddClass(slot_class_[slot], +1);
-  metrics_.cells_changed->Add(static_cast<int64_t>(d.report.cells_changed) -
-                              slot_cells_[slot]);
-  slot_cells_[slot] = static_cast<uint32_t>(d.report.cells_changed);
-}
-
-void DeltaRepairEngine::Fail(std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    if (!first_error_) first_error_ = error;
-    failed_ = true;
-  }
-  progress_.notify_all();
-  for (auto& q : queues_) q->Close();
-}
-
-void DeltaRepairEngine::DrainPipeline() {
-  if (!workers_.empty()) {
-    std::unique_lock<std::mutex> lock(merge_mutex_);
-    progress_.wait(lock, [this] { return in_flight_ == 0 || failed_; });
-  }
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
+  CERTFIX_TL_GAUGE("delta.cells_changed")
+      ->Add(static_cast<int64_t>(r.report.cells_changed) - slot_cells_[slot]);
+  slot_cells_[slot] = static_cast<uint32_t>(r.report.cells_changed);
 }
 
 void DeltaRepairEngine::Flush() {
   Status st = EnsureIndexFresh();  // may enqueue invalidated re-repairs
-  DrainPipeline();
+  pipeline_.Drain();
   if (!st.ok()) {
     throw std::runtime_error(st.ToString());
   }
@@ -506,7 +244,7 @@ Status DeltaRepairEngine::EnsureIndexFresh() {
   index_ = std::make_unique<MasterIndex>(*rules_, master_, options_.index_kind);
   sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
   ++sat_epoch_;
-  metrics_.master_rebuilds->Increment();
+  CERTFIX_TL_COUNTER("delta.master_rebuilds")->Increment();
   index_stale_ = false;
   if (options_.use_memo) {
     // Publish this epoch's memo invalidation. A node exists for every
@@ -533,7 +271,7 @@ Status DeltaRepairEngine::EnsureIndexFresh() {
   }
   std::vector<uint32_t> dirty(dirty_slots_.begin(), dirty_slots_.end());
   dirty_slots_.clear();
-  metrics_.tuples_invalidated->Add(dirty.size());
+  CERTFIX_TL_COUNTER("delta.tuples_invalidated")->Add(dirty.size());
   for (uint32_t slot : dirty) {
     CERTFIX_RETURN_IF_ERROR(EnqueueRepair(slot));
   }
@@ -546,7 +284,7 @@ Status DeltaRepairEngine::Insert(const Tuple& t) {
   uint32_t slot = static_cast<uint32_t>(input_.size());
   CERTFIX_RETURN_IF_ERROR(input_.Append(t));
   {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
+    std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     // Placeholder: input values until the job lands.
     repaired_.Append(t);  // contract-lint: allow(status-discard) schema-checked on entry
     slot_probes_.emplace_back();
@@ -554,7 +292,7 @@ Status DeltaRepairEngine::Insert(const Tuple& t) {
     slot_cells_.push_back(0);
   }
   order_.push_back(slot);
-  metrics_.deltas_applied->Increment();
+  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return EnqueueRepair(slot);
 }
 
@@ -567,15 +305,15 @@ Status DeltaRepairEngine::Update(size_t pos, const Tuple& t) {
   }
   // Unlike Insert (where Relation::Append validates), UpdateRow indexes
   // the tuple by this schema's attrs unchecked — validate here.
-  CERTFIX_RETURN_IF_ERROR(InputSchemaCheck(t));
+  CERTFIX_RETURN_IF_ERROR(CheckTupleSchema(t, schema_));
   CERTFIX_RETURN_IF_ERROR(EnsureIndexFresh());
   uint32_t slot = order_[pos];
   AttrSet changed = input_.UpdateRow(slot, t);
-  metrics_.deltas_applied->Increment();
+  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   if (changed.Empty()) {
     // Cell-level dirty tracking: the row is byte-identical, its repair is
     // still exact — nothing to invalidate.
-    metrics_.noop_updates->Increment();
+    CERTFIX_TL_COUNTER("delta.noop_updates")->Increment();
     return Status::OK();
   }
   return EnqueueRepair(slot);
@@ -592,14 +330,15 @@ Status DeltaRepairEngine::Delete(size_t pos) {
   order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos));
   dirty_slots_.erase(slot);
   {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
+    std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     UnregisterProbes(slot);
     if (slot_class_[slot] != kPendingClass) AddClass(slot_class_[slot], -1);
-    metrics_.cells_changed->Add(-static_cast<int64_t>(slot_cells_[slot]));
+    CERTFIX_TL_GAUGE("delta.cells_changed")
+        ->Add(-static_cast<int64_t>(slot_cells_[slot]));
     slot_cells_[slot] = 0;
     slot_class_[slot] = kDeadClass;
   }
-  metrics_.deltas_applied->Increment();
+  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
 
@@ -632,24 +371,24 @@ void DeltaRepairEngine::InvalidateMasterRow(
 
 Status DeltaRepairEngine::MasterInsert(const Tuple& t) {
   CERTFIX_RETURN_IF_ERROR(CheckLive());
-  CERTFIX_RETURN_IF_ERROR(MasterSchemaCheck(t));
-  DrainPipeline();
+  CERTFIX_RETURN_IF_ERROR(CheckTupleSchema(t, master_schema_));
+  pipeline_.Drain();
   CERTFIX_RETURN_IF_ERROR(master_.Append(t));
   {
     // A new master row can answer any rule's probe for its key.
-    std::lock_guard<std::mutex> lock(merge_mutex_);
+    std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     std::vector<size_t> every(rules_->size());
     for (size_t i = 0; i < every.size(); ++i) every[i] = i;
     InvalidateMasterRow(master_.size() - 1, every);
   }
   index_stale_ = true;
-  metrics_.deltas_applied->Increment();
+  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
 
 Status DeltaRepairEngine::MasterUpdate(size_t pos, const Tuple& t) {
   CERTFIX_RETURN_IF_ERROR(CheckLive());
-  CERTFIX_RETURN_IF_ERROR(MasterSchemaCheck(t));
+  CERTFIX_RETURN_IF_ERROR(CheckTupleSchema(t, master_schema_));
   if (pos >= master_.size()) {
     return Status::InvalidArgument(
         "master update position " + std::to_string(pos) +
@@ -664,23 +403,23 @@ Status DeltaRepairEngine::MasterUpdate(size_t pos, const Tuple& t) {
     AttrId attr = static_cast<AttrId>(a);
     if (master_.Cell(pos, attr) != t.at(attr)) changed.Add(attr);
   }
-  metrics_.deltas_applied->Increment();
+  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   if (changed.Empty()) {
-    metrics_.noop_updates->Increment();
+    CERTFIX_TL_COUNTER("delta.noop_updates")->Increment();
     return Status::OK();
   }
-  DrainPipeline();
+  pipeline_.Drain();
   // Only rules whose master side reads a changed attribute can answer
   // differently — and only for the row's old or new key. The summary's
   // precomputed per-attribute rule lists front the graph walk here.
   std::vector<size_t> affected = summary_.RulesReadingMasterAttrs(changed);
   {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
+    std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     InvalidateMasterRow(pos, affected);  // old projections
   }
   master_.UpdateRow(pos, t);
   {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
+    std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     InvalidateMasterRow(pos, affected);  // new projections
   }
   if (!affected.empty()) index_stale_ = true;
@@ -694,9 +433,9 @@ Status DeltaRepairEngine::MasterDelete(size_t pos) {
         "master delete position " + std::to_string(pos) +
         " out of range (rows: " + std::to_string(master_.size()) + ")");
   }
-  DrainPipeline();
+  pipeline_.Drain();
   {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
+    std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     std::vector<size_t> every(rules_->size());
     for (size_t i = 0; i < every.size(); ++i) every[i] = i;
     InvalidateMasterRow(pos, every);
@@ -713,7 +452,7 @@ Status DeltaRepairEngine::MasterDelete(size_t pos) {
   }
   master_ = std::move(next);
   index_stale_ = true;
-  metrics_.deltas_applied->Increment();
+  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
 
@@ -793,7 +532,14 @@ std::vector<size_t> DeltaRepairEngine::ConflictPositions() {
 
 DeltaRepairStats DeltaRepairEngine::stats() {
   Flush();
-  return metrics_.Snapshot(order_.size());
+  DeltaRepairStats s;
+  counts_.Fill(&s);
+  s.rows = order_.size();
+  s.max_reorder = pipeline_.max_reorder();
+  telemetry::Registry::Global()
+      ->GetMaxGauge("delta.max_reorder")
+      ->Note(s.max_reorder);
+  return s;
 }
 
 }  // namespace certfix

@@ -26,13 +26,15 @@
 ///    exactly the tuples that depended on an affected probe — hash
 ///    collisions over-invalidate (sound), never under-invalidate.
 ///
-/// Pipeline: mutations ride the same machinery as the streaming engine —
-/// repair jobs are admitted with a sequence number, routed over bounded
-/// rings (BoundedQueue, backpressure) to shard workers running
-/// RepairOneTuple with shard-local pools, and results are applied to the
-/// maintained state strictly in seq order under one merge lock, so the
-/// maintained relation, all counters, and the probe index are
-/// byte-identical at any worker count. Master deltas are barriers: the
+/// Pipeline: repairs ride the ordered shard pipeline the streaming engine
+/// runs on (stream/ordered_pipeline.h) — repair jobs are admitted with a
+/// sequence number, routed by slot over bounded rings to shard workers,
+/// each repairing blocks with its own ShardRepairer (core/shard_repair.h),
+/// and results are applied to the maintained state strictly in seq order
+/// under the pipeline's merge lock, so the maintained relation, all
+/// counters, and the probe index are byte-identical at any worker count.
+/// At one shard the pipeline runs in zero-worker mode: each job repairs
+/// and applies on the caller's thread. Master deltas are barriers: the
 /// engine drains in-flight jobs, mutates the master, and rebuilds the
 /// MasterIndex/Saturator lazily before the next repair (consecutive master
 /// deltas share one rebuild).
@@ -49,13 +51,10 @@
 #ifndef CERTFIX_INCREMENTAL_DELTA_REPAIR_H_
 #define CERTFIX_INCREMENTAL_DELTA_REPAIR_H_
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -63,14 +62,12 @@
 #include "analysis/rule_summary.h"
 #include "core/dependency_graph.h"
 #include "core/master_index.h"
-#include "core/repair_tuple.h"
-#include "stream/bounded_queue.h"
+#include "core/shard_repair.h"
 #include "stream/delta_source.h"
+#include "stream/ordered_pipeline.h"
 #include "telemetry/metrics.h"
 
 namespace certfix {
-
-class RepairMemo;
 
 /// \brief Execution knobs, mirroring StreamOptions.
 struct DeltaRepairOptions {
@@ -119,44 +116,6 @@ struct DeltaRepairStats {
   uint64_t pool_recycles = 0;      ///< shard pools reset (bounded memory)
 };
 
-/// \brief Registry-backed view of the delta engine's counters
-/// (telemetry/metrics.h), mirroring StreamMetrics: increments land on
-/// the process-wide `delta.*` instruments, and Snapshot() subtracts the
-/// values captured at construction so each engine instance reports its
-/// own activity. Slot-class populations and cells_changed are signed
-/// gauges (deletes and reclassifications decrement them); max_reorder
-/// is a per-instance MaxGauge mirrored into the registry's monotone
-/// `delta.max_reorder`.
-struct DeltaMetrics {
-  DeltaMetrics();
-
-  void NoteReorderDepth(uint64_t depth) {
-    max_reorder.Note(depth);
-    max_reorder_global->Note(depth);
-  }
-
-  /// Current registry values minus the construction baseline; `rows`
-  /// is supplied by the engine (order_.size() is not a counter).
-  DeltaRepairStats Snapshot(uint64_t rows) const;
-
-  telemetry::Counter* deltas_applied;
-  telemetry::Counter* tuples_repaired;
-  telemetry::Counter* tuples_invalidated;
-  telemetry::Counter* master_rebuilds;
-  telemetry::Counter* noop_updates;
-  telemetry::Counter* memo_hits;
-  telemetry::Counter* memo_misses;
-  telemetry::Counter* pool_recycles;
-  telemetry::Gauge* fully_covered;
-  telemetry::Gauge* partial;
-  telemetry::Gauge* untouched;
-  telemetry::Gauge* conflicting;
-  telemetry::Gauge* cells_changed;
-  telemetry::MaxGauge* max_reorder_global;
-  telemetry::MaxGauge max_reorder;  ///< this engine's own high-water mark
-  DeltaRepairStats baseline;        ///< registry values at construction
-};
-
 /// \brief Long-lived engine owning the repaired relation plus its
 /// KeyIndex/MasterIndex state.
 class DeltaRepairEngine {
@@ -174,7 +133,6 @@ class DeltaRepairEngine {
   /// actually touch).
   DeltaRepairEngine(const RuleSet& rules, Relation&& master, AttrSet trusted,
                     DeltaRepairOptions options = {});
-  ~DeltaRepairEngine();
 
   DeltaRepairEngine(const DeltaRepairEngine&) = delete;
   DeltaRepairEngine& operator=(const DeltaRepairEngine&) = delete;
@@ -208,7 +166,9 @@ class DeltaRepairEngine {
   /// races the shard workers probing it — build delta tuples in their own
   /// pool instead.
   const Relation& master() const { return master_; }
-  size_t num_shards() const;
+  size_t num_shards() const {
+    return std::max<size_t>(1, pipeline_.num_workers());
+  }
 
   /// The maintained repaired relation, compacted to live rows in order
   /// (flushes first). Byte-identical under WriteCsv to the from-scratch
@@ -256,25 +216,21 @@ class DeltaRepairEngine {
   static constexpr size_t kMaxFlushChain = 32;
 
   /// One repair job riding a shard ring. Carries the saturator pointer and
-  /// its epoch so workers rebuild their pool bridge exactly when a master
-  /// rebuild happened (the queue's mutex publishes the new saturator).
+  /// its epoch so workers rebind their pool bridge exactly when a master
+  /// rebuild happened (the ring's mutex publishes the new saturator).
   struct Job {
-    uint64_t seq = 0;
     uint32_t slot = 0;
     uint64_t epoch = 0;
     const Saturator* sat = nullptr;
     std::shared_ptr<MemoFlush> flush;  ///< chain head at enqueue
     std::vector<Value> values;
   };
-  /// One repair result waiting in the reorder buffer.
+  /// One slot's repair result on its way to ApplyResult.
   struct Done {
-    uint64_t seq = 0;
     uint32_t slot = 0;
-    std::vector<Value> fixed;
-    FixReport report;
-    std::vector<uint64_t> probes;
-    int8_t memo = -1;  ///< -1 memo off, 0 miss, 1 replayed
+    RepairedRow row;
   };
+  using Pipeline = OrderedShardPipeline<Job, Done>;
 
   Status CheckLive();
   /// Applies every flush-chain node with epoch > last_epoch to `memo`
@@ -286,44 +242,35 @@ class DeltaRepairEngine {
   /// enqueues re-repairs for the invalidated slots.
   Status EnsureIndexFresh();
   Status EnqueueRepair(uint32_t slot);
-  void RepairInline(const Job& job);
-  bool Admit(uint64_t* seq);
-  void WorkerLoop(size_t shard);
-  void ApplyOrdered(Done done);
+  Pipeline::Step MakeShardStep();
   /// Applies one seq-ordered result to the maintained state. Caller holds
-  /// merge_mutex_.
+  /// the merge lock.
   void ApplyResult(Done& done);
   void UnregisterProbes(uint32_t slot);
   /// Marks every live slot that probed `row`'s key under one of
-  /// `rule_idxs` dirty. Caller holds merge_mutex_.
+  /// `rule_idxs` dirty. Caller holds the merge lock.
   void InvalidateMasterRow(size_t row, const std::vector<size_t>& rule_idxs);
-  /// Drains the pipeline (in_flight == 0); rethrows worker errors.
-  void DrainPipeline();
-  void Fail(std::exception_ptr error);
   void AddClass(uint8_t cls, int delta);
-  Status MasterSchemaCheck(const Tuple& t) const;
-  Status InputSchemaCheck(const Tuple& t) const;
 
   const RuleSet* rules_;
   SchemaPtr schema_;
   SchemaPtr master_schema_;
   AttrSet trusted_;
-  AttrSet all_;
   DeltaRepairOptions options_;
   DependencyGraph graph_;
   RuleSetSummary summary_;  ///< fronts graph_ on the invalidation path
-  Status precheck_status_;  ///< strict analyze_first verdict
 
   Relation master_;
   std::unique_ptr<MasterIndex> index_;
   std::unique_ptr<Saturator> sat_;
   uint64_t sat_epoch_ = 0;
   bool index_stale_ = false;
+  Status precheck_status_;  ///< strict analyze_first verdict
 
   /// Slot stores: append-only; order_ holds the live slots in visible
   /// order. input_ is written by the caller thread only; repaired_ and the
-  /// probe/class bookkeeping below are written under merge_mutex_ (workers
-  /// apply results there).
+  /// probe/class bookkeeping below are written under the merge lock
+  /// (workers apply results there).
   Relation input_;
   Relation repaired_;
   std::vector<uint32_t> order_;
@@ -334,32 +281,14 @@ class DeltaRepairEngine {
   std::vector<uint8_t> slot_class_;
   std::vector<uint32_t> slot_cells_;  ///< per-slot cells_changed
 
-  // Sequential-path repair state (num_shards == 1).
-  PoolPtr local_pool_;
-  std::unique_ptr<PoolBridge> local_bridge_;
-  std::unique_ptr<RepairMemo> local_memo_;
-  uint64_t local_epoch_ = ~0ULL;
-
   /// Memo-invalidation state, written by the caller thread only:
   /// pending_memo_flush_ gathers probe hashes as master deltas land and
   /// becomes the next epoch's MemoFlush node at the rebuild.
   std::vector<uint64_t> pending_memo_flush_;
   std::shared_ptr<MemoFlush> memo_flush_head_;
 
-  std::vector<std::unique_ptr<BoundedQueue<Job>>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex merge_mutex_;
-  std::condition_variable progress_;  ///< window opens / pipeline drains
-  std::map<uint64_t, Done> pending_;
-  uint64_t next_seq_ = 0;
-  uint64_t next_apply_ = 0;
-  uint64_t in_flight_ = 0;
-  uint64_t window_ = 0;
-  bool failed_ = false;
-  std::exception_ptr first_error_;
-
-  DeltaMetrics metrics_;
+  telemetry::RegistryDiff<DeltaRepairStats> counts_;
+  Pipeline pipeline_;  ///< last: its workers use everything above
 };
 
 }  // namespace certfix

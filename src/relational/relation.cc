@@ -54,10 +54,7 @@ void Relation::TrackRowVersions() {
 }
 
 Status Relation::Append(const Tuple& t) {
-  if (t.schema().get() != schema_.get() && !t.schema()->Equals(*schema_)) {
-    return Status::InvalidArgument("tuple schema does not match relation " +
-                                   schema_->name());
-  }
+  CERTFIX_RETURN_IF_ERROR(CheckTupleSchema(t, schema_));
   if (t.pool() == pool_) {
     for (size_t a = 0; a < cols_.size(); ++a) {
       cols_[a].PushBack(t.id_at(static_cast<AttrId>(a)));

@@ -39,6 +39,14 @@ Result<Tuple> Tuple::FromStrings(SchemaPtr schema,
   return Tuple(std::move(schema), std::move(values));
 }
 
+Status CheckTupleSchema(const Tuple& t, const SchemaPtr& schema) {
+  if (t.schema().get() != schema.get() && !t.schema()->Equals(*schema)) {
+    return Status::InvalidArgument("tuple schema does not match relation " +
+                                   schema->name());
+  }
+  return Status::OK();
+}
+
 const Value& Tuple::at(AttrId id) const {
   ValueId vid = ids_[id];
   if (vid == kNullValueId || pool_ == nullptr) return NullValue();

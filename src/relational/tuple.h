@@ -92,6 +92,11 @@ class Tuple {
   std::vector<ValueId> ids_;
 };
 
+/// The schema check of every entry point that reads a caller's tuple by
+/// `schema`'s attribute ids: OK when `t` was built on `schema` (the same
+/// object or a structurally equal one), InvalidArgument otherwise.
+Status CheckTupleSchema(const Tuple& t, const SchemaPtr& schema);
+
 /// Unit separator delimiting fields of the string key forms below.
 inline constexpr char kKeyUnitSep = '\x1f';
 

@@ -1,15 +1,16 @@
 /// \file bounded_queue.h
 /// \brief Bounded multi-producer/multi-consumer blocking ring buffer —
-/// the backpressure primitive of the streaming repair engine.
+/// the backpressure primitive of the ordered shard pipeline
+/// (ordered_pipeline.h).
 ///
 /// Semantics:
 ///  * Push blocks while the ring is full (backpressure propagates to the
 ///    producer) and returns false — without enqueueing — once the queue
 ///    has been closed.
-///  * Pop blocks while the ring is empty and a producer may still push;
-///    after Close() it keeps draining whatever was enqueued and returns
-///    false only when the queue is both closed and empty. Nothing pushed
-///    before Close() is ever lost.
+///  * PopBatch blocks while the ring is empty and a producer may still
+///    push; after Close() it keeps draining whatever was enqueued and
+///    returns 0 only when the queue is both closed and empty. Nothing
+///    pushed before Close() is ever lost.
 ///  * Close() is idempotent and wakes every blocked producer and consumer.
 ///
 /// The ring is a fixed vector of slots reused in FIFO order, so a
@@ -21,7 +22,6 @@
 #ifndef CERTFIX_STREAM_BOUNDED_QUEUE_H_
 #define CERTFIX_STREAM_BOUNDED_QUEUE_H_
 
-#include <cassert>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -61,36 +61,12 @@ class BoundedQueue {
     return true;
   }
 
-  /// Enqueues without blocking. Returns false when full or closed.
-  bool TryPush(T item) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || size_ == slots_.size()) return false;
-    slots_[(head_ + size_) % slots_.size()] = std::move(item);
-    ++size_;
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Dequeues into `*out`, blocking while empty and open. Returns false
-  /// only when the queue is closed and fully drained.
-  bool Pop(T* out) {
-    telemetry::ScopedLatency wait(CERTFIX_TL_HISTOGRAM("queue_pop_wait_ns"));
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [this] { return size_ > 0 || closed_; });
-    if (size_ == 0) return false;  // closed and drained
-    *out = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
-    --size_;
-    not_full_.notify_one();
-    return true;
-  }
-
-  /// Dequeues up to `max` items, appending them to `*out`. Blocks like
-  /// Pop for the first item, then drains whatever else is already
-  /// queued (never waits for the batch to fill). Returns the number of
-  /// items dequeued; 0 only when the queue is closed and fully drained.
-  /// The batch-probe consumers use this: one lock acquisition hands a
-  /// worker a block of tuples to stage together.
+  /// Dequeues up to `max` items, appending them to `*out`. Blocks while
+  /// the queue is empty and open, then takes whatever is already queued
+  /// (never waits for the batch to fill). Returns the number of items
+  /// dequeued; 0 only when the queue is closed and fully drained. One
+  /// lock acquisition hands a shard worker a block of tuples to stage
+  /// together.
   size_t PopBatch(std::vector<T>* out, size_t max) {
     telemetry::ScopedLatency wait(CERTFIX_TL_HISTOGRAM("queue_pop_wait_ns"));
     std::unique_lock<std::mutex> lock(mutex_);
@@ -129,8 +105,8 @@ class BoundedQueue {
     return size_;
   }
 
-  /// Number of Push calls that had to wait for a free slot — the
-  /// backpressure signal surfaced by the stream metrics.
+  /// Number of Push calls that had to wait for a free slot — part of the
+  /// pipeline's backpressure count.
   size_t blocked_pushes() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return blocked_pushes_;

@@ -1,21 +1,11 @@
 #include "stream/stream_repair.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "analysis/analyzer.h"
-#include "core/repair_memo.h"
 #include "telemetry/trace.h"
-#include "util/thread_pool.h"
 
 namespace certfix {
-
-namespace {
-/// Tuples staged per probe block (see batch_repair.cc): one PopBatch
-/// hands the worker up to this many tuples whose memo and master-index
-/// buckets are prefetched together before any repair runs.
-constexpr size_t kProbeBlock = 32;
-}  // namespace
 
 StreamRepairEngine::StreamRepairEngine(const Saturator& sat, AttrSet trusted,
                                        StreamSink* sink,
@@ -24,114 +14,61 @@ StreamRepairEngine::StreamRepairEngine(const Saturator& sat, AttrSet trusted,
       schema_(sat.rules().r_schema()),
       trusted_(trusted),
       trusted_attrs_(trusted.ToVector()),
-      all_(sat.rules().r_schema()->AllAttrs()),
       sink_(sink),
-      options_(options) {
-  // The analyze_first gate runs before any worker exists: a strict
-  // rejection leaves the engine inert (no queues, no threads) with the
-  // verdict in precheck_status_ — Push refuses, Finish rethrows.
-  precheck_status_ = GateRuleset(sat, trusted_, options_.analyze_first,
-                                 "StreamRepairEngine");
-  if (!precheck_status_.ok()) {
-    failed_ = true;
-    first_error_ = std::make_exception_ptr(
-        std::runtime_error(precheck_status_.ToString()));
-    return;
-  }
-  size_t shards = options_.num_shards == 0 ? DefaultParallelism()
-                                           : options_.num_shards;
-  shards = std::min(shards, std::max<size_t>(16, 2 * DefaultParallelism()));
-  if (options_.queue_capacity < 1) options_.queue_capacity = 1;
-  window_ = static_cast<uint64_t>(shards) * options_.queue_capacity;
-  queues_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    queues_.push_back(
-        std::make_unique<BoundedQueue<Item>>(options_.queue_capacity));
-  }
-  workers_.reserve(shards);
-  try {
-    for (size_t s = 0; s < shards; ++s) {
-      workers_.emplace_back([this, s] { ShardLoop(s); });
-    }
-  } catch (const std::system_error&) {
-    // Thread-resource exhaustion mid-spawn (same stance as ThreadPool):
-    // with at least one worker every ring still drains — workers serve
-    // only their own ring, so drop the unserved rings (and shrink the
-    // admission window to match the rings that remain).
-    if (workers_.empty()) throw;
-    queues_.resize(workers_.size());
-    window_ = static_cast<uint64_t>(queues_.size()) * options_.queue_capacity;
-  }
-}
+      options_(options),
+      counts_({{"stream.tuples_in", &StreamSnapshot::tuples_in},
+               {"stream.tuples_out", &StreamSnapshot::tuples_out},
+               {"stream.fully_covered", &StreamSnapshot::fully_covered},
+               {"stream.partial", &StreamSnapshot::partial},
+               {"stream.untouched", &StreamSnapshot::untouched},
+               {"stream.conflicting", &StreamSnapshot::conflicting},
+               {"stream.cells_changed", &StreamSnapshot::cells_changed},
+               {"stream.backpressure_waits",
+                &StreamSnapshot::backpressure_waits},
+               {"stream.pool_recycles", &StreamSnapshot::pool_recycles},
+               {"stream.memo_hits", &StreamSnapshot::memo_hits},
+               {"stream.memo_misses", &StreamSnapshot::memo_misses}}),
+      // The analyze_first gate runs before any worker exists: a strict
+      // rejection leaves the engine inert (no workers) with the verdict
+      // in precheck_status_ — Push refuses, Finish throws it.
+      precheck_status_(GateRuleset(sat, trusted_, options_.analyze_first,
+                                   "StreamRepairEngine")),
+      pipeline_(precheck_status_.ok() ? ResolveShards(options_.num_shards)
+                                      : 0,
+                options_.queue_capacity, [this] { return MakeShardStep(); },
+                [this](uint64_t seq, RepairedRow& r) { EmitRecord(seq, r); },
+                "stream.merge") {}
 
-StreamRepairEngine::~StreamRepairEngine() {
-  try {
-    Finish();
-  } catch (...) {
-    // Worker errors surface from an explicit Finish(); a destructor has
-    // nowhere to report them.
-  }
-}
-
-size_t StreamRepairEngine::RouteShard(const std::vector<Value>& values,
-                                      uint64_t seq) const {
-  if (queues_.size() == 1) return 0;
-  // FNV-1a over the master-key (trusted) cell hashes: tuples of one
-  // entity land on one shard, keeping any future per-entity shard state
-  // coherent. Routing never affects output — the merge stage orders by
-  // seq — so any hash is semantically safe here. An empty trusted set
-  // degenerates to round-robin.
-  if (trusted_attrs_.empty()) return seq % queues_.size();
-  size_t h = 1469598103934665603ULL;
-  for (AttrId a : trusted_attrs_) {
-    h ^= values[a].Hash();
-    h *= 1099511628211ULL;
-  }
-  return h % queues_.size();
-}
-
-bool StreamRepairEngine::Admit(uint64_t* seq) {
-  std::unique_lock<std::mutex> lock(merge_mutex_);
-  if (finished_ || failed_) return false;
-  if (in_flight_ >= window_) {
-    metrics_.CountBackpressureWait();
-    window_open_.wait(lock,
-                      [this] { return in_flight_ < window_ || failed_; });
-  }
-  if (failed_) return false;
-  // Seq is assigned after the window wait, never before: the window
-  // frees only when smaller seqs emit, so a producer parked here while
-  // holding a seq could starve the merge stage forever. (Blocking on a
-  // full *ring* after assignment is different and safe: rings drain via
-  // their workers regardless of merge order, so the held seq always
-  // reaches the pipeline.)
-  *seq = next_seq_++;
-  ++in_flight_;
-  return true;
-}
-
-bool StreamRepairEngine::PushItem(Item item) {
+bool StreamRepairEngine::Submit(std::vector<Value> values) {
   CERTFIX_SPAN("stream.ingest");
-  if (!Admit(&item.seq)) return false;
-  size_t shard = RouteShard(item.values, item.seq);
-  if (!queues_[shard]->Push(std::move(item))) {
-    // Ring closed mid-push: a worker failed. The admitted seq will never
-    // emit; failed_ is (being) set, so everything unwinds via Finish.
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    --in_flight_;
-    return false;
-  }
-  metrics_.CountIn();
+  if (!precheck_status_.ok()) return false;
+  // FNV-1a over the master-key (trusted) cell hashes: tuples of one
+  // entity land on one shard, so its repeats meet that shard's memo.
+  // Routing never affects output — the merge stage orders by seq — so
+  // any hash is semantically safe here. An empty trusted set degenerates
+  // to round-robin.
+  auto route = [this](const std::vector<Value>& cells, uint64_t seq) {
+    if (trusted_attrs_.empty()) return static_cast<size_t>(seq);
+    size_t h = 1469598103934665603ULL;
+    for (AttrId a : trusted_attrs_) {
+      h ^= cells[a].Hash();
+      h *= 1099511628211ULL;
+    }
+    return h;
+  };
+  if (!pipeline_.Submit(std::move(values), route)) return false;
+  CERTFIX_TL_COUNTER("stream.tuples_in")->Increment();
   return true;
 }
 
 bool StreamRepairEngine::Push(const Tuple& t) {
-  Item item;
-  item.values.reserve(schema_->num_attrs());
+  if (!CheckTupleSchema(t, schema_).ok()) return false;
+  std::vector<Value> values;
+  values.reserve(schema_->num_attrs());
   for (size_t a = 0; a < schema_->num_attrs(); ++a) {
-    item.values.push_back(t.at(static_cast<AttrId>(a)));
+    values.push_back(t.at(static_cast<AttrId>(a)));
   }
-  return PushItem(std::move(item));
+  return Submit(std::move(values));
 }
 
 Status StreamRepairEngine::PushStrings(
@@ -142,161 +79,85 @@ Status StreamRepairEngine::PushStrings(
         " does not match schema arity " +
         std::to_string(schema_->num_attrs()));
   }
-  Item item;
-  item.values.reserve(fields.size());
+  std::vector<Value> values;
+  values.reserve(fields.size());
   for (size_t a = 0; a < fields.size(); ++a) {
-    item.values.push_back(
+    values.push_back(
         Value::Parse(fields[a], schema_->attr_type(static_cast<AttrId>(a))));
   }
-  if (!PushItem(std::move(item))) {
+  if (!Submit(std::move(values))) {
     if (!precheck_status_.ok()) return precheck_status_;
     return Status::Internal("stream engine is finished or failed");
   }
   return Status::OK();
 }
 
-void StreamRepairEngine::ShardLoop(size_t shard) {
-  try {
-    PoolPtr pool = std::make_shared<ValuePool>();
-    const ValuePool* master_pool = sat_->index().pool().get();
-    PoolBridge bridge(pool.get(), master_pool);
-    std::unique_ptr<RepairMemo> memo;
-    if (options_.use_memo) {
-      memo = std::make_unique<RepairMemo>(sat_->rules(), trusted_);
+StreamRepairEngine::Pipeline::Step StreamRepairEngine::MakeShardStep() {
+  auto shard = std::make_shared<ShardRepairer>(sat_->rules(), trusted_,
+                                               options_.use_memo);
+  shard->Bind(*sat_);
+  return [this, shard](std::vector<Pipeline::Ticket>& block,
+                       const Pipeline::Emit& emit) {
+    CERTFIX_SPAN("stream.shard_repair");
+    // Once per block, before any row is staged: the budget may overshoot
+    // by at most one block of values.
+    if (shard->RecycleIfOver(options_.pool_recycle_values)) {
+      CERTFIX_TL_COUNTER("stream.pool_recycles")->Increment();
     }
-    const std::vector<size_t> first_round =
-        sat_->FirstRoundProbeRules(trusted_);
-    std::vector<Item> batch;
-    std::vector<Tuple> rows;
-    batch.reserve(kProbeBlock);
-    rows.reserve(kProbeBlock);
-    while (queues_[shard]->PopBatch(&batch, kProbeBlock) > 0) {
-      CERTFIX_SPAN("stream.shard_repair");
-      // The recycle check runs once per batch, before any row is built:
-      // a mid-batch reset would mix pools within one staged block. The
-      // budget may overshoot by at most one batch of values.
-      if (pool->size() > options_.pool_recycle_values) {
-        // Bounded memory on unbounded streams: drop the shard dictionary
-        // (and the bridge cache indexed by it) once it outgrows the
-        // budget. Safe between batches — nothing outside this loop holds
-        // ids of the old pool. The memo keys on that pool's ids, so it
-        // resets with it.
-        pool = std::make_shared<ValuePool>();
-        bridge = PoolBridge(pool.get(), master_pool);
-        if (memo != nullptr) memo->Clear();
-        metrics_.CountPoolRecycle();
-      }
-      // Stage: materialize the batch's rows, prefetching each row's memo
-      // bucket and round-1 value-summary buckets...
-      for (Item& item : batch) {
-        Tuple row(schema_, pool);
-        for (size_t a = 0; a < item.values.size(); ++a) {
-          row.Set(static_cast<AttrId>(a), std::move(item.values[a]));
-        }
-        if (memo != nullptr) memo->Prefetch(row);
-        sat_->index().PrefetchRhsProbes(row, first_round, &bridge);
-        rows.push_back(std::move(row));
-      }
-      // ...then resolve: repair in arrival order while lines are in
-      // flight.
-      for (size_t j = 0; j < rows.size(); ++j) {
-        const Tuple& row = rows[j];
-        TupleRepair r = RepairOneTuple(*sat_, row, trusted_, all_, &bridge,
-                                       nullptr, memo.get());
-        StreamRecord record;
-        record.seq = batch[j].seq;
-        record.report = r.report;
-        record.fixed.reserve(schema_->num_attrs());
-        // Copy the repaired cells out of the shard pool: records own
-        // their values, so the merge stage and sink never touch this
-        // pool. On conflict the input row is emitted unchanged (r.fixed
-        // is empty).
-        const Tuple& emit = r.report.conflicting() ? row : r.fixed;
-        for (size_t a = 0; a < schema_->num_attrs(); ++a) {
-          record.fixed.push_back(emit.at(static_cast<AttrId>(a)));
-        }
-        EmitOrdered(std::move(record));
-      }
-      batch.clear();
-      rows.clear();
-    }
-    if (memo != nullptr) {
-      metrics_.AddMemoCounts(memo->hits(), memo->misses());
-    }
-  } catch (...) {
-    Fail(std::current_exception());
-  }
+    shard->RepairBlock(
+        block.size(),
+        [&block](size_t j) -> std::vector<Value>& { return block[j].job; },
+        /*record_probes=*/false, emit);
+  };
 }
 
-void StreamRepairEngine::EmitOrdered(StreamRecord record) {
-  CERTFIX_SPAN("stream.merge");
-  std::unique_lock<std::mutex> lock(merge_mutex_);
-  uint64_t seq = record.seq;
-  pending_.emplace(seq, std::move(record));
-  metrics_.NoteReorderDepth(pending_.size());
-  uint64_t emitted = 0;
-  while (!pending_.empty() && pending_.begin()->first == next_emit_) {
-    StreamRecord r = std::move(pending_.begin()->second);
-    pending_.erase(pending_.begin());
-    {
-      CERTFIX_SPAN("stream.sink");
-      sink_->Emit(r);
-    }
-    metrics_.CountOut();
-    metrics_.CountCellsChanged(r.report.cells_changed);
-    switch (r.report.kind) {
-      case FixClass::kFullyCovered:
-        metrics_.CountFullyCovered();
-        break;
-      case FixClass::kPartial:
-        metrics_.CountPartial();
-        break;
-      case FixClass::kUntouched:
-        metrics_.CountUntouched();
-        break;
-      case FixClass::kConflicting:
-        metrics_.CountConflicting();
-        break;
-    }
-    ++next_emit_;
-    ++emitted;
-  }
-  if (emitted > 0) {
-    in_flight_ -= emitted;
-    window_open_.notify_all();
-  }
-}
-
-void StreamRepairEngine::Fail(std::exception_ptr error) {
+void StreamRepairEngine::EmitRecord(uint64_t seq, RepairedRow& row) {
+  StreamRecord record;
+  record.seq = seq;
+  record.fixed = std::move(row.fixed);
+  record.report = row.report;
   {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    if (!first_error_) first_error_ = error;
-    failed_ = true;
+    CERTFIX_SPAN("stream.sink");
+    sink_->Emit(record);
   }
-  window_open_.notify_all();
-  for (auto& q : queues_) q->Close();
+  CERTFIX_TL_COUNTER("stream.tuples_out")->Increment();
+  CERTFIX_TL_COUNTER("stream.cells_changed")->Add(row.report.cells_changed);
+  switch (row.report.kind) {
+    case FixClass::kFullyCovered:
+      CERTFIX_TL_COUNTER("stream.fully_covered")->Increment();
+      break;
+    case FixClass::kPartial:
+      CERTFIX_TL_COUNTER("stream.partial")->Increment();
+      break;
+    case FixClass::kUntouched:
+      CERTFIX_TL_COUNTER("stream.untouched")->Increment();
+      break;
+    case FixClass::kConflicting:
+      CERTFIX_TL_COUNTER("stream.conflicting")->Increment();
+      break;
+  }
+  if (row.memo == 1) CERTFIX_TL_COUNTER("stream.memo_hits")->Increment();
+  if (row.memo == 0) CERTFIX_TL_COUNTER("stream.memo_misses")->Increment();
 }
 
 StreamSnapshot StreamRepairEngine::Finish() {
+  if (!precheck_status_.ok()) {
+    throw std::runtime_error(precheck_status_.ToString());
+  }
   if (!finished_) {
-    for (auto& q : queues_) q->Close();
-    for (std::thread& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-    uint64_t ring_waits = 0;
-    for (auto& q : queues_) ring_waits += q->blocked_pushes();
-    metrics_.AddBackpressureWaits(ring_waits);
-    {
-      std::lock_guard<std::mutex> lock(merge_mutex_);
-      finished_ = true;
-    }
+    finished_ = true;
+    pipeline_.Close();
+    CERTFIX_TL_COUNTER("stream.backpressure_waits")
+        ->Add(pipeline_.backpressure_waits());
   }
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-  return metrics_.Snapshot();
+  pipeline_.Drain();  // rethrows the first worker exception, once
+  StreamSnapshot s;
+  counts_.Fill(&s);
+  s.max_reorder = pipeline_.max_reorder();
+  telemetry::Registry::Global()
+      ->GetMaxGauge("stream.max_reorder")
+      ->Note(s.max_reorder);
+  return s;
 }
 
 }  // namespace certfix

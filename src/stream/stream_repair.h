@@ -4,30 +4,16 @@
 /// the point of data entry", before errors propagate), as an online
 /// subsystem over the batch machinery.
 ///
-/// Pipeline:
+/// Pipeline: the ordered shard pipeline (stream/ordered_pipeline.h).
+/// Push stamps each tuple with its admission seq and routes it by a hash
+/// of its trusted cells t[Z] to one of `num_shards` shard workers, each
+/// repairing blocks with its own ShardRepairer (core/shard_repair.h); the
+/// merge stage hands records to the sink strictly in seq order.
 ///
-/// ```
-///           Push / PushStrings          (producer thread(s))
-///                  |
-///        route by master-key hash       (hash of the trusted cells t[Z])
-///                  v
-///   ring 0      ring 1     ...  ring N-1    (BoundedQueue, backpressure)
-///     |            |               |
-///  shard 0      shard 1    ...  shard N-1   (workers; shard-local pool +
-///     |            |               |         PoolBridge; RepairOneTuple)
-///     +------------+---------------+
-///                  v
-///           ordered merge           (reorder buffer keyed by seq;
-///                  |                 emits strictly in input order)
-///                  v
-///              StreamSink
-/// ```
-///
-/// Determinism: every tuple is stamped with a sequence number at
-/// admission and the merge stage releases records to the sink in exactly
-/// that order, so the output is byte-identical regardless of the shard
-/// count — and identical to BatchRepair over the same rows, because both
-/// engines run the same RepairOneTuple (core/repair_tuple.h).
+/// Determinism: the sink sees records in exactly admission order, so the
+/// output is byte-identical regardless of the shard count — and identical
+/// to BatchRepair over the same rows, because both engines run the same
+/// RepairOneTuple (core/repair_tuple.h).
 ///
 /// Bounded memory: the per-shard rings are fixed-capacity, admission is
 /// gated by an in-flight window of `num_shards * queue_capacity` tuples
@@ -45,27 +31,40 @@
 ///
 /// Threading contract for callers: Push/PushStrings may be called from
 /// multiple producer threads, but Finish must not run concurrently with
-/// any Push. Sinks are called serialized, in order (sink.h).
+/// any Push. Sinks are called serialized, in order (sink.h). The engine
+/// reports to the telemetry registry that is Global() while it lives.
 
 #ifndef CERTFIX_STREAM_STREAM_REPAIR_H_
 #define CERTFIX_STREAM_STREAM_REPAIR_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "analysis/analyze_mode.h"
-#include "core/repair_tuple.h"
-#include "stream/bounded_queue.h"
+#include "core/shard_repair.h"
+#include "stream/ordered_pipeline.h"
 #include "stream/sink.h"
-#include "stream/stream_metrics.h"
+#include "telemetry/metrics.h"
 #include "util/status.h"
 
 namespace certfix {
+
+/// \brief Point-in-time copy of one engine's stream counters.
+struct StreamSnapshot {
+  uint64_t tuples_in = 0;       ///< tuples accepted by Push
+  uint64_t tuples_out = 0;      ///< tuples emitted to the sink
+  uint64_t fully_covered = 0;   ///< certain fix reached (covered = R)
+  uint64_t partial = 0;         ///< some but not all attrs covered
+  uint64_t untouched = 0;       ///< nothing beyond Z derivable
+  uint64_t conflicting = 0;     ///< unique-fix check failed
+  uint64_t cells_changed = 0;   ///< total attributes rewritten
+  uint64_t backpressure_waits = 0;  ///< Push calls that blocked on a
+                                    ///< full ring or in-flight window
+  uint64_t pool_recycles = 0;   ///< shard pools reset (bounded memory)
+  uint64_t max_reorder = 0;     ///< high-water mark of the merge buffer
+  uint64_t memo_hits = 0;       ///< repairs replayed from a shard memo
+  uint64_t memo_misses = 0;     ///< repairs computed (and memoized)
+};
 
 /// \brief Execution knobs for the streaming engine.
 struct StreamOptions {
@@ -97,6 +96,8 @@ struct StreamOptions {
 ///
 /// Construction spawns the shard workers; tuples flow as soon as they are
 /// pushed; Finish() drains the pipeline and returns the final counters.
+/// Destroying an unfinished engine still drains every pushed tuple to the
+/// sink, but drops worker errors (call Finish() to observe them).
 class StreamRepairEngine {
  public:
   /// `sat` and `sink` must outlive the engine. Every streamed tuple
@@ -104,16 +105,14 @@ class StreamRepairEngine {
   /// verified ids — also the routing key).
   StreamRepairEngine(const Saturator& sat, AttrSet trusted,
                      StreamSink* sink, StreamOptions options = {});
-  /// Finishes the stream if the caller did not (worker errors are
-  /// swallowed here; call Finish() to observe them).
-  ~StreamRepairEngine();
 
   StreamRepairEngine(const StreamRepairEngine&) = delete;
   StreamRepairEngine& operator=(const StreamRepairEngine&) = delete;
 
   /// Enqueues one tuple (cells copied out; `t`'s pool is not retained).
   /// Blocks while the engine is at capacity. Returns false — tuple not
-  /// accepted — after Finish() or after a worker failed.
+  /// accepted, nothing counted — for a tuple of another schema, after
+  /// Finish(), or after a worker failed.
   bool Push(const Tuple& t);
 
   /// Parses `fields` against the schema (same typing as CSV loading) and
@@ -122,61 +121,36 @@ class StreamRepairEngine {
   Status PushStrings(const std::vector<std::string>& fields);
 
   /// Closes ingress, drains every ring, joins the workers, and returns
-  /// the final counters. Rethrows the first worker exception, if any.
-  /// Idempotent; must not race with Push.
+  /// the final counters. Rethrows the first worker exception, once; on an
+  /// engine the strict analysis refused, throws the refusal every time.
+  /// Idempotent otherwise; must not race with Push.
   StreamSnapshot Finish();
-
-  /// Live counters (exact only after Finish; see stream_metrics.h).
-  const StreamMetrics& metrics() const { return metrics_; }
 
   /// The analyze_first verdict from construction. OK unless the options
   /// asked for strict analysis and the ruleset was rejected, in which
   /// case the engine accepts no tuples and this carries the witness.
   const Status& precheck_status() const { return precheck_status_; }
 
-  size_t num_shards() const { return queues_.size(); }
+  size_t num_shards() const { return pipeline_.num_workers(); }
   const SchemaPtr& schema() const { return schema_; }
 
  private:
-  /// One queued unit of work: the admission seq plus owned cell values.
-  struct Item {
-    uint64_t seq = 0;
-    std::vector<Value> values;
-  };
+  using Pipeline = OrderedShardPipeline<std::vector<Value>, RepairedRow>;
 
-  size_t RouteShard(const std::vector<Value>& values, uint64_t seq) const;
-  bool Admit(uint64_t* seq);            ///< window wait + seq assignment
-  bool PushItem(Item item);             ///< admit + route + enqueue
-  void ShardLoop(size_t shard);
-  void EmitOrdered(StreamRecord record);
-  void Fail(std::exception_ptr error);
+  bool Submit(std::vector<Value> values);  ///< admit + route + enqueue
+  Pipeline::Step MakeShardStep();
+  void EmitRecord(uint64_t seq, RepairedRow& row);  ///< in-order apply
 
   const Saturator* sat_;
   SchemaPtr schema_;
   AttrSet trusted_;
   std::vector<AttrId> trusted_attrs_;   ///< routing key, ascending
-  AttrSet all_;
   StreamSink* sink_;
   StreamOptions options_;
-  StreamMetrics metrics_;
-
-  std::vector<std::unique_ptr<BoundedQueue<Item>>> queues_;
-  std::vector<std::thread> workers_;
-
-  /// Merge state: reorder buffer + admission window, one lock. Sink
-  /// emission happens under this lock (records are ready-made values;
-  /// the per-record work is trivial next to a tuple's saturation).
-  std::mutex merge_mutex_;
-  std::condition_variable window_open_;
-  std::map<uint64_t, StreamRecord> pending_;
-  uint64_t next_seq_ = 0;               ///< next seq to admit
-  uint64_t next_emit_ = 0;              ///< next seq the sink expects
-  uint64_t in_flight_ = 0;              ///< admitted, not yet emitted
-  uint64_t window_ = 0;                 ///< max in_flight_
-  bool failed_ = false;
-  bool finished_ = false;
-  std::exception_ptr first_error_;
+  telemetry::RegistryDiff<StreamSnapshot> counts_;
   Status precheck_status_;              ///< strict analyze_first verdict
+  bool finished_ = false;
+  Pipeline pipeline_;                   ///< last: its workers use the above
 };
 
 }  // namespace certfix

@@ -12,8 +12,7 @@
 ///     bucket (4 sub-buckets per power of two, <= 25% overestimate at
 ///     the reported percentile) plus a relaxed sum add and a CAS max,
 ///     again on a per-thread-striped shard.
-///   * MaxGauge::Note — a single relaxed CAS-max; the shared home of
-///     the idiom StreamMetrics and the delta engine used to duplicate.
+///   * MaxGauge::Note — a single relaxed CAS-max.
 ///   * ScopedLatency — two steady_clock reads around the scope when
 ///     telemetry is enabled; nothing at all under `--no-telemetry`.
 ///
@@ -38,10 +37,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "telemetry/clock.h"
 
@@ -221,6 +222,43 @@ class ScopedRegistry {
  private:
   Registry registry_;
   Registry* prev_;
+};
+
+/// \brief One engine instance's view of registry instruments as a plain
+/// snapshot struct S. A table names the counter or gauge behind each
+/// uint64_t field of S; construction resolves those instruments in the
+/// registry that is Global() then and records their values, and Fill()
+/// writes what each gained since. So an engine reports only its own
+/// activity while the same instruments aggregate across every engine in
+/// the process. The engine must record into that same registry.
+template <typename S>
+class RegistryDiff {
+ public:
+  struct Field {
+    const char* name;
+    uint64_t S::*field;
+    bool gauge = false;  ///< a signed Gauge (a level that also falls)
+  };
+
+  explicit RegistryDiff(std::initializer_list<Field> table)
+      : registry_(Registry::Global()), table_(table) {
+    for (const Field& f : table_) base_.*f.field = Read(f);
+  }
+
+  /// Sets every field the table names to its instrument's gain.
+  void Fill(S* out) const {
+    for (const Field& f : table_) out->*f.field = Read(f) - base_.*f.field;
+  }
+
+ private:
+  uint64_t Read(const Field& f) const {
+    return f.gauge ? static_cast<uint64_t>(registry_->GetGauge(f.name)->Value())
+                   : registry_->GetCounter(f.name)->Value();
+  }
+
+  Registry* registry_;
+  std::vector<Field> table_;
+  S base_;  ///< instrument values at construction
 };
 
 /// Master switch for clock-touching instrumentation (ScopedLatency,

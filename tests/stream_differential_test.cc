@@ -171,6 +171,28 @@ TEST_F(StreamSupplierTest, PushStringsParsesAndRejectsBadArity) {
   EXPECT_EQ(sink.repaired().at(0), T1Truth(r_));
 }
 
+TEST_F(StreamSupplierTest, PushRefusesTupleOfAnotherSchema) {
+  // A tuple of a narrower schema holds fewer cells than r_ has
+  // attributes: copying it by r_'s attribute ids would read past its
+  // cells. Push must refuse it and count nothing.
+  SchemaPtr narrow =
+      Schema::Make("N", std::vector<std::string>{"zip", "phn"});
+  Result<Tuple> stray = Tuple::FromStrings(narrow, {"EH7 4AH", "3456789"});
+  ASSERT_TRUE(stray.ok());
+  CollectingSink sink(r_);
+  StreamOptions options;
+  options.num_shards = 2;
+  StreamRepairEngine engine(*sat_, Attrs(r_, {"zip", "phn", "type", "item"}),
+                            &sink, options);
+  EXPECT_FALSE(engine.Push(*stray));
+  EXPECT_TRUE(engine.Push(T1(r_)));
+  StreamSnapshot stats = engine.Finish();
+  EXPECT_EQ(stats.tuples_in, 1u);
+  EXPECT_EQ(stats.tuples_out, 1u);
+  ASSERT_EQ(sink.repaired().size(), 1u);
+  EXPECT_EQ(sink.repaired().at(0), T1Truth(r_));
+}
+
 TEST_F(StreamSupplierTest, CsvSinkMatchesBatchWriteCsv) {
   Relation data(r_);
   ASSERT_TRUE(data.Append(T1(r_)).ok());

@@ -1,122 +1,26 @@
 /// \file stream_metrics_test.cc
-/// \brief Unit tests for the StreamMetrics counters (stream_metrics.h) —
-/// increments, the folded backpressure tally, the CAS-max reorder depth,
-/// Snapshot fidelity under concurrency — plus the analyze_first
-/// inert-engine paths the strict-gate tests in analyze_test.cc leave
-/// uncovered: the delta engine's Apply/ApplyAll/Update/Master* mutators,
-/// its read-side accessors on a rejected engine, and the stream engine's
-/// metrics after refused pushes.
-
-#include "stream/stream_metrics.h"
+/// \brief The analyze_first inert-engine paths the strict-gate tests in
+/// analyze_test.cc leave uncovered: the delta engine's
+/// Apply/ApplyAll/Update/Master* mutators, its read-side accessors on a
+/// rejected engine, and the stream engine's counters after refused
+/// pushes. (The engines' registry views are covered by
+/// ordered_pipeline_test.cc.)
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "incremental/delta_repair.h"
 #include "rules/rule_parser.h"
 #include "stream/sink.h"
 #include "stream/stream_repair.h"
+#include "telemetry/metrics.h"
 #include "test_util.h"
 
 namespace certfix {
 namespace {
 
 using namespace testing_fixtures;
-
-// ---------------------------------------------------------------------------
-// Counters.
-
-TEST(StreamMetricsTest, CountersStartAtZero) {
-  StreamMetrics metrics;
-  StreamSnapshot s = metrics.Snapshot();
-  EXPECT_EQ(s.tuples_in, 0u);
-  EXPECT_EQ(s.tuples_out, 0u);
-  EXPECT_EQ(s.fully_covered, 0u);
-  EXPECT_EQ(s.partial, 0u);
-  EXPECT_EQ(s.untouched, 0u);
-  EXPECT_EQ(s.conflicting, 0u);
-  EXPECT_EQ(s.cells_changed, 0u);
-  EXPECT_EQ(s.backpressure_waits, 0u);
-  EXPECT_EQ(s.pool_recycles, 0u);
-  EXPECT_EQ(s.max_reorder, 0u);
-}
-
-TEST(StreamMetricsTest, EveryCounterLandsInItsSnapshotField) {
-  StreamMetrics metrics;
-  metrics.CountIn();
-  metrics.CountIn();
-  metrics.CountOut();
-  metrics.CountFullyCovered();
-  metrics.CountPartial();
-  metrics.CountPartial();
-  metrics.CountPartial();
-  metrics.CountUntouched();
-  metrics.CountConflicting();
-  metrics.CountCellsChanged(7);
-  metrics.CountCellsChanged(5);
-  metrics.CountBackpressureWait();
-  metrics.AddBackpressureWaits(9);
-  metrics.CountPoolRecycle();
-  metrics.NoteReorderDepth(3);
-  StreamSnapshot s = metrics.Snapshot();
-  EXPECT_EQ(s.tuples_in, 2u);
-  EXPECT_EQ(s.tuples_out, 1u);
-  EXPECT_EQ(s.fully_covered, 1u);
-  EXPECT_EQ(s.partial, 3u);
-  EXPECT_EQ(s.untouched, 1u);
-  EXPECT_EQ(s.conflicting, 1u);
-  EXPECT_EQ(s.cells_changed, 12u);
-  EXPECT_EQ(s.backpressure_waits, 10u);  // 1 direct + 9 folded
-  EXPECT_EQ(s.pool_recycles, 1u);
-  EXPECT_EQ(s.max_reorder, 3u);
-}
-
-TEST(StreamMetricsTest, ReorderDepthIsAMaxNotALastWrite) {
-  StreamMetrics metrics;
-  metrics.NoteReorderDepth(5);
-  metrics.NoteReorderDepth(2);   // lower: must not regress the max
-  metrics.NoteReorderDepth(9);
-  metrics.NoteReorderDepth(0);
-  EXPECT_EQ(metrics.Snapshot().max_reorder, 9u);
-}
-
-TEST(StreamMetricsTest, ReorderDepthMaxSurvivesConcurrentWriters) {
-  StreamMetrics metrics;
-  constexpr uint64_t kThreads = 8;
-  constexpr uint64_t kPerThread = 2000;
-  std::vector<std::thread> threads;
-  for (uint64_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&metrics, t] {
-      for (uint64_t i = 1; i <= kPerThread; ++i) {
-        metrics.NoteReorderDepth(t * kPerThread + i);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  // The global max is the largest value any thread noted.
-  EXPECT_EQ(metrics.Snapshot().max_reorder, kThreads * kPerThread);
-}
-
-TEST(StreamMetricsTest, ConcurrentIncrementsAreLossless) {
-  StreamMetrics metrics;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&metrics] {
-      for (int i = 0; i < kPerThread; ++i) {
-        metrics.CountIn();
-        metrics.CountCellsChanged(2);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  StreamSnapshot s = metrics.Snapshot();
-  EXPECT_EQ(s.tuples_in, static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(s.cells_changed, static_cast<uint64_t>(kThreads) * kPerThread * 2);
-}
 
 // ---------------------------------------------------------------------------
 // Inert-engine paths under analyze_first=strict. Fixture mirrors the
@@ -200,6 +104,7 @@ TEST_F(InertEngineTest, RejectedDeltaEngineReadsAreEmptyAndSafe) {
 }
 
 TEST_F(InertEngineTest, RejectedStreamEngineCountsNothing) {
+  telemetry::ScopedRegistry registry;
   MasterIndex index(rules_, master_);
   Saturator sat(rules_, master_, index);
   StreamOptions options;
@@ -213,15 +118,16 @@ TEST_F(InertEngineTest, RejectedStreamEngineCountsNothing) {
             StatusCode::kInconsistent);
   EXPECT_EQ(engine.num_shards(), 0u) << "no workers on a rejected engine";
   // Refused pushes must not count as accepted traffic.
-  StreamSnapshot s = engine.metrics().Snapshot();
-  EXPECT_EQ(s.tuples_in, 0u);
-  EXPECT_EQ(s.tuples_out, 0u);
-  EXPECT_EQ(s.cells_changed, 0u);
+  telemetry::Registry& reg = registry.registry();
+  EXPECT_EQ(reg.GetCounter("stream.tuples_in")->Value(), 0u);
+  EXPECT_EQ(reg.GetCounter("stream.tuples_out")->Value(), 0u);
+  EXPECT_EQ(reg.GetCounter("stream.cells_changed")->Value(), 0u);
+  EXPECT_TRUE(sink.repaired().empty());
 }
 
-TEST_F(InertEngineTest, StreamMetricsMatchFinishSnapshot) {
-  // Sanity on a healthy engine: the snapshot Finish returns and the one
-  // metrics() takes afterwards are the same numbers.
+TEST_F(InertEngineTest, RepeatedFinishReturnsTheSameSnapshot) {
+  // Sanity on a healthy engine: Finish is idempotent, and the snapshot a
+  // second call returns carries the same numbers as the first.
   MasterIndex index(rules_, master_);
   Saturator sat(rules_, master_, index);
   CollectingSink sink(schema_);
@@ -230,12 +136,13 @@ TEST_F(InertEngineTest, StreamMetricsMatchFinishSnapshot) {
   ASSERT_TRUE(engine.PushStrings({"EH7", "", "Edi", "Eve"}).ok());
   ASSERT_TRUE(engine.PushStrings({"NW1", "", "Lnd", "Bob"}).ok());
   StreamSnapshot finish = engine.Finish();
-  StreamSnapshot after = engine.metrics().Snapshot();
+  StreamSnapshot after = engine.Finish();
   EXPECT_EQ(finish.tuples_in, 2u);
   EXPECT_EQ(finish.tuples_out, 2u);
   EXPECT_EQ(after.tuples_in, finish.tuples_in);
   EXPECT_EQ(after.tuples_out, finish.tuples_out);
   EXPECT_EQ(after.cells_changed, finish.cells_changed);
+  EXPECT_EQ(after.backpressure_waits, finish.backpressure_waits);
   EXPECT_EQ(after.max_reorder, finish.max_reorder);
   EXPECT_EQ(sink.repaired().size(), 2u);
 }

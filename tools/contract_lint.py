@@ -3,11 +3,11 @@
 
 Checks (each line-anchored, reported as file:line):
 
-  threads         Raw std::thread construction is allowed only in the
-                  modules that own worker lifecycles (util/, stream/,
-                  incremental/) — everything else must ride ThreadPool /
-                  ParallelFor so shard counts and failure routing stay in
-                  one place.
+  threads         Raw std::thread is allowed only in the two places that
+                  own worker lifecycles: util/ (ThreadPool / ParallelFor)
+                  and the ordered shard pipeline (stream/ordered_pipeline.h)
+                  — everything else rides one of them, so shard counts and
+                  failure routing stay in one place.
 
   pool-writer     ValuePool::Intern is allowed only in the relational
                   layer (Tuple/Relation/CSV construct values) — the
@@ -47,7 +47,7 @@ import os
 import re
 import sys
 
-THREAD_ALLOWED = ("src/util/", "src/stream/", "src/incremental/")
+THREAD_ALLOWED = ("src/util/", "src/stream/ordered_pipeline.h")
 POOL_ALLOWED = ("src/relational/",)
 IDKEY_ALLOWED = ("src/relational/flat_key_index.h",
                  "src/relational/flat_key_index.cc",
@@ -174,8 +174,9 @@ def main():
                     and not waived(raw, "threads")):
                 findings.append(
                     (relpath, lineno,
-                     "threads: raw std::thread outside util/stream/"
-                     "incremental — use ThreadPool/ParallelFor"))
+                     "threads: raw std::thread outside util/ and "
+                     "stream/ordered_pipeline.h — use ThreadPool/ParallelFor "
+                     "or OrderedShardPipeline"))
 
             if (IDKEY_MAP.search(code)
                     and relpath not in IDKEY_ALLOWED
