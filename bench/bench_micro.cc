@@ -5,8 +5,8 @@
 /// one IncRep pass. These back the complexity claims of Sects. 4-5
 /// (TransFix O(|Sigma|^2), Suggest O(|Sigma|^2 |Dm| log |Dm|)).
 ///
-/// The Interned* / StringKey* group measures the storage layer itself:
-/// id-keyed index probes (ValuePool interning) against the legacy
+/// The StringKey / FlatIndex pair measures the storage layer itself:
+/// id-keyed flat-index probes (ValuePool interning) against the legacy
 /// rendered-string keys they replaced. Machine-readable output:
 ///   bench_micro --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 /// (the CI release job publishes BENCH_micro.json as an artifact).
@@ -19,7 +19,6 @@
 #include "core/certain_fix.h"
 #include "core/repair_memo.h"
 #include "core/repair_tuple.h"
-#include "relational/flat_key_index.h"
 #include "repair/increp.h"
 #include "workload/dirty_gen.h"
 #include "workload/hosp.h"
@@ -31,8 +30,7 @@ struct Fixture {
   SchemaPtr schema;
   RuleSet rules;
   Relation master;
-  std::unique_ptr<MasterIndex> index;      ///< flat (the default)
-  std::unique_ptr<MasterIndex> index_map;  ///< legacy map, the A/B oracle
+  std::unique_ptr<MasterIndex> index;
   std::unique_ptr<Saturator> sat;
   std::unique_ptr<DependencyGraph> graph;
   std::unique_ptr<TransFix> transfix;
@@ -45,8 +43,7 @@ struct Fixture {
     rules = HospWorkload::MakeRules(schema);
     Rng rng(42);
     master = HospWorkload::MakeMaster(schema, dm_size, &rng);
-    index = std::make_unique<MasterIndex>(rules, master, IndexKind::kFlat);
-    index_map = std::make_unique<MasterIndex>(rules, master, IndexKind::kMap);
+    index = std::make_unique<MasterIndex>(rules, master);
     sat = std::make_unique<Saturator>(rules, master, *index);
     graph = std::make_unique<DependencyGraph>(rules);
     transfix = std::make_unique<TransFix>(rules, master, *graph, *index);
@@ -76,19 +73,7 @@ void BM_RuleApplication(benchmark::State& state) {
 }
 BENCHMARK(BM_RuleApplication);
 
-// Pinned to the legacy map-backed index so the series keeps measuring
-// what the checked-in baseline measured; BM_FlatIndexProbe below is the
-// same probe through the flat table.
-void BM_MasterLookup(benchmark::State& state) {
-  Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.index_map->Candidates(0, f.probe));
-  }
-}
-BENCHMARK(BM_MasterLookup)->Arg(1000)->Arg(10000);
-
-// The identical probe against the cache-conscious flat index — the
-// headline comparison for the storage-layer rework.
+// One master-index probe through the cache-conscious flat index.
 void BM_FlatIndexProbe(benchmark::State& state) {
   Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -96,33 +81,6 @@ void BM_FlatIndexProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatIndexProbe)->Arg(1000)->Arg(10000);
-
-// Batched probes with software prefetch between hash and resolve, the
-// shard-loop pipeline of the repair engines. Arg = block size.
-void BM_BatchedProbe(benchmark::State& state) {
-  Fixture& f = SharedFixture(10000);
-  FlatKeyIndex index(f.master, f.rules.at(0).lhsm());
-  const std::vector<AttrId>& probe_attrs = f.rules.at(0).lhs();
-  const size_t block = static_cast<size_t>(state.range(0));
-  std::vector<Tuple> probes;
-  probes.reserve(block);
-  for (size_t i = 0; i < block; ++i) {
-    probes.push_back(f.master.at((i * 97) % f.master.size()));
-  }
-  ProbeBatch batch(&index);
-  size_t hits = 0;
-  for (auto _ : state) {
-    batch.Clear();
-    for (const Tuple& t : probes) batch.Add(t, probe_attrs);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      hits += batch.Resolve(i).size();
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(block));
-}
-BENCHMARK(BM_BatchedProbe)->Arg(8)->Arg(32)->Arg(128);
 
 // Memoized repair replay: after the first (cold) RepairOneTuple, every
 // iteration is a memo hit — projection, one flat-table probe, and a
@@ -132,10 +90,10 @@ void BM_MemoHitPath(benchmark::State& state) {
   AttrSet all = f.schema->AllAttrs();
   RepairMemo memo(f.rules, f.z0);
   PoolBridge bridge(f.master.pool().get(), f.master.pool().get());
-  RepairOneTuple(*f.sat, f.probe, f.z0, all, &bridge, nullptr, &memo);
+  RepairOneTuple(*f.sat, f.probe, f.z0, all, memo, &bridge);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        RepairOneTuple(*f.sat, f.probe, f.z0, all, &bridge, nullptr, &memo));
+        RepairOneTuple(*f.sat, f.probe, f.z0, all, memo, &bridge));
   }
 }
 BENCHMARK(BM_MemoHitPath);
@@ -205,8 +163,9 @@ BENCHMARK(BM_RegionPrecomputation)->Arg(1000);
 
 // --- Storage layer: interned ids vs. rendered string keys ---
 
-// Legacy probe path (what KeyIndex did before the ValuePool refactor):
-// render the projection to a "v1\x1fv2" string per probe and hash it.
+// Legacy probe path (the master index before the ValuePool refactor):
+// render the projection to a "v1\x1fv2" string per probe and hash it;
+// BM_FlatIndexProbe is the same probe on interned ids.
 void BM_StringKeyProbe(benchmark::State& state) {
   Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
   const std::vector<AttrId>& key = f.rules.at(0).lhsm();
@@ -223,36 +182,6 @@ void BM_StringKeyProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StringKeyProbe)->Arg(1000)->Arg(10000);
-
-// Interned probe, probe tuple sharing the master pool: integer key hash.
-void BM_InternedKeyProbe(benchmark::State& state) {
-  Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
-  KeyIndex index(f.master, f.rules.at(0).lhsm());
-  const std::vector<AttrId>& probe_attrs = f.rules.at(0).lhs();
-  size_t hits = 0;
-  for (auto _ : state) {
-    hits += index.LookupTuple(f.probe, probe_attrs).size();
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_InternedKeyProbe)->Arg(1000)->Arg(10000);
-
-// Interned probe from a foreign pool through a memoized PoolBridge (the
-// BatchRepair shard path: each distinct value hashed once, then ids).
-void BM_InternedKeyProbeBridged(benchmark::State& state) {
-  Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
-  KeyIndex index(f.master, f.rules.at(0).lhsm());
-  const std::vector<AttrId>& probe_attrs = f.rules.at(0).lhs();
-  PoolPtr local = std::make_shared<ValuePool>();
-  Tuple probe = f.probe.RebasedTo(local);
-  PoolBridge bridge(local.get(), f.master.pool().get());
-  size_t hits = 0;
-  for (auto _ : state) {
-    hits += index.LookupTuple(probe, probe_attrs, &bridge).size();
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_InternedKeyProbeBridged)->Arg(1000)->Arg(10000);
 
 // Value interning throughput (dictionary insert-or-hit mix).
 void BM_ValuePoolIntern(benchmark::State& state) {

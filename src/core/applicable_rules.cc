@@ -2,7 +2,7 @@
 
 namespace certfix {
 
-const std::vector<size_t>& PartialMasterIndexCache::Lookup(
+RowSpan PartialMasterIndexCache::Lookup(
     const std::vector<AttrId>& master_attrs, const Tuple& t,
     const std::vector<AttrId>& r_attrs) {
   if (master_attrs.empty()) {
@@ -17,7 +17,7 @@ const std::vector<size_t>& PartialMasterIndexCache::Lookup(
   if (it == cache_.end()) {
     it = cache_
              .emplace(master_attrs,
-                      std::make_unique<KeyIndex>(*dm_, master_attrs))
+                      std::make_unique<FlatKeyIndex>(*dm_, master_attrs))
              .first;
   }
   return it->second->LookupTuple(t, r_attrs);
@@ -45,7 +45,7 @@ ApplicableRules DeriveApplicableRules(const RuleSet& sigma,
         m_key.push_back(rule.lhsm()[p]);
       }
     }
-    const std::vector<size_t>& candidates = cache->Lookup(m_key, t, r_key);
+    const RowSpan candidates = cache->Lookup(m_key, t, r_key);
     bool has_master = false;
     for (size_t m : candidates) {
       bool match = true;

@@ -21,10 +21,9 @@ void BatchRepair::RepairRange(const Relation& data, AttrSet trusted,
   // each distinct value is hashed into master-pool id space once.
   const PoolPtr& probe_pool = local_pool != nullptr ? local_pool : data.pool();
   PoolBridge bridge(probe_pool.get(), sat_->index().pool().get());
-  std::unique_ptr<RepairMemo> memo;
-  if (options_.use_memo) {
-    memo = std::make_unique<RepairMemo>(sat_->rules(), trusted);
-  }
+  // Repeated relevant projections replay their recorded outcome
+  // (core/repair_memo.h); the master is immutable here, so nothing flushes.
+  RepairMemo memo(sat_->rules(), trusted);
   const std::vector<size_t> first_round = sat_->FirstRoundProbeRules(trusted);
   std::vector<Tuple> rows;
   rows.reserve(kProbeBlock);
@@ -37,15 +36,15 @@ void BatchRepair::RepairRange(const Relation& data, AttrSet trusted,
       Tuple row = local_pool != nullptr
                       ? data.at(base + j).RebasedTo(local_pool)
                       : data.at(base + j);
-      if (memo != nullptr) memo->Prefetch(row);
+      memo.Prefetch(row);
       sat_->index().PrefetchRhsProbes(row, first_round, &bridge);
       rows.push_back(std::move(row));
     }
     // ...then resolve: repair in row order while the lines are in flight.
     for (size_t j = 0; j < n; ++j) {
       const size_t i = base + j;
-      TupleRepair r = RepairOneTuple(*sat_, rows[j], trusted, all, &bridge,
-                                     nullptr, memo.get());
+      TupleRepair r = RepairOneTuple(*sat_, rows[j], trusted, all, memo,
+                                     &bridge);
       switch (r.report.kind) {
         case FixClass::kConflicting:
           ++out->conflicting;
@@ -67,10 +66,8 @@ void BatchRepair::RepairRange(const Relation& data, AttrSet trusted,
       }
     }
   }
-  if (memo != nullptr) {
-    out->memo_hits = memo->hits();
-    out->memo_misses = memo->misses();
-  }
+  out->memo_hits = memo.hits();
+  out->memo_misses = memo.misses();
 }
 
 BatchRepairResult BatchRepair::Repair(const Relation& data,

@@ -47,8 +47,7 @@ class DistinctAdder {
 }  // namespace
 
 std::shared_ptr<MasterIndex::ValueIndex> MasterIndex::BuildValueIndex(
-    const Relation& dm, const std::vector<AttrId>& xm, AttrId bm,
-    IndexKind kind) {
+    const Relation& dm, const std::vector<AttrId>& xm, AttrId bm) {
   auto vi = std::make_shared<ValueIndex>();
   const IdColumn& bm_col = dm.Column(bm);
   std::vector<const IdColumn*> key_cols;
@@ -56,12 +55,8 @@ std::shared_ptr<MasterIndex::ValueIndex> MasterIndex::BuildValueIndex(
   for (AttrId a : xm) key_cols.push_back(&dm.Column(a));
   IdKey key(xm.size());
   DistinctAdder all_rows_adder;
-  std::vector<DistinctAdder> adders;  // flat path, parallel to summaries
-  if (kind == IndexKind::kFlat && !xm.empty()) {
-    vi->table.Reset(xm.size(), dm.size());
-  }
-  std::unordered_map<IdKey, DistinctAdder, IdKeyHash>
-      map_adders;  // contract-lint: allow(idkey-map) kMap build-side dedup
+  std::vector<DistinctAdder> adders;  // parallel to summaries
+  if (!xm.empty()) vi->table.Reset(xm.size(), dm.size());
   for (size_t row = 0; row < dm.size(); ++row) {
     ValueId vid = bm_col[row];
     const Value& v = dm.pool()->value(vid);
@@ -70,17 +65,13 @@ std::shared_ptr<MasterIndex::ValueIndex> MasterIndex::BuildValueIndex(
       continue;
     }
     for (size_t k = 0; k < key_cols.size(); ++k) key[k] = (*key_cols[k])[row];
-    if (kind == IndexKind::kFlat) {
-      const uint32_t fresh = static_cast<uint32_t>(vi->summaries.size());
-      const uint32_t slot = vi->table.InsertOrGet(key.data(), fresh);
-      if (slot == fresh) {
-        vi->summaries.emplace_back();
-        adders.emplace_back();
-      }
-      adders[slot].Add(&vi->summaries[slot], v, vid, row);
-    } else {
-      map_adders[key].Add(&vi->map[key], v, vid, row);
+    const uint32_t fresh = static_cast<uint32_t>(vi->summaries.size());
+    const uint32_t slot = vi->table.InsertOrGet(key.data(), fresh);
+    if (slot == fresh) {
+      vi->summaries.emplace_back();
+      adders.emplace_back();
     }
+    adders[slot].Add(&vi->summaries[slot], v, vid, row);
   }
   return vi;
 }
@@ -98,30 +89,18 @@ void MasterIndex::Build(const RuleSet& rules, const MasterIndex* share) {
     } else {
       auto it = key_ids_.find(rule.lhsm());
       if (it == key_ids_.end()) {
-        const size_t count = kind_ == IndexKind::kFlat ? flat_indexes_.size()
-                                                       : indexes_.size();
         int id = -1;
         if (share != nullptr) {
           auto sit = share->key_ids_.find(rule.lhsm());
           if (sit != share->key_ids_.end()) {
-            id = static_cast<int>(count);
-            if (kind_ == IndexKind::kFlat) {
-              flat_indexes_.push_back(
-                  share->flat_indexes_[static_cast<size_t>(sit->second)]);
-            } else {
-              indexes_.push_back(
-                  share->indexes_[static_cast<size_t>(sit->second)]);
-            }
+            id = static_cast<int>(indexes_.size());
+            indexes_.push_back(
+                share->indexes_[static_cast<size_t>(sit->second)]);
           }
         }
         if (id < 0) {
-          id = static_cast<int>(count);
-          if (kind_ == IndexKind::kFlat) {
-            flat_indexes_.push_back(
-                std::make_shared<FlatKeyIndex>(*dm_, rule.lhsm()));
-          } else {
-            indexes_.push_back(std::make_shared<KeyIndex>(*dm_, rule.lhsm()));
-          }
+          id = static_cast<int>(indexes_.size());
+          indexes_.push_back(std::make_shared<FlatKeyIndex>(*dm_, rule.lhsm()));
         }
         it = key_ids_.emplace(rule.lhsm(), id).first;
       }
@@ -144,7 +123,7 @@ void MasterIndex::Build(const RuleSet& rules, const MasterIndex* share) {
       if (id < 0) {
         id = static_cast<int>(value_indexes_.size());
         value_indexes_.push_back(
-            BuildValueIndex(*dm_, rule.lhsm(), rule.rhsm(), kind_));
+            BuildValueIndex(*dm_, rule.lhsm(), rule.rhsm()));
       }
       vit = value_ids_.emplace(std::move(vkey), id).first;
     }
@@ -160,15 +139,14 @@ void MasterIndex::Build(const RuleSet& rules, const MasterIndex* share) {
   }
 }
 
-MasterIndex::MasterIndex(const RuleSet& rules, const Relation& dm,
-                         IndexKind kind)
-    : dm_(&dm), kind_(kind) {
+MasterIndex::MasterIndex(const RuleSet& rules, const Relation& dm)
+    : dm_(&dm) {
   Build(rules, nullptr);
 }
 
 MasterIndex::MasterIndex(const RuleSet& rules, const Relation& dm,
                          const MasterIndex& share_from)
-    : dm_(&dm), kind_(share_from.kind_) {
+    : dm_(&dm) {
   Build(rules, &share_from);
 }
 
@@ -176,12 +154,8 @@ RowSpan MasterIndex::Candidates(size_t rule_idx, const Tuple& t,
                                 PoolBridge* bridge) const {
   int idx = rule_to_index_[rule_idx];
   if (idx < 0) return RowSpan(all_rows_);
-  if (kind_ == IndexKind::kFlat) {
-    return flat_indexes_[static_cast<size_t>(idx)]->LookupTuple(
-        t, probe_[rule_idx], bridge);
-  }
-  return RowSpan(indexes_[static_cast<size_t>(idx)]->LookupTuple(
-      t, probe_[rule_idx], bridge));
+  return indexes_[static_cast<size_t>(idx)]->LookupTuple(t, probe_[rule_idx],
+                                                         bridge);
 }
 
 const MasterIndex::RhsSummary& MasterIndex::RhsValues(
@@ -193,18 +167,13 @@ const MasterIndex::RhsSummary& MasterIndex::RhsValues(
   if (!ProjectIds(t, probe_[rule_idx], dm_->pool().get(), bridge, &key)) {
     return kEmptySummary;
   }
-  if (kind_ == IndexKind::kFlat) {
-    const uint32_t slot = vi.table.Find(key.data());
-    return slot == FlatIdTable::kNotFound ? kEmptySummary : vi.summaries[slot];
-  }
-  auto it = vi.map.find(key);
-  return it == vi.map.end() ? kEmptySummary : it->second;
+  const uint32_t slot = vi.table.Find(key.data());
+  return slot == FlatIdTable::kNotFound ? kEmptySummary : vi.summaries[slot];
 }
 
 void MasterIndex::PrefetchRhsProbes(const Tuple& t,
                                     const std::vector<size_t>& rule_idxs,
                                     PoolBridge* bridge) const {
-  if (kind_ != IndexKind::kFlat) return;
   // One probe batch = all round-1 probes staged for a single tuple.
   telemetry::ScopedLatency latency(
       CERTFIX_TL_HISTOGRAM("master_probe_batch_ns"));

@@ -6,30 +6,19 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "relational/flat_key_index.h"
-#include "relational/key_index.h"
 #include "rules/rule_set.h"
 
 namespace certfix {
-
-/// \brief Which hash-table implementation backs the master indexes.
-///
-/// kFlat is the default everywhere; kMap keeps the node-based
-/// std::unordered_map path alive as the A/B oracle the differential
-/// suites and `--index=map` runs compare against.
-enum class IndexKind {
-  kFlat,  ///< cache-line-bucketed open addressing (flat_key_index.h)
-  kMap,   ///< legacy node-based std::unordered_map
-};
 
 /// \brief Indexes Dm so that, for each rule phi and input tuple t, the
 /// master tuples tm with tm[Xm] = t[X] are found in constant time
 /// (the hash tables of Sect. 5.1's complexity analysis).
 ///
-/// Two structures per distinct key:
+/// Two structures per distinct key, both on the flat open-addressing
+/// table of flat_key_index.h:
 ///  * a row index (key -> master row positions), shared by rules with the
 ///    same Xm list;
 ///  * a value summary (key -> distinct tm[Bm] values with one
@@ -58,11 +47,10 @@ class MasterIndex {
   };
   using RhsSummary = std::vector<RhsValue>;
 
-  MasterIndex(const RuleSet& rules, const Relation& dm,
-              IndexKind kind = IndexKind::kFlat);
+  MasterIndex(const RuleSet& rules, const Relation& dm);
   /// Shares row indexes and value summaries with `share_from` (must be
-  /// built over the same Dm; the kind is inherited); only genuinely new
-  /// (Xm, Bm) combinations are built fresh.
+  /// built over the same Dm); only genuinely new (Xm, Bm) combinations
+  /// are built fresh.
   MasterIndex(const RuleSet& rules, const Relation& dm,
               const MasterIndex& share_from);
 
@@ -81,9 +69,9 @@ class MasterIndex {
 
   /// Issues software prefetches for the value-summary buckets the given
   /// rules would probe on `t` — the staging half of the batched-probe
-  /// pipeline (no-op on the map path). Callers pass the rules whose
-  /// premises the trusted set already validates (round 1 of every
-  /// saturation; see Saturator::FirstRoundProbeRules).
+  /// pipeline. Callers pass the rules whose premises the trusted set
+  /// already validates (round 1 of every saturation; see
+  /// Saturator::FirstRoundProbeRules).
   void PrefetchRhsProbes(const Tuple& t, const std::vector<size_t>& rule_idxs,
                          PoolBridge* bridge = nullptr) const;
 
@@ -91,28 +79,21 @@ class MasterIndex {
   /// The master relation's value pool (bridge targets point here).
   const PoolPtr& pool() const { return dm_->pool(); }
   size_t num_rules() const { return rule_to_index_.size(); }
-  IndexKind kind() const { return kind_; }
 
  private:
+  /// key (master-pool ids) -> distinct (value, id, representative row).
   struct ValueIndex {
-    // key (master-pool ids) -> distinct (value, id, representative row).
-    // Exactly one of the two representations is populated, per kind.
-    // contract-lint: allow(idkey-map) legacy kMap path, the flat A/B oracle
-    std::unordered_map<IdKey, RhsSummary, IdKeyHash> map;
-    FlatIdTable table;                  // flat path: key -> summaries slot
-    std::vector<RhsSummary> summaries;  // flat path payload target
+    FlatIdTable table;                  // key -> summaries slot
+    std::vector<RhsSummary> summaries;
     RhsSummary all_rows_summary;        // for empty-X rules
   };
 
   void Build(const RuleSet& rules, const MasterIndex* share_from);
   static std::shared_ptr<ValueIndex> BuildValueIndex(
-      const Relation& dm, const std::vector<AttrId>& xm, AttrId bm,
-      IndexKind kind);
+      const Relation& dm, const std::vector<AttrId>& xm, AttrId bm);
 
   const Relation* dm_;
-  IndexKind kind_ = IndexKind::kFlat;
-  std::vector<std::shared_ptr<KeyIndex>> indexes_;           // kMap
-  std::vector<std::shared_ptr<FlatKeyIndex>> flat_indexes_;  // kFlat
+  std::vector<std::shared_ptr<FlatKeyIndex>> indexes_;
   std::vector<std::shared_ptr<ValueIndex>> value_indexes_;
   std::map<std::vector<AttrId>, int> key_ids_;
   std::map<std::pair<std::vector<AttrId>, AttrId>, int> value_ids_;

@@ -39,7 +39,7 @@ void RepairMemo::Prefetch(const Tuple& row) const {
 }
 
 void RepairMemo::Insert(const Tuple& row, const TupleRepair& repair,
-                        const ProbeLog* probes) {
+                        const ProbeLog& probes) {
   if (live_entries_ >= kMaxEntries) Clear();
   thread_local IdKey key;
   ProjectKey(row, &key);
@@ -52,13 +52,10 @@ void RepairMemo::Insert(const Tuple& row, const TupleRepair& repair,
       entry.changed.emplace_back(a, repair.fixed.at(a));
     }
   }
-  if (probes != nullptr) {
-    entry.probes = probes->hashes;
-    std::sort(entry.probes.begin(), entry.probes.end());
-    entry.probes.erase(
-        std::unique(entry.probes.begin(), entry.probes.end()),
-        entry.probes.end());
-  }
+  entry.probes = probes.hashes;
+  std::sort(entry.probes.begin(), entry.probes.end());
+  entry.probes.erase(std::unique(entry.probes.begin(), entry.probes.end()),
+                     entry.probes.end());
 
   uint32_t slot;
   if (!free_slots_.empty()) {

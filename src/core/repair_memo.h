@@ -65,11 +65,10 @@ class RepairMemo {
   /// batched pipeline).
   void Prefetch(const Tuple& row) const;
 
-  /// Records the outcome of repairing `row`. `probes`, when given, is
-  /// the repair's ProbeLog (required for probe-hash invalidation; pass
-  /// null only when the master is immutable for the memo's lifetime).
+  /// Records the outcome of repairing `row`, with the repair's ProbeLog
+  /// as the entry's invalidation key set.
   void Insert(const Tuple& row, const TupleRepair& repair,
-              const ProbeLog* probes);
+              const ProbeLog& probes);
 
   /// Rebuilds `repair` for `row` from a cached entry.
   TupleRepair Replay(const Entry& entry, const Tuple& row) const;

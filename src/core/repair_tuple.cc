@@ -6,34 +6,30 @@
 namespace certfix {
 
 TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
-                           AttrSet trusted, AttrSet all,
-                           PoolBridge* bridge, ProbeLog* probes,
-                           RepairMemo* memo) {
+                           AttrSet trusted, AttrSet all, RepairMemo& memo,
+                           PoolBridge* bridge, ProbeLog* probes) {
   // Per-tuple latency across every engine, memo-hit path included.
   telemetry::ScopedLatency latency(CERTFIX_TL_HISTOGRAM("repair_tuple_ns"));
-  if (memo != nullptr) {
-    if (const RepairMemo::Entry* entry = memo->Find(row)) {
-      if (probes != nullptr) {
-        probes->hashes.insert(probes->hashes.end(), entry->probes.begin(),
-                              entry->probes.end());
-      }
-      return memo->Replay(*entry, row);
+  if (const RepairMemo::Entry* entry = memo.Find(row)) {
+    if (probes != nullptr) {
+      probes->hashes.insert(probes->hashes.end(), entry->probes.begin(),
+                            entry->probes.end());
     }
+    return memo.Replay(*entry, row);
   }
   // A memoized repair must carry its probe set even when the caller
   // doesn't track probes, so invalidation by probe hash stays possible.
   ProbeLog local_probes;
-  ProbeLog* plog = probes;
-  if (plog == nullptr && memo != nullptr) plog = &local_probes;
+  ProbeLog& plog = probes != nullptr ? *probes : local_probes;
 
-  SaturationResult fix = sat.CheckUniqueFix(row, trusted, bridge, plog);
+  SaturationResult fix = sat.CheckUniqueFix(row, trusted, bridge, &plog);
   TupleRepair out;
   if (!fix.unique) {
     // No copy of the input here: a conflicting tuple is left unchanged,
     // and every caller still holds `row`.
     out.report.kind = FixClass::kConflicting;
     out.report.covered = trusted;
-    if (memo != nullptr) memo->Insert(row, out, plog);
+    memo.Insert(row, out, plog);
     return out;
   }
   out.report.cells_changed = row.DiffCount(fix.fixed);
@@ -46,7 +42,7 @@ TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
     out.report.kind = FixClass::kUntouched;
   }
   out.fixed = std::move(fix.fixed);
-  if (memo != nullptr) memo->Insert(row, out, plog);
+  memo.Insert(row, out, plog);
   return out;
 }
 

@@ -60,22 +60,21 @@ struct TupleRepair {
 
 /// Repairs one tuple, trusting t[Z]: the unique-fix check plus the
 /// classification both engines tally. `all` is the schema's full attribute
-/// set (hoisted by callers out of their per-tuple loop); `bridge`, when
-/// given, must translate `row`'s pool into the master pool and may be
-/// reused across many rows of the same pool. `probes`, when given, records
-/// the repair's master-index dependency set (fix_state.h) — the incremental
-/// engine re-repairs a tuple only when a master delta hits one of its
-/// recorded probes. `memo`, when given, short-circuits the whole check
-/// for a previously seen relevant projection (core/repair_memo.h): on a
-/// hit the recorded outcome is replayed and the entry's probe hashes are
-/// appended to `probes`; on a miss the fresh outcome is memoized. The
-/// memo must be keyed on `row`'s pool (one memo per shard pool
-/// generation) and have been built with the same `trusted` set.
+/// set (hoisted by callers out of their per-tuple loop). `memo`
+/// short-circuits the whole check for a previously seen relevant
+/// projection (core/repair_memo.h): on a hit the recorded outcome is
+/// replayed and the entry's probe hashes are appended to `probes`; on a
+/// miss the fresh outcome is memoized. The memo must be keyed on `row`'s
+/// pool (one memo per shard pool generation) and have been built with the
+/// same `trusted` set. `bridge`, when given, must translate `row`'s pool
+/// into the master pool and may be reused across many rows of the same
+/// pool. `probes`, when given, records the repair's master-index
+/// dependency set (fix_state.h) — the incremental engine re-repairs a
+/// tuple only when a master delta hits one of its recorded probes.
 TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
-                           AttrSet trusted, AttrSet all,
+                           AttrSet trusted, AttrSet all, RepairMemo& memo,
                            PoolBridge* bridge = nullptr,
-                           ProbeLog* probes = nullptr,
-                           RepairMemo* memo = nullptr);
+                           ProbeLog* probes = nullptr);
 
 }  // namespace certfix
 

@@ -2,13 +2,12 @@
 
 namespace certfix {
 
-ShardRepairer::ShardRepairer(const RuleSet& rules, AttrSet trusted,
-                             bool use_memo)
+ShardRepairer::ShardRepairer(const RuleSet& rules, AttrSet trusted)
     : schema_(rules.r_schema()),
       trusted_(trusted),
       all_(rules.r_schema()->AllAttrs()),
-      pool_(std::make_shared<ValuePool>()) {
-  if (use_memo) memo_ = std::make_unique<RepairMemo>(rules, trusted);
+      pool_(std::make_shared<ValuePool>()),
+      memo_(rules, trusted) {
   rows_.reserve(kProbeBlock);
 }
 
@@ -22,7 +21,7 @@ bool ShardRepairer::RecycleIfOver(size_t max_values) {
   if (pool_->size() <= max_values) return false;
   pool_ = std::make_shared<ValuePool>();
   bridge_ = PoolBridge(pool_.get(), sat_->index().pool().get());
-  if (memo_ != nullptr) memo_->Clear();
+  memo_.Clear();
   return true;
 }
 
@@ -31,7 +30,7 @@ void ShardRepairer::Stage(std::vector<Value> values) {
   for (size_t a = 0; a < values.size(); ++a) {
     row.Set(static_cast<AttrId>(a), std::move(values[a]));
   }
-  if (memo_ != nullptr) memo_->Prefetch(row);
+  memo_.Prefetch(row);
   sat_->index().PrefetchRhsProbes(row, first_round_, &bridge_);
   rows_.push_back(std::move(row));
 }
@@ -39,14 +38,13 @@ void ShardRepairer::Stage(std::vector<Value> values) {
 RepairedRow ShardRepairer::Repair(size_t j, bool record_probes) {
   const Tuple& row = rows_[j];
   ProbeLog probes;
-  const uint64_t hits_before = memo_ != nullptr ? memo_->hits() : 0;
-  TupleRepair r = RepairOneTuple(*sat_, row, trusted_, all_, &bridge_,
-                                 record_probes ? &probes : nullptr,
-                                 memo_.get());
+  const uint64_t hits_before = memo_.hits();
+  TupleRepair r = RepairOneTuple(*sat_, row, trusted_, all_, memo_, &bridge_,
+                                 record_probes ? &probes : nullptr);
   RepairedRow out;
   out.report = r.report;
   out.probes = std::move(probes.hashes);
-  if (memo_ != nullptr) out.memo = memo_->hits() > hits_before ? 1 : 0;
+  out.memo_hit = memo_.hits() > hits_before;
   // On conflict the input row goes out unchanged (r.fixed is empty).
   const Tuple& fixed = r.report.conflicting() ? row : r.fixed;
   out.fixed.reserve(schema_->num_attrs());

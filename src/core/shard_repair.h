@@ -17,7 +17,6 @@
 #define CERTFIX_CORE_SHARD_REPAIR_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/repair_memo.h"
@@ -31,14 +30,14 @@ struct RepairedRow {
   std::vector<Value> fixed;      ///< repaired row (the input row on conflict)
   FixReport report;
   std::vector<uint64_t> probes;  ///< master-probe hashes, when recorded
-  int8_t memo = -1;              ///< -1 memo off, 0 computed, 1 replayed
+  bool memo_hit = false;         ///< replayed from the shard memo
 };
 
 class ShardRepairer {
  public:
-  /// Every row repairs trusting `trusted`; the shard keeps a RepairMemo
-  /// over `rules` iff `use_memo`.
-  ShardRepairer(const RuleSet& rules, AttrSet trusted, bool use_memo);
+  /// Every row repairs trusting `trusted`, memoized in a RepairMemo over
+  /// `rules`.
+  ShardRepairer(const RuleSet& rules, AttrSet trusted);
 
   /// Points the shard at `sat`: before the first block, and again after a
   /// master rebuild replaced the master pool. The shard pool and the memo
@@ -52,7 +51,7 @@ class ShardRepairer {
   /// did. Call between blocks: staged rows hold ids of the old pool.
   bool RecycleIfOver(size_t max_values);
 
-  RepairMemo* memo() const { return memo_.get(); }
+  RepairMemo& memo() { return memo_; }
 
   /// Repairs one block of `n` rows in two passes. Stage: moves each
   /// row's cells (`values_of(j)`, a std::vector<Value>&) into a row of
@@ -79,7 +78,7 @@ class ShardRepairer {
   const Saturator* sat_ = nullptr;
   PoolPtr pool_;
   PoolBridge bridge_{nullptr, nullptr};
-  std::unique_ptr<RepairMemo> memo_;
+  RepairMemo memo_;
   std::vector<size_t> first_round_;  ///< rules round 1 probes, per Bind
   std::vector<Tuple> rows_;          ///< staged rows of the current block
 };

@@ -55,7 +55,8 @@ bool Suggester::VerifyRegionRow(const RuleSet& applicable, const Tuple& t,
       }
     }
     if (r_key.empty()) continue;
-    candidates = partial_cache_.Lookup(m_key, t, r_key);
+    const RowSpan rows = partial_cache_.Lookup(m_key, t, r_key);
+    candidates.assign(rows.begin(), rows.end());
   }
   if (candidates.empty()) {
     size_t n = std::min(kMaxProbes, dm_->size());

@@ -47,8 +47,7 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
       graph_(rules),
       summary_(graph_, trusted),
       master_(std::move(master)),
-      index_(std::make_unique<MasterIndex>(rules, master_,
-                                           options_.index_kind)),
+      index_(std::make_unique<MasterIndex>(rules, master_)),
       sat_(std::make_unique<Saturator>(rules, master_, *index_)),
       // The analyze_first gate runs before any worker exists: a strict
       // rejection leaves the engine inert (no workers) with the verdict
@@ -108,10 +107,10 @@ Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   return Status::OK();
 }
 
-void DeltaRepairEngine::ApplyMemoFlush(RepairMemo* memo,
+void DeltaRepairEngine::ApplyMemoFlush(RepairMemo& memo,
                                        const MemoFlush* head,
                                        uint64_t last_epoch) {
-  if (memo->entries() == 0) return;  // nothing cached, nothing stale
+  if (memo.entries() == 0) return;  // nothing cached, nothing stale
   // Collect the nodes published since this repair context last ran. The
   // chain is newest-first; epochs are consecutive, so completeness means
   // the oldest collected node is exactly last_epoch + 1.
@@ -123,17 +122,16 @@ void DeltaRepairEngine::ApplyMemoFlush(RepairMemo* memo,
   if (nodes.empty() || nodes.back()->epoch != last_epoch + 1) {
     // The depth cap cut the chain before it reached us: some invalidation
     // is unrecoverable, so drop everything rather than risk a stale hit.
-    memo->Clear();
+    memo.Clear();
     return;
   }
   for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-    memo->FlushProbes((*it)->hashes);
+    memo.FlushProbes((*it)->hashes);
   }
 }
 
 DeltaRepairEngine::Pipeline::Step DeltaRepairEngine::MakeShardStep() {
-  auto shard = std::make_shared<ShardRepairer>(*rules_, trusted_,
-                                               options_.use_memo);
+  auto shard = std::make_shared<ShardRepairer>(*rules_, trusted_);
   return [this, shard, epoch = ~uint64_t{0}](
              std::vector<Pipeline::Ticket>& block,
              const Pipeline::Emit& emit) mutable {
@@ -146,9 +144,7 @@ DeltaRepairEngine::Pipeline::Step DeltaRepairEngine::MakeShardStep() {
       // New epoch = the master (and its pool) changed under a rebuild
       // barrier; the ring's mutex published the new saturator.
       shard->Bind(*head.sat);
-      if (shard->memo() != nullptr) {
-        ApplyMemoFlush(shard->memo(), head.flush.get(), epoch);
-      }
+      ApplyMemoFlush(shard->memo(), head.flush.get(), epoch);
       epoch = head.epoch;
     }
     if (shard->RecycleIfOver(options_.pool_recycle_values)) {
@@ -198,8 +194,11 @@ void DeltaRepairEngine::ApplyResult(Done& done) {
   RepairedRow& r = done.row;
   // Memo tallies count every finished repair, even one whose slot died
   // in flight — they measure saturation work saved, not live state.
-  if (r.memo == 1) CERTFIX_TL_COUNTER("delta.memo_hits")->Increment();
-  if (r.memo == 0) CERTFIX_TL_COUNTER("delta.memo_misses")->Increment();
+  if (r.memo_hit) {
+    CERTFIX_TL_COUNTER("delta.memo_hits")->Increment();
+  } else {
+    CERTFIX_TL_COUNTER("delta.memo_misses")->Increment();
+  }
   if (slot_class_[slot] == kDeadClass) {
     return;  // deleted while the repair was in flight
   }
@@ -241,33 +240,31 @@ Status DeltaRepairEngine::EnsureIndexFresh() {
   CERTFIX_SPAN("delta.rebuild");
   // A master delta staled the index. The pipeline is already quiescent
   // (master mutations drain it), so no worker can be probing the old one.
-  index_ = std::make_unique<MasterIndex>(*rules_, master_, options_.index_kind);
+  index_ = std::make_unique<MasterIndex>(*rules_, master_);
   sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
   ++sat_epoch_;
   CERTFIX_TL_COUNTER("delta.master_rebuilds")->Increment();
   index_stale_ = false;
-  if (options_.use_memo) {
-    // Publish this epoch's memo invalidation. A node exists for every
-    // epoch — even an empty one — so a worker can prove its flush chain
-    // is gapless down to the epoch it last saw.
-    auto node = std::make_shared<MemoFlush>();
-    node->epoch = sat_epoch_;
-    node->hashes = std::move(pending_memo_flush_);
-    pending_memo_flush_.clear();
-    node->prev = memo_flush_head_;
-    memo_flush_head_ = std::move(node);
-    // Cap the chain. The cut mutates a node others may hold refs to, but
-    // the pipeline is quiescent here (master deltas drained it) and no
-    // worker dereferences its chain outside batch start, so nothing
-    // races; workers cut off simply Clear() when they next run.
-    MemoFlush* n = memo_flush_head_.get();
-    for (size_t depth = 1; n->prev != nullptr; ++depth) {
-      if (depth >= kMaxFlushChain) {
-        n->prev.reset();
-        break;
-      }
-      n = n->prev.get();
+  // Publish this epoch's memo invalidation. A node exists for every
+  // epoch — even an empty one — so a worker can prove its flush chain is
+  // gapless down to the epoch it last saw.
+  auto node = std::make_shared<MemoFlush>();
+  node->epoch = sat_epoch_;
+  node->hashes = std::move(pending_memo_flush_);
+  pending_memo_flush_.clear();
+  node->prev = memo_flush_head_;
+  memo_flush_head_ = std::move(node);
+  // Cap the chain. The cut mutates a node others may hold refs to, but
+  // the pipeline is quiescent here (master deltas drained it) and no
+  // worker dereferences its chain outside batch start, so nothing races;
+  // workers cut off simply Clear() when they next run.
+  MemoFlush* n = memo_flush_head_.get();
+  for (size_t depth = 1; n->prev != nullptr; ++depth) {
+    if (depth >= kMaxFlushChain) {
+      n->prev.reset();
+      break;
     }
+    n = n->prev.get();
   }
   std::vector<uint32_t> dirty(dirty_slots_.begin(), dirty_slots_.end());
   dirty_slots_.clear();
@@ -360,7 +357,7 @@ void DeltaRepairEngine::InvalidateMasterRow(
     // not a live slot depends on it right now: shard memos also hold
     // entries for rows since deleted or updated, and for rows on rings
     // this thread knows nothing about.
-    if (options_.use_memo) pending_memo_flush_.push_back(h);
+    pending_memo_flush_.push_back(h);
     auto it = probe_to_slots_.find(h);
     if (it == probe_to_slots_.end()) continue;
     for (uint32_t slot : it->second) {

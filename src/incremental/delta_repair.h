@@ -39,6 +39,12 @@
 /// MasterIndex/Saturator lazily before the next repair (consecutive master
 /// deltas share one rebuild).
 ///
+/// Memoization: each shard's RepairMemo (core/repair_memo.h) survives
+/// master rebuilds, unlike in the batch and stream engines, whose master
+/// never changes. A rebuild flushes exactly the entries whose recorded
+/// probes a master delta could have re-answered (the hashes that drive
+/// slot invalidation), so hot entries keep paying off across epochs.
+///
 /// Memory: deleted rows leave tombstoned slots in the backing store (live
 /// order is an indirection vector); a long-lived engine under heavy churn
 /// grows with total inserts, not live rows. Shard pools recycle as in the
@@ -82,17 +88,6 @@ struct DeltaRepairOptions {
   /// every diagnostic and proceeds; strict refuses the session — every
   /// mutator returns the Inconsistent verdict (conflict witness included).
   AnalyzeMode analyze_first = AnalyzeMode::kOff;
-  /// Per-shard repair memoization (core/repair_memo.h). Unlike the batch
-  /// and stream engines, the memo here survives master rebuilds: a
-  /// rebuild flushes exactly the entries whose recorded probes a master
-  /// delta could have re-answered (the same hash machinery that drives
-  /// slot invalidation), so hot entries keep paying off across epochs.
-  /// Output-invisible; hit/miss tallies surface in DeltaRepairStats.
-  bool use_memo = true;
-  /// Master-index implementation for every internal build and rebuild.
-  /// kMap keeps the legacy std::unordered_map path alive as the A/B
-  /// oracle for the flat table (tests/scenario_corpus_test.cc).
-  IndexKind index_kind = IndexKind::kFlat;
 };
 
 /// \brief Counters. The live-state fields (rows..cells_changed) mirror
@@ -117,7 +112,7 @@ struct DeltaRepairStats {
 };
 
 /// \brief Long-lived engine owning the repaired relation plus its
-/// KeyIndex/MasterIndex state.
+/// MasterIndex state.
 class DeltaRepairEngine {
  public:
   /// `rules` must outlive the engine. `master` is copied into an
@@ -236,7 +231,7 @@ class DeltaRepairEngine {
   /// Applies every flush-chain node with epoch > last_epoch to `memo`
   /// (oldest first); clears the memo outright when the chain no longer
   /// reaches last_epoch + 1. No-op on an empty memo.
-  static void ApplyMemoFlush(RepairMemo* memo, const MemoFlush* head,
+  static void ApplyMemoFlush(RepairMemo& memo, const MemoFlush* head,
                              uint64_t last_epoch);
   /// Rebuilds MasterIndex/Saturator if a master delta staled them, then
   /// enqueues re-repairs for the invalidated slots.

@@ -52,7 +52,7 @@
 namespace certfix {
 
 struct DurableOptions {
-  /// Engine knobs (shards, memo, index) used by the in-memory engine.
+  /// Engine knobs (shards, rings, analysis) used by the in-memory engine.
   DeltaRepairOptions engine;
   /// Auto-rotate the snapshot after this many WAL appends; 0 = only on
   /// explicit WriteSnapshot() (the WAL then grows without bound).

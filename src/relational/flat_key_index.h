@@ -1,10 +1,10 @@
 /// \file flat_key_index.h
 /// \brief Cache-conscious open-addressing index over interned IdKeys.
 ///
-/// The node-based std::unordered_map behind KeyIndex costs one pointer
-/// chase plus a heap node per probe — the dominant cost of the repair
-/// hot path once values are interned (PR 3). This file is the flat
-/// replacement the engines default to:
+/// A node-based std::unordered_map costs one pointer chase plus a heap
+/// node per probe — the dominant cost of the repair hot path once values
+/// are interned. This file is the one hash-index implementation the
+/// engines run on:
 ///
 ///  * FlatIdTable — an open-addressing hash table over fixed-arity
 ///    ValueId keys. Slots are grouped eight to a cache-line-sized
@@ -15,16 +15,13 @@
 ///    live in a contiguous arena the slot points into. Deletion is by
 ///    tombstone; the table resizes at 7/8 occupancy.
 ///
-///  * FlatKeyIndex — the KeyIndex contract (Lookup / LookupTuple /
-///    PoolBridge translation) rebuilt on a FlatIdTable, with all
-///    postings in one contiguous arena instead of a std::vector per
-///    key. Lookups return a RowSpan view into that arena; per-key row
-///    order matches KeyIndex (ascending row position), so the two are
-///    drop-in interchangeable and A/B-diffable byte-for-byte.
-///
-///  * ProbeBatch — software pipelining for chunked ingest: stage the
-///    keys for a block of tuples (hash + prefetch the bucket control
-///    word), then resolve them once the lines are in flight.
+///  * FlatKeyIndex — key -> row positions (Lookup / LookupTuple, with
+///    PoolBridge translation for probes from a foreign pool) on a
+///    FlatIdTable, with all postings in one contiguous arena instead of
+///    a std::vector per key. Lookups return a RowSpan view into that
+///    arena; each key's rows are in ascending row position. The
+///    map-backed reference the tests diff it against lives in
+///    tests/reference/key_index.h.
 
 #ifndef CERTFIX_RELATIONAL_FLAT_KEY_INDEX_H_
 #define CERTFIX_RELATIONAL_FLAT_KEY_INDEX_H_
@@ -39,8 +36,8 @@ namespace certfix {
 /// \brief Non-owning view of a run of row positions.
 ///
 /// Lookup answers are runs inside the postings arena (or a caller's
-/// vector — the converting constructor keeps KeyIndex-based call sites
-/// source-compatible). Valid only while the underlying storage lives.
+/// vector, via the converting constructor). Valid only while the
+/// underlying storage lives.
 class RowSpan {
  public:
   RowSpan() = default;
@@ -80,16 +77,15 @@ class FlatIdTable {
   /// `arity` ids, pre-sizing for `expected_keys` live keys.
   void Reset(size_t arity, size_t expected_keys = 0);
 
-  /// Hash of `key` (arity() ids). Exposed so batched callers can hash
-  /// once, prefetch, and later resolve via FindHashed.
+  /// Hash of `key` (arity() ids). Exposed so staged callers can
+  /// prefetch a key's bucket well before they Find it.
   uint64_t Hash(const ValueId* key) const;
 
   /// Prefetches the control word + slots of the home bucket for `hash`.
   void Prefetch(uint64_t hash) const;
 
   /// Payload stored under `key`, or kNotFound.
-  uint32_t Find(const ValueId* key) const { return FindHashed(Hash(key), key); }
-  uint32_t FindHashed(uint64_t hash, const ValueId* key) const;
+  uint32_t Find(const ValueId* key) const;
 
   /// Payload already stored under `key` if present; otherwise inserts
   /// `fresh_payload` and returns it. `fresh_payload` must not be
@@ -124,7 +120,16 @@ class FlatIdTable {
   std::vector<ValueId> arena_;      ///< long-key storage, arity_ each
 };
 
-/// \brief KeyIndex contract on FlatIdTable storage (see file comment).
+/// \brief Hash index on a projection of a relation, keyed by interned ids,
+/// on FlatIdTable storage (see file comment).
+///
+/// Keys are IdKeys in the indexed relation's pool space, so building the
+/// index scans id columns (no string rendering), and probes by tuples
+/// sharing the pool are pure integer hashing. Probes from another pool
+/// translate value-by-value — through a caller-provided PoolBridge when
+/// available (amortizing each distinct value to one hash), else via
+/// ValuePool::Find; a probe value absent from the indexed pool answers
+/// "no rows" without touching the table.
 class FlatKeyIndex {
  public:
   FlatKeyIndex() = default;
@@ -144,53 +149,19 @@ class FlatKeyIndex {
   size_t num_keys() const { return table_.size(); }
   /// The pool the keys are interned in (the indexed relation's pool).
   const PoolPtr& pool() const { return pool_; }
-  /// The underlying table — for ProbeBatch and bucket prefetching.
-  const FlatIdTable& table() const { return table_; }
 
-  /// Postings run of a payload returned by table() lookups.
+ private:
+  /// Postings run of a table payload.
   RowSpan Rows(uint32_t payload) const {
     return RowSpan(postings_.data() + offsets_[payload],
                    offsets_[payload + 1] - offsets_[payload]);
   }
 
- private:
   std::vector<AttrId> attrs_;
   PoolPtr pool_;
   FlatIdTable table_;
   std::vector<size_t> offsets_;   ///< per payload, +1 sentinel
   std::vector<size_t> postings_;  ///< all rows, grouped by key
-};
-
-/// \brief Staged probes against one FlatKeyIndex (software pipelining).
-///
-/// Usage per block: Clear(); Add(...) for every tuple in the block
-/// (hashes the key and prefetches its bucket); then Resolve(i) in any
-/// order once the block is staged. Single-threaded, reusable.
-class ProbeBatch {
- public:
-  explicit ProbeBatch(const FlatKeyIndex* index) : index_(index) {}
-
-  void Clear() {
-    hashes_.clear();
-    keys_.clear();
-  }
-
-  /// Stages the probe for `t` projected on `probe_attrs` and returns its
-  /// position in the batch. A projection that does not translate into
-  /// the indexed pool stages a guaranteed-miss entry.
-  size_t Add(const Tuple& t, const std::vector<AttrId>& probe_attrs,
-             PoolBridge* bridge = nullptr);
-
-  /// Resolves staged probe `i` to its row postings.
-  RowSpan Resolve(size_t i) const;
-
-  size_t size() const { return hashes_.size(); }
-
- private:
-  static constexpr uint64_t kMissHash = ~0ULL;  ///< untranslatable probe
-  const FlatKeyIndex* index_;
-  std::vector<uint64_t> hashes_;
-  std::vector<ValueId> keys_;  ///< arity-strided staged keys
 };
 
 }  // namespace certfix

@@ -29,12 +29,21 @@ Result<std::vector<std::string>> SplitTop(std::string_view s, char sep) {
   return out;
 }
 
+// A fully quoted value loses its outer quotes, and each doubled quote
+// inside reads as one literal quote (the CSV convention), so RuleToDsl can
+// render any constant back into a line that parses to it.
 std::string Unquote(std::string_view s) {
   s = Trim(s);
-  if (s.size() >= 2 && s.front() == '"' && s.back() == '"') {
-    return std::string(s.substr(1, s.size() - 2));
+  if (s.size() < 2 || s.front() != '"' || s.back() != '"') {
+    return std::string(s);
   }
-  return std::string(s);
+  s = s.substr(1, s.size() - 2);
+  std::string out;
+  for (size_t i = 0; i < s.size(); ++i) {
+    out += s[i];
+    if (s[i] == '"' && i + 1 < s.size() && s[i + 1] == '"') ++i;
+  }
+  return out;
 }
 
 Status ParsePatternClause(const std::string& clause, const SchemaPtr& r,
@@ -250,7 +259,12 @@ std::string RuleToDsl(const EditingRule& rule) {
         out += "=_";
       } else {
         out += pv.is_neg_const() ? "!=" : "=";
-        out += "\"" + pv.value().ToString() + "\"";
+        out += '"';
+        for (char c : pv.value().ToString()) {
+          out += c;
+          if (c == '"') out += '"';
+        }
+        out += '"';
       }
     }
   }

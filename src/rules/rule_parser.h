@@ -8,7 +8,8 @@
 /// Left of `->`: the lists X | Xm (positional correspondence). Right: B |
 /// Bm. The optional `when` clause lists pattern cells `attr=value`,
 /// `attr!=value`, or `attr=_` (wildcard). Values are parsed per the R
-/// schema's attribute type; quote with double quotes to embed commas.
+/// schema's attribute type; quote with double quotes to embed commas, and
+/// inside quotes write a literal quote twice (`name="say ""hi"""`).
 ///
 /// Rule groups: a name ending in `*` expands a multi-attribute rhs into
 /// one rule per (B, Bm) pair — the paper's "eR1 is expressed as three

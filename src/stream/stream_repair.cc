@@ -93,8 +93,7 @@ Status StreamRepairEngine::PushStrings(
 }
 
 StreamRepairEngine::Pipeline::Step StreamRepairEngine::MakeShardStep() {
-  auto shard = std::make_shared<ShardRepairer>(sat_->rules(), trusted_,
-                                               options_.use_memo);
+  auto shard = std::make_shared<ShardRepairer>(sat_->rules(), trusted_);
   shard->Bind(*sat_);
   return [this, shard](std::vector<Pipeline::Ticket>& block,
                        const Pipeline::Emit& emit) {
@@ -136,8 +135,11 @@ void StreamRepairEngine::EmitRecord(uint64_t seq, RepairedRow& row) {
       CERTFIX_TL_COUNTER("stream.conflicting")->Increment();
       break;
   }
-  if (row.memo == 1) CERTFIX_TL_COUNTER("stream.memo_hits")->Increment();
-  if (row.memo == 0) CERTFIX_TL_COUNTER("stream.memo_misses")->Increment();
+  if (row.memo_hit) {
+    CERTFIX_TL_COUNTER("stream.memo_hits")->Increment();
+  } else {
+    CERTFIX_TL_COUNTER("stream.memo_misses")->Increment();
+  }
 }
 
 StreamSnapshot StreamRepairEngine::Finish() {

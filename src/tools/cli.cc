@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "analysis/analyzer.h"
@@ -34,28 +35,49 @@ namespace certfix {
 namespace {
 
 struct ParsedArgs {
-  std::string command;
   std::map<std::string, std::string> flags;
   std::vector<std::string> errors;
 };
 
-ParsedArgs ParseArgs(const std::vector<std::string>& args) {
-  ParsedArgs out;
-  if (args.empty()) {
-    out.errors.push_back("missing subcommand");
-    return out;
+/// One subcommand: its name, every flag it reads, and its entry point.
+struct Command {
+  std::string name;
+  std::set<std::string> flags;
+  int (*run)(const ParsedArgs&, std::ostream&, std::ostream&);
+};
+
+/// Flags that take no value; every other flag takes exactly one.
+bool IsBoolFlag(const std::string& key) {
+  static const char* const kBoolFlags[] = {
+      "no-conditional",        "json",         "strict",
+      "metrics-deterministic", "no-telemetry", "no-compress",
+      "no-sync"};
+  for (const char* flag : kBoolFlags) {
+    if (key == flag) return true;
   }
-  out.command = args[0];
-  for (size_t i = 1; i < args.size(); ++i) {
+  return false;
+}
+
+/// Parses `args` as `--flag [value]` pairs for `command`. A flag the
+/// command does not read is an error, so a misspelt or retired flag
+/// cannot be ignored without a word.
+ParsedArgs ParseArgs(const Command& command,
+                     const std::vector<std::string>& args) {
+  ParsedArgs out;
+  for (size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (!StartsWith(a, "--")) {
       out.errors.push_back("unexpected positional argument: " + a);
       continue;
     }
     std::string key = a.substr(2);
-    if (key == "no-conditional" || key == "json" || key == "strict" ||
-        key == "no-memo" || key == "metrics-deterministic" ||
-        key == "no-telemetry" || key == "no-compress" || key == "no-sync") {
+    if (command.flags.count(key) == 0) {
+      out.errors.push_back("unknown flag --" + key + " for " + command.name);
+      // Skip what looks like its value, so one typo is one error.
+      if (i + 1 < args.size() && !StartsWith(args[i + 1], "--")) ++i;
+      continue;
+    }
+    if (IsBoolFlag(key)) {
       out.flags[key] = "true";
       continue;
     }
@@ -79,18 +101,17 @@ void Usage(std::ostream& err) {
       << "  repair  --master M.csv --rules R.rules --input D.csv\n"
       << "          --trusted a,b [--output OUT.csv] [--threads N]\n"
       << "          [--chunk-size N] [--analyze off|warn|strict]\n"
-      << "          [--index flat|map] [--no-memo] [telemetry flags]\n"
+      << "          [telemetry flags]\n"
       << "  repair-stream\n"
       << "          --master M.csv --rules R.rules --input D.csv\n"
       << "          --trusted a,b [--output OUT.csv] [--threads N]\n"
       << "          [--queue-capacity N] [--analyze off|warn|strict]\n"
-      << "          [--index flat|map] [--no-memo] [telemetry flags]\n"
+      << "          [telemetry flags]\n"
       << "  repair-deltas\n"
       << "          --master M.csv --rules R.rules --input D.csv\n"
       << "          --deltas D.deltas --trusted a,b [--output OUT.csv]\n"
       << "          [--threads N] [--queue-capacity N]\n"
-      << "          [--analyze off|warn|strict]\n"
-      << "          [--index flat|map] [--no-memo] [telemetry flags]\n"
+      << "          [--analyze off|warn|strict] [telemetry flags]\n"
       << "          [--wal DIR] [--snapshot-every N] [--no-compress]\n"
       << "          [--no-sync] [--mmap-budget BYTES]\n"
       << "          (--wal persists state durably; with an existing DIR\n"
@@ -98,12 +119,13 @@ void Usage(std::ostream& err) {
       << "           --input/--trusted are read from it; --deltas is\n"
       << "           then optional. --deltas accepts the CSV delta-log\n"
       << "           or binary WAL format.)\n"
-      << "  snapshot --dir DIR [--no-compress] [--mmap-budget BYTES]\n"
+      << "  snapshot --dir DIR [--threads N] [--no-compress]\n"
+      << "          [--mmap-budget BYTES]\n"
       << "          (rotates a durable session to a fresh snapshot\n"
       << "           generation, emptying its WAL)\n"
       << "  recover --dir DIR [--output OUT.csv] [--threads N]\n"
-      << "          [--queue-capacity N] [--index flat|map] [--no-memo]\n"
-      << "          [--mmap-budget BYTES] [telemetry flags]\n"
+      << "          [--queue-capacity N] [--mmap-budget BYTES]\n"
+      << "          [telemetry flags]\n"
       << "          (snapshot load + WAL replay; prints what recovery\n"
       << "           found and optionally writes the repaired relation)\n"
       << "  workload gen\n"
@@ -191,26 +213,6 @@ bool ParseSizeFlag(const ParsedArgs& args, const char* flag, size_t* out,
     return false;
   }
   return true;
-}
-
-/// Parses the optional --index flat|map flag shared by the repair
-/// commands: the master-index implementation. flat (default) is the
-/// cache-conscious open-addressing table; map keeps the legacy
-/// std::unordered_map path alive as its A/B oracle.
-bool ParseIndexFlag(const ParsedArgs& args, IndexKind* kind,
-                    std::ostream& err) {
-  auto it = args.flags.find("index");
-  if (it == args.flags.end()) return true;
-  if (it->second == "flat") {
-    *kind = IndexKind::kFlat;
-    return true;
-  }
-  if (it->second == "map") {
-    *kind = IndexKind::kMap;
-    return true;
-  }
-  err << "--index must be flat or map, got '" << it->second << "'\n";
-  return false;
 }
 
 /// Parses the optional --analyze off|warn|strict flag shared by the
@@ -461,15 +463,12 @@ int CmdRepair(const ParsedArgs& args, std::ostream& out,
     return 2;
   }
   RepairOptions options;
-  IndexKind index_kind = IndexKind::kFlat;
   if (!ParseSizeFlag(args, "threads", &options.num_threads, err) ||
       !ParseSizeFlag(args, "chunk-size", &options.chunk_size, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err) ||
-      !ParseIndexFlag(args, &index_kind, err)) {
+      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
     return 1;
   }
-  options.use_memo = args.flags.count("no-memo") == 0;
-  MasterIndex index(setup.rules, setup.master, index_kind);
+  MasterIndex index(setup.rules, setup.master);
   Saturator sat(setup.rules, setup.master, index);
   BatchRepair repair(sat, options);
   Result<BatchRepairResult> checked =
@@ -509,21 +508,18 @@ int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
     return code;
   }
   StreamOptions options;
-  IndexKind index_kind = IndexKind::kFlat;
   if (!ParseSizeFlag(args, "threads", &options.num_shards, err) ||
       !ParseSizeFlag(args, "queue-capacity", &options.queue_capacity, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err) ||
-      !ParseIndexFlag(args, &index_kind, err)) {
+      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
     return 1;
   }
-  options.use_memo = args.flags.count("no-memo") == 0;
   std::ifstream in(setup.input_path);
   if (!in) {
     err << Status::NotFound("cannot open file: " + setup.input_path) << "\n";
     return 2;
   }
 
-  MasterIndex index(setup.rules, setup.master, index_kind);
+  MasterIndex index(setup.rules, setup.master);
   Saturator sat(setup.rules, setup.master, index);
   CsvTupleSource source(setup.master.schema(), in);
 
@@ -601,11 +597,9 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
   DeltaRepairOptions options;
   if (!ParseSizeFlag(args, "threads", &options.num_shards, err) ||
       !ParseSizeFlag(args, "queue-capacity", &options.queue_capacity, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err) ||
-      !ParseIndexFlag(args, &options.index_kind, err)) {
+      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
     return 1;
   }
-  options.use_memo = args.flags.count("no-memo") == 0;
 
   auto wal_it = args.flags.find("wal");
   auto deltas_it = args.flags.find("deltas");
@@ -782,11 +776,9 @@ int CmdRecover(const ParsedArgs& args, std::ostream& out,
   if (!ParseSizeFlag(args, "threads", &durable.engine.num_shards, err) ||
       !ParseSizeFlag(args, "queue-capacity", &durable.engine.queue_capacity,
                      err) ||
-      !ParseIndexFlag(args, &durable.engine.index_kind, err) ||
       !ParseSizeFlag(args, "mmap-budget", &durable.mmap_budget_bytes, err)) {
     return 1;
   }
-  durable.engine.use_memo = args.flags.count("no-memo") == 0;
   DeltaRepairStats stats;
   std::unique_ptr<DurableSession> session;
   try {
@@ -906,46 +898,86 @@ int CmdWorkloadGen(const ParsedArgs& args, std::ostream& out,
   return 0;
 }
 
+const std::vector<Command>& Commands() {
+  static const std::vector<Command>* const kCommands = [] {
+    // The engine-running commands also take the telemetry flags
+    // (TelemetryScope, DumpTelemetry).
+    auto with_telemetry = [](std::set<std::string> flags) {
+      flags.insert({"metrics-json", "trace-out", "metrics-deterministic",
+                    "no-telemetry"});
+      return flags;
+    };
+    return new std::vector<Command>{
+        {"mine", {"master", "max-lhs", "no-conditional"}, CmdMine},
+        {"analyze",
+         {"master", "rules", "trusted", "json", "strict", "max-probes"},
+         CmdAnalyze},
+        {"check", {"master", "rules", "region"}, CmdCheck},
+        {"repair",
+         with_telemetry({"master", "rules", "input", "trusted", "output",
+                         "threads", "chunk-size", "analyze"}),
+         CmdRepair},
+        {"repair-stream",
+         with_telemetry({"master", "rules", "input", "trusted", "output",
+                         "threads", "queue-capacity", "analyze"}),
+         CmdRepairStream},
+        {"repair-deltas",
+         with_telemetry({"master", "rules", "input", "trusted", "output",
+                         "deltas", "threads", "queue-capacity", "analyze",
+                         "wal", "snapshot-every", "no-compress", "no-sync",
+                         "mmap-budget"}),
+         CmdRepairDeltas},
+        {"snapshot", {"dir", "threads", "no-compress", "mmap-budget"},
+         CmdSnapshot},
+        {"recover",
+         with_telemetry(
+             {"dir", "output", "threads", "queue-capacity", "mmap-budget"}),
+         CmdRecover},
+        {"workload gen", {"spec", "out-dir", "prefix"}, CmdWorkloadGen},
+    };
+  }();
+  return *kCommands;
+}
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {
-  // `workload` takes a positional subcommand before the flags; fold it
-  // into the command name so the flag parser stays positional-free.
-  std::vector<std::string> rewritten;
-  if (!args.empty() && args[0] == "workload") {
+  if (args.empty()) {
+    err << "error: missing subcommand\n";
+    Usage(err);
+    return 1;
+  }
+  // `workload` takes a positional subcommand before the flags.
+  std::string name = args[0];
+  size_t first_flag = 1;
+  if (name == "workload") {
     if (args.size() < 2 || args[1] != "gen") {
       err << "usage: certfix workload gen --spec S.toml --out-dir DIR"
              " [--prefix NAME]\n";
       return 1;
     }
-    rewritten.assign(args.begin() + 1, args.end());
-    rewritten[0] = "workload-gen";
+    name = "workload gen";
+    first_flag = 2;
   }
-  ParsedArgs parsed = ParseArgs(rewritten.empty() ? args : rewritten);
+  const Command* command = nullptr;
+  for (const Command& c : Commands()) {
+    if (c.name == name) command = &c;
+  }
+  if (command == nullptr) {
+    err << "unknown subcommand: " << name << "\n";
+    Usage(err);
+    return 1;
+  }
+  ParsedArgs parsed = ParseArgs(
+      *command,
+      std::vector<std::string>(args.begin() + first_flag, args.end()));
   if (!parsed.errors.empty()) {
     for (const std::string& e : parsed.errors) err << "error: " << e << "\n";
     Usage(err);
     return 1;
   }
-  if (parsed.command == "mine") return CmdMine(parsed, out, err);
-  if (parsed.command == "analyze") return CmdAnalyze(parsed, out, err);
-  if (parsed.command == "check") return CmdCheck(parsed, out, err);
-  if (parsed.command == "repair") return CmdRepair(parsed, out, err);
-  if (parsed.command == "repair-stream") {
-    return CmdRepairStream(parsed, out, err);
-  }
-  if (parsed.command == "repair-deltas") {
-    return CmdRepairDeltas(parsed, out, err);
-  }
-  if (parsed.command == "snapshot") return CmdSnapshot(parsed, out, err);
-  if (parsed.command == "recover") return CmdRecover(parsed, out, err);
-  if (parsed.command == "workload-gen") {
-    return CmdWorkloadGen(parsed, out, err);
-  }
-  err << "unknown subcommand: " << parsed.command << "\n";
-  Usage(err);
-  return 1;
+  return command->run(parsed, out, err);
 }
 
 }  // namespace certfix

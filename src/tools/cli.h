@@ -24,6 +24,10 @@
 ///       output is identical at any thread count); --chunk-size sets the
 ///       rows per shard.
 ///
+/// Each subcommand accepts exactly the flags it reads: any other flag is
+/// a usage error (exit 1, "unknown flag --X for <command>"). The usage
+/// text printed on error lists every subcommand and its flags.
+///
 /// The logic is stream-injected for testability; examples/certfix_cli.cpp
 /// wraps it in main().
 

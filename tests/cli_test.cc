@@ -355,6 +355,60 @@ TEST_F(CliTest, RepairRejectsNonNumericThreads) {
             1);
 }
 
+TEST_F(CliTest, UnknownFlagsAreRejectedPerCommand) {
+  std::string deltas_path = dir_ + "/ok.deltas";
+  {
+    std::ofstream deltas(deltas_path);
+    deltas << "D,1\n";
+  }
+  const std::vector<std::string> setup = {
+      "--master", master_path_, "--rules",   rules_path_,
+      "--input",  input_path_,  "--trusted", "zip,name"};
+  struct Case {
+    std::string command;
+    std::vector<std::string> args;  ///< a run that succeeds on its own
+  };
+  std::vector<Case> cases = {{"repair", setup},
+                             {"repair-stream", setup},
+                             {"repair-deltas", setup},
+                             {"recover", {"--dir", dir_ + "/no_session"}}};
+  cases[2].args.insert(cases[2].args.end(), {"--deltas", deltas_path});
+  // Retired flags, a typo, and a flag another command takes. A flag with
+  // a value must not leave that value behind as a stray argument.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--index", "map"}, {"--no-memo"}, {"--thread", "4"},
+      {"--no-memo", "--threads", "1"}};
+  for (const Case& c : cases) {
+    for (const std::vector<std::string>& extra : bad) {
+      std::vector<std::string> argv = {c.command};
+      argv.insert(argv.end(), c.args.begin(), c.args.end());
+      argv.insert(argv.end(), extra.begin(), extra.end());
+      EXPECT_EQ(Run(argv), 1) << c.command << " " << extra[0];
+      EXPECT_NE(err_.str().find("unknown flag " + extra[0] + " for " +
+                                c.command),
+                std::string::npos)
+          << err_.str();
+      EXPECT_EQ(err_.str().find("unexpected positional"), std::string::npos)
+          << err_.str();
+    }
+  }
+  // --chunk-size belongs to repair only.
+  std::vector<std::string> argv = {"repair-deltas"};
+  argv.insert(argv.end(), cases[2].args.begin(), cases[2].args.end());
+  argv.insert(argv.end(), {"--chunk-size", "9"});
+  EXPECT_EQ(Run(argv), 1);
+  EXPECT_NE(err_.str().find("unknown flag --chunk-size for repair-deltas"),
+            std::string::npos)
+      << err_.str();
+  // The same commands without the stray flag still run.
+  argv.resize(argv.size() - 2);
+  EXPECT_EQ(Run(argv), 0) << err_.str();
+  EXPECT_EQ(Run({"workload", "gen", "--bogus", "x"}), 1);
+  EXPECT_NE(err_.str().find("unknown flag --bogus for workload gen"),
+            std::string::npos)
+      << err_.str();
+}
+
 TEST_F(CliTest, MissingFilesReported) {
   EXPECT_EQ(Run({"mine", "--master", dir_ + "/nope.csv"}), 2);
   EXPECT_EQ(Run({"analyze", "--master", master_path_, "--rules",

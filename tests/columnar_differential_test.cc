@@ -1,131 +1,23 @@
 /// \file columnar_differential_test.cc
-/// \brief Differential oracle for the interned columnar storage layer: a
-/// naive row-at-a-time reference engine — linear master scans, Value
-/// (string) comparisons, no ValuePool / ValueId / MasterIndex machinery —
-/// re-implements the saturation semantics of Sect. 3, and BatchRepair's
-/// output must be byte-identical to it under WriteCsv on the HOSP
-/// workload, sequentially and across thread counts.
+/// \brief Differential oracle for the interned columnar storage layer: the
+/// naive row-at-a-time reference engine (reference/naive_repair.h — linear
+/// master scans, Value comparisons, no ValuePool / ValueId / MasterIndex
+/// machinery) and BatchRepair must produce byte-identical output under
+/// WriteCsv on the HOSP workload, sequentially and across thread counts.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <sstream>
 #include <vector>
 
 #include "core/batch_repair.h"
+#include "reference/naive_repair.h"
 #include "relational/csv.h"
 #include "workload/dirty_gen.h"
 #include "workload/hosp.h"
 
 namespace certfix {
 namespace {
-
-// --- Reference engine -----------------------------------------------------
-
-struct RefRunResult {
-  Tuple fixed;
-  AttrSet covered;
-  bool unique = true;
-  std::vector<Value> excluded_proposals;
-};
-
-// One saturation run over plain rows: rules in order, candidate masters by
-// linear scan with Value equality on the key, distinct rhs values in master
-// row order. Mirrors Saturator::Run's application order exactly.
-RefRunResult RefRun(const RuleSet& rules, const Relation& dm, const Tuple& t,
-                    AttrSet z0, int excluded) {
-  RefRunResult result;
-  result.fixed = t;
-  result.covered = z0;
-  AttrSet z = z0;
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::map<AttrId, std::vector<Value>> round;
-    for (size_t i = 0; i < rules.size(); ++i) {
-      const EditingRule& rule = rules.at(i);
-      AttrId b = rule.rhs();
-      if (z.Contains(b)) continue;
-      if (!rule.premise_set().SubsetOf(z)) continue;
-      if (!rule.pattern().Matches(result.fixed)) continue;
-      // Distinct tm[Bm] over masters agreeing with t on the key, row order.
-      std::vector<Value> distinct;
-      for (size_t m = 0; m < dm.size(); ++m) {
-        const Tuple tm = dm.at(m);
-        bool agrees = true;
-        for (size_t p = 0; p < rule.lhs().size(); ++p) {
-          if (result.fixed.at(rule.lhs()[p]) != tm.at(rule.lhsm()[p])) {
-            agrees = false;
-            break;
-          }
-        }
-        if (!agrees) continue;
-        const Value& v = tm.at(rule.rhsm());
-        bool seen = false;
-        for (const Value& d : distinct) {
-          if (d == v) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) distinct.push_back(v);
-      }
-      for (const Value& v : distinct) round[b].push_back(v);
-    }
-    if (excluded >= 0) {
-      auto it = round.find(static_cast<AttrId>(excluded));
-      if (it != round.end()) {
-        for (const Value& v : it->second) {
-          bool seen = false;
-          for (const Value& d : result.excluded_proposals) {
-            if (d == v) {
-              seen = true;
-              break;
-            }
-          }
-          if (!seen) result.excluded_proposals.push_back(v);
-        }
-        round.erase(it);
-      }
-    }
-    for (const auto& [attr, values] : round) {
-      for (size_t k = 1; k < values.size(); ++k) {
-        if (values[k] != values.front()) result.unique = false;
-      }
-      result.fixed.Set(attr, values.front());
-      z.Add(attr);
-      result.covered.Add(attr);
-      changed = true;
-    }
-  }
-  return result;
-}
-
-// The exact unique-fix decision of Theorem 4, naive edition.
-RefRunResult RefCheckUniqueFix(const RuleSet& rules, const Relation& dm,
-                               const Tuple& t, AttrSet z0) {
-  RefRunResult full = RefRun(rules, dm, t, z0, -1);
-  if (!full.unique) return full;
-  for (AttrId b : full.covered.Minus(z0).ToVector()) {
-    RefRunResult excl = RefRun(rules, dm, t, z0, static_cast<int>(b));
-    if (!excl.unique || excl.excluded_proposals.size() > 1) {
-      full.unique = false;
-      return full;
-    }
-  }
-  return full;
-}
-
-Relation RefBatchRepair(const RuleSet& rules, const Relation& dm,
-                        const Relation& data, AttrSet trusted) {
-  Relation out = data;
-  for (size_t i = 0; i < data.size(); ++i) {
-    RefRunResult fix = RefCheckUniqueFix(rules, dm, data.at(i), trusted);
-    if (fix.unique) out.SetRow(i, fix.fixed);
-  }
-  return out;
-}
 
 std::string ToCsvBytes(const Relation& rel) {
   std::ostringstream os;
@@ -164,15 +56,15 @@ TEST(ColumnarDifferentialTest, BatchRepairMatchesRowReferenceOnHosp) {
     ASSERT_TRUE(dirty.Append(pair.dirty).ok());
   }
 
-  std::string reference =
-      ToCsvBytes(RefBatchRepair(rules, master, dirty, trusted));
-  ASSERT_NE(reference, ToCsvBytes(dirty)) << "oracle repaired nothing";
+  const std::string want =
+      ToCsvBytes(reference::BatchRepair(rules, master, dirty, trusted));
+  ASSERT_NE(want, ToCsvBytes(dirty)) << "oracle repaired nothing";
 
   for (size_t threads : {1, 2, 8}) {
     RepairOptions options;
     options.num_threads = threads;
     BatchRepairResult result = BatchRepair(sat, options).Repair(dirty, trusted);
-    EXPECT_EQ(ToCsvBytes(result.repaired), reference)
+    EXPECT_EQ(ToCsvBytes(result.repaired), want)
         << "threads=" << threads;
   }
 }
@@ -205,10 +97,10 @@ TEST(ColumnarDifferentialTest, ConflictRowsLeftIdentical) {
     ASSERT_TRUE(dirty.Append(pair.dirty).ok());
   }
 
-  std::string reference =
-      ToCsvBytes(RefBatchRepair(rules, master, dirty, trusted));
+  const std::string want =
+      ToCsvBytes(reference::BatchRepair(rules, master, dirty, trusted));
   BatchRepairResult result = BatchRepair(sat).Repair(dirty, trusted);
-  EXPECT_EQ(ToCsvBytes(result.repaired), reference);
+  EXPECT_EQ(ToCsvBytes(result.repaired), want);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 /// \brief Property-based differential tests of the incremental engine:
 /// after any delta sequence, DeltaRepairEngine state must be byte-identical
 /// to a from-scratch BatchRepair over the final input and master — at
-/// 1/2/8 shards.
+/// 1/2/8 shards — and that BatchRepair to the naive reference engine
+/// (reference/naive_repair.h).
 ///
 /// The property test draws a random master, a random rule subset, a random
 /// initial relation, and a 500+-step delta sequence (all six DeltaKinds)
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "core/batch_repair.h"
+#include "reference/naive_repair.h"
 #include "relational/csv.h"
 #include "test_util.h"
 #include "workload/dirty_gen.h"
@@ -38,7 +40,8 @@ std::string ToCsv(const Relation& rel) {
 }
 
 /// From-scratch oracle: BatchRepair over the engine's current input and
-/// master. Also cross-checks the engine's live counters.
+/// master, itself checked against the naive reference engine. Also
+/// cross-checks the engine's live counters.
 void ExpectMatchesScratch(DeltaRepairEngine* engine, const RuleSet& rules,
                           AttrSet trusted, const std::string& label) {
   Relation final_input = engine->SnapshotInput();
@@ -46,6 +49,10 @@ void ExpectMatchesScratch(DeltaRepairEngine* engine, const RuleSet& rules,
   MasterIndex index(rules, final_master);
   Saturator sat(rules, final_master, index);
   BatchRepairResult batch = BatchRepair(sat).Repair(final_input, trusted);
+  ASSERT_EQ(ToCsv(batch.repaired),
+            ToCsv(reference::BatchRepair(rules, final_master, final_input,
+                                         trusted)))
+      << label;
 
   ASSERT_EQ(ToCsv(engine->SnapshotRepaired()), ToCsv(batch.repaired))
       << label;
@@ -357,21 +364,12 @@ TEST(DeltaPropertyTest, RandomDeltaSequencesMatchScratchAtEveryShardCount) {
 
   constexpr size_t kSteps = 520;
   constexpr size_t kCheckEvery = 65;
-  // The memo-off legs replay the identical sequence: byte-equal finals
-  // prove memoization (and its master-delta flush chain) is invisible.
-  struct RunConfig {
-    size_t shards;
-    bool memo;
-  };
-  const std::vector<RunConfig> runs = {
-      {1, true}, {2, true}, {8, true}, {1, false}, {8, false}};
+  const std::vector<size_t> shard_counts = {1, 2, 8};
   std::vector<std::string> final_csv;
-  for (const RunConfig& run : runs) {
-    const size_t shards = run.shards;
+  for (size_t shards : shard_counts) {
     DeltaRepairOptions options;
     options.num_shards = shards;
     options.queue_capacity = 16;
-    options.use_memo = run.memo;
     DeltaRepairEngine engine(w.rules, w.master, w.trusted, options);
 
     // Same per-shard-count RNG so all three runs see one sequence.
@@ -406,20 +404,13 @@ TEST(DeltaPropertyTest, RandomDeltaSequencesMatchScratchAtEveryShardCount) {
     DeltaRepairStats stats = engine.stats();
     EXPECT_LE(stats.tuples_repaired,
               40 + kSteps + stats.tuples_invalidated);
-    if (run.memo) {
-      // Every repair either replayed or was computed-and-recorded.
-      EXPECT_EQ(stats.memo_hits + stats.memo_misses, stats.tuples_repaired);
-    } else {
-      EXPECT_EQ(stats.memo_hits, 0u);
-      EXPECT_EQ(stats.memo_misses, 0u);
-    }
+    // Every repair either replayed or was computed-and-recorded.
+    EXPECT_EQ(stats.memo_hits + stats.memo_misses, stats.tuples_repaired);
   }
-  // Every shard count and memo mode walked the same sequence to the
-  // same bytes.
+  // Every shard count walked the same sequence to the same bytes.
   for (size_t i = 1; i < final_csv.size(); ++i) {
     EXPECT_EQ(final_csv[0], final_csv[i])
-        << "run " << i << " (shards=" << runs[i].shards << " memo="
-        << runs[i].memo << ") diverged";
+        << "shards=" << shard_counts[i] << " diverged";
   }
 }
 

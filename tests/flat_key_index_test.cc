@@ -7,10 +7,12 @@
 #include <string>
 #include <vector>
 
-#include "relational/key_index.h"
+#include "reference/key_index.h"
 
 namespace certfix {
 namespace {
+
+using reference::KeyIndex;
 
 // ---------------------------------------------------------------------------
 // FlatIdTable
@@ -143,7 +145,7 @@ TEST(FlatIdTableTest, DifferentialAgainstStdMap) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatKeyIndex vs KeyIndex
+// FlatKeyIndex vs the map-backed reference (reference/key_index.h)
 
 SchemaPtr S() {
   return Schema::Make("R", std::vector<std::string>{"a", "b", "c"});
@@ -221,37 +223,6 @@ TEST(FlatKeyIndexTest, NullValuesAndEmptyRelation) {
   FlatKeyIndex none(empty, {0});
   EXPECT_TRUE(none.Lookup({Value::Str("x")}).empty());
   EXPECT_EQ(none.num_keys(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// ProbeBatch
-
-TEST(ProbeBatchTest, ResolveMatchesDirectLookup) {
-  Relation rel = RandomRel(400, 11);
-  const std::vector<AttrId> attrs{0, 1};
-  FlatKeyIndex flat(rel, attrs);
-  PoolPtr foreign = std::make_shared<ValuePool>();
-  PoolBridge bridge(foreign.get(), rel.pool().get());
-  std::vector<Tuple> probes;
-  for (size_t i = 0; i < rel.size(); i += 3) {
-    probes.push_back(rel.at(i).RebasedTo(foreign));
-  }
-  probes.push_back(std::move(Tuple::FromStrings(S(), {"nope", "nada", "x"}))
-                       .ValueOrDie()
-                       .RebasedTo(foreign));
-  ProbeBatch batch(&flat);
-  for (const Tuple& t : probes) batch.Add(t, attrs, &bridge);
-  ASSERT_EQ(batch.size(), probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    RowSpan direct = flat.LookupTuple(probes[i], attrs, &bridge);
-    RowSpan staged = batch.Resolve(i);
-    ASSERT_EQ(staged.size(), direct.size());
-    for (size_t j = 0; j < direct.size(); ++j) {
-      EXPECT_EQ(staged[j], direct[j]);
-    }
-  }
-  batch.Clear();
-  EXPECT_EQ(batch.size(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
-#include "relational/key_index.h"
+// The map-backed reference index the flat-index differential tests
+// compare against (reference/key_index.h) must itself be right.
+
+#include "reference/key_index.h"
 
 #include <gtest/gtest.h>
 
 namespace certfix {
 namespace {
+
+using reference::KeyIndex;
 
 SchemaPtr S() {
   return Schema::Make("R", std::vector<std::string>{"a", "b", "c"});

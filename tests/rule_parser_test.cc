@@ -67,6 +67,23 @@ TEST_F(RuleParserTest, QuotedValueWithComma) {
             "Edinburgh, UK");
 }
 
+TEST_F(RuleParserTest, DoubledQuoteInsideQuotesIsALiteralQuote) {
+  Result<EditingRule> rule = ParseRule(
+      "rule p: (zip | zip) -> (AC | AC) when city=\"say \"\"hi\"\", ok\"",
+      r_, rm_);
+  ASSERT_TRUE(rule.ok()) << rule.status();
+  EXPECT_EQ(rule->pattern().Get(A(r_, "city")).value().as_string(),
+            "say \"hi\", ok");
+  // Rendering doubles the quotes again, so the rule reads back unchanged.
+  const std::string dsl = RuleToDsl(*rule);
+  EXPECT_EQ(dsl,
+            "rule p: (zip | zip) -> (AC | AC) when city=\"say \"\"hi\"\", "
+            "ok\"");
+  Result<EditingRule> again = ParseRule(dsl, r_, rm_);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(RuleToDsl(*again), dsl);
+}
+
 TEST_F(RuleParserTest, NegatedEmptyStringIsNotNull) {
   // attr!="" parses as "attr != null" (empty parses to null), the idiom
   // used for the paper's zip != nil patterns.

@@ -1,16 +1,18 @@
 // Scenario-corpus harness: every checked-in spec under tests/scenarios/
 // (CERTFIX_SCENARIO_DIR) is generated, serialized to its delta-log bytes,
-// and replayed through all three engines, which must agree byte-for-byte:
+// and replayed through all three engines, which must agree byte-for-byte
+// with the naive reference engine:
 //
-//  * oracle    — positional replay of the log (ApplyDeltaLog) + BatchRepair
-//                from scratch over the final input against the final master,
-//                on the legacy map index with memoization off (maximally
-//                independent of the optimized paths it judges)
+//  * oracle    — positional replay of the log (ApplyDeltaLog), then the
+//                naive reference repair (reference/naive_repair.h: linear
+//                master scans, Value equality, no MasterIndex, no memo, no
+//                pools) of the final input against the final master
+//  * batch     — BatchRepair over the same final state, at 1 and 8 threads
 //  * delta     — DeltaRepairEngine consuming the log via DeltaLogSource,
-//                across shard counts x {flat, map} index x {memo on, off}
+//                at 1, 2 and 8 shards
 //  * stream    — StreamRepairEngine over the final input rows (point-of-
-//                entry repair of the surviving tuples), across the same
-//                shard/index/memo grid, against the final master
+//                entry repair of the surviving tuples) against the final
+//                master, at 1, 2 and 8 shards
 //
 // The zipf-skew spec additionally asserts the memo earns its keep: its
 // duplicate-heavy stream must replay a sizable fraction of repairs.
@@ -30,6 +32,7 @@
 
 #include "core/batch_repair.h"
 #include "incremental/delta_repair.h"
+#include "reference/naive_repair.h"
 #include "relational/csv.h"
 #include "stream/sink.h"
 #include "stream/stream_repair.h"
@@ -92,7 +95,7 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
   ASSERT_TRUE(sc.ok()) << sc.status();
   const std::string log = DeltaLogToString(*sc);
 
-  // Oracle: positional replay of the log bytes, then from-scratch batch
+  // Oracle: positional replay of the log bytes, then from-scratch naive
   // repair of the final input against the final master.
   std::vector<std::vector<std::string>> input_rows = RenderRows(sc->initial);
   std::vector<std::vector<std::string>> master_rows = RenderRows(sc->master);
@@ -103,100 +106,62 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
   ASSERT_TRUE(final_input.ok()) << final_input.status();
   ASSERT_TRUE(final_master.ok()) << final_master.status();
 
-  // The oracle deliberately avoids everything under test: legacy map
-  // index, no memoization, single-threaded by default.
-  MasterIndex oracle_index(sc->rules, *final_master, IndexKind::kMap);
-  Saturator oracle_sat(sc->rules, *final_master, oracle_index);
-  RepairOptions oracle_options;
-  oracle_options.use_memo = false;
-  BatchRepair oracle(oracle_sat, oracle_options);
-  Result<BatchRepairResult> oracle_result =
-      oracle.RepairChecked(*final_input, sc->trusted);
-  ASSERT_TRUE(oracle_result.ok()) << oracle_result.status();
-  const std::string want = CsvBytes(oracle_result->repaired);
+  // The oracle shares nothing with the engines it judges beyond storage,
+  // and is single-threaded.
+  const std::string want = CsvBytes(reference::BatchRepair(
+      sc->rules, *final_master, *final_input, sc->trusted));
 
-  // The flat-index saturator the stream engine's flat configs run on.
-  MasterIndex flat_index(sc->rules, *final_master, IndexKind::kFlat);
-  Saturator flat_sat(sc->rules, *final_master, flat_index);
+  MasterIndex index(sc->rules, *final_master);
+  Saturator sat(sc->rules, *final_master, index);
 
-  const bool is_zipf = spec.name.find("zipf") != std::string::npos;
+  for (size_t threads : {1, 8}) {
+    SCOPED_TRACE("batch threads " + std::to_string(threads));
+    RepairOptions options;
+    options.num_threads = threads;
+    BatchRepairResult result =
+        BatchRepair(sat, options).Repair(*final_input, sc->trusted);
+    EXPECT_EQ(CsvBytes(result.repaired), want);
+    EXPECT_EQ(result.memo_hits + result.memo_misses, final_input->size());
+  }
 
-  struct Config {
-    IndexKind kind;
-    bool memo;
-    std::vector<size_t> shard_counts;
-  };
-  // The default configuration gets the full shard sweep; the A/B legs
-  // pin the corners (inline path with memo, workers without, ...).
-  const std::vector<Config> configs = {
-      {IndexKind::kFlat, true, {1, 2, 8}},
-      {IndexKind::kFlat, false, {1, 8}},
-      {IndexKind::kMap, true, {1, 8}},
-      {IndexKind::kMap, false, {8}},
-  };
-  for (const Config& config : configs) {
-    for (size_t shards : config.shard_counts) {
-      SCOPED_TRACE("index " +
-                   std::string(config.kind == IndexKind::kFlat ? "flat"
-                                                               : "map") +
-                   " memo " + (config.memo ? "on" : "off") + " shards " +
-                   std::to_string(shards));
+  for (size_t shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
 
-      // Delta engine: consume the serialized log bytes via DeltaLogSource.
-      {
-        DeltaRepairOptions options;
-        options.num_shards = shards;
-        options.index_kind = config.kind;
-        options.use_memo = config.memo;
-        DeltaRepairEngine engine(sc->rules, sc->master, sc->trusted,
-                                 options);
-        ASSERT_TRUE(engine.precheck_status().ok())
-            << engine.precheck_status();
-        ASSERT_TRUE(engine.Load(sc->initial).ok());
-        std::istringstream in(log);
-        DeltaLogSource source(sc->schema, sc->schema, in);
-        Status st = engine.ApplyAll(&source);
+    // Delta engine: consume the serialized log bytes via DeltaLogSource.
+    {
+      DeltaRepairOptions options;
+      options.num_shards = shards;
+      DeltaRepairEngine engine(sc->rules, sc->master, sc->trusted, options);
+      ASSERT_TRUE(engine.precheck_status().ok()) << engine.precheck_status();
+      ASSERT_TRUE(engine.Load(sc->initial).ok());
+      std::istringstream in(log);
+      DeltaLogSource source(sc->schema, sc->schema, in);
+      Status st = engine.ApplyAll(&source);
+      ASSERT_TRUE(st.ok()) << st;
+      EXPECT_EQ(CsvBytes(engine.SnapshotInput()), CsvBytes(*final_input));
+      EXPECT_EQ(CsvBytes(engine.SnapshotRepaired()), want);
+      // Every repair is either a replay or a computation.
+      DeltaRepairStats stats = engine.stats();
+      EXPECT_EQ(stats.memo_hits + stats.memo_misses, stats.tuples_repaired);
+    }
+
+    // Stream engine: point-of-entry repair of the final input rows.
+    {
+      StreamOptions options;
+      options.num_shards = shards;
+      std::ostringstream out;
+      CsvStreamSink sink(sc->schema, out);
+      StreamRepairEngine engine(sat, sc->trusted, &sink, options);
+      ASSERT_TRUE(engine.precheck_status().ok()) << engine.precheck_status();
+      for (const auto& fields : input_rows) {
+        Status st = engine.PushStrings(fields);
         ASSERT_TRUE(st.ok()) << st;
-        EXPECT_EQ(CsvBytes(engine.SnapshotInput()), CsvBytes(*final_input));
-        EXPECT_EQ(CsvBytes(engine.SnapshotRepaired()), want);
-        DeltaRepairStats stats = engine.stats();
-        if (config.memo) {
-          // Every repair is either a replay or a computation.
-          EXPECT_EQ(stats.memo_hits + stats.memo_misses,
-                    stats.tuples_repaired);
-        } else {
-          EXPECT_EQ(stats.memo_hits, 0u);
-          EXPECT_EQ(stats.memo_misses, 0u);
-        }
       }
-
-      // Stream engine: point-of-entry repair of the final input rows.
-      {
-        StreamOptions options;
-        options.num_shards = shards;
-        options.use_memo = config.memo;
-        std::ostringstream out;
-        CsvStreamSink sink(sc->schema, out);
-        const Saturator& sat =
-            config.kind == IndexKind::kFlat ? flat_sat : oracle_sat;
-        StreamRepairEngine engine(sat, sc->trusted, &sink, options);
-        ASSERT_TRUE(engine.precheck_status().ok())
-            << engine.precheck_status();
-        for (const auto& fields : input_rows) {
-          Status st = engine.PushStrings(fields);
-          ASSERT_TRUE(st.ok()) << st;
-        }
-        StreamSnapshot snapshot = engine.Finish();
-        EXPECT_EQ(snapshot.tuples_out, input_rows.size());
-        EXPECT_EQ(out.str(), want);
-        if (config.memo) {
-          EXPECT_EQ(snapshot.memo_hits + snapshot.memo_misses,
-                    snapshot.tuples_out);
-        } else {
-          EXPECT_EQ(snapshot.memo_hits, 0u);
-          EXPECT_EQ(snapshot.memo_misses, 0u);
-        }
-      }
+      StreamSnapshot snapshot = engine.Finish();
+      EXPECT_EQ(snapshot.tuples_out, input_rows.size());
+      EXPECT_EQ(out.str(), want);
+      EXPECT_EQ(snapshot.memo_hits + snapshot.memo_misses,
+                snapshot.tuples_out);
     }
   }
 
@@ -204,11 +169,12 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
   // stream a second time through the same engine must hit the shard
   // memos for every repeated row (identical rows route to the same
   // shard, and its memo key is the row's full relevant projection).
+  const bool is_zipf = spec.name.find("zipf") != std::string::npos;
   if (is_zipf && !input_rows.empty()) {
     StreamOptions options;
     options.num_shards = 4;
     NullSink sink;
-    StreamRepairEngine engine(flat_sat, sc->trusted, &sink, options);
+    StreamRepairEngine engine(sat, sc->trusted, &sink, options);
     ASSERT_TRUE(engine.precheck_status().ok()) << engine.precheck_status();
     for (int pass = 0; pass < 2; ++pass) {
       for (const auto& fields : input_rows) {
