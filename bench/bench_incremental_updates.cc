@@ -24,7 +24,7 @@
 #include "core/batch_repair.h"
 #include "incremental/delta_repair.h"
 #include "relational/csv.h"
-#include "util/thread_pool.h"
+#include "stream/ordered_pipeline.h"
 #include "util/timer.h"
 #include "workload/dirty_gen.h"
 

@@ -2,15 +2,16 @@
 /// \brief Throughput of the parallel batch-repair engine (Sect. 7
 /// future work: "efficiently find certain fixes for data in a
 /// database"). Repairs one generated HOSP dirty batch — trusted keys
-/// {id, mCode}, the rest noisy — at 1/2/4/8 threads and reports
-/// tuples/sec plus speedup over the sequential reference path, checking
-/// along the way that every thread count produces the same repair.
+/// {id, mCode}, the rest noisy — at 1/2/4/8 threads (shards of the
+/// ordered shard pipeline) and reports tuples/sec plus speedup over one
+/// thread, checking along the way that every thread count produces the
+/// same repair.
 ///
 /// Build & run:  ./build/bench/bench_parallel_repair
 
 #include "bench_util.h"
 #include "core/batch_repair.h"
-#include "util/thread_pool.h"
+#include "stream/ordered_pipeline.h"
 
 namespace certfix {
 namespace bench {
@@ -53,8 +54,7 @@ int Run() {
   std::cout << "|Dm| = " << w.master.size() << ", |D| = "
             << config.num_tuples << ", trusted Z = {id, mCode}, hardware "
             << "threads = " << DefaultParallelism() << "\n\n"
-            << "threads  chunk   tuples/sec   speedup  fully  partial  "
-               "conflicts\n";
+            << "threads   tuples/sec   speedup  fully  partial  conflicts\n";
 
   double base_tps = 0.0;
   BatchExperimentResult reference;
@@ -70,11 +70,9 @@ int Run() {
     } else if (!SameRepair(r.repair, reference.repair)) {
       all_identical = false;
     }
-    std::cout << std::setw(7) << threads << std::setw(7)
-              << ResolveChunkSize(config.num_tuples, threads,
-                                  options.chunk_size)
-              << std::setw(13) << std::fixed << std::setprecision(0)
-              << r.tuples_per_second << std::setw(9) << std::setprecision(2)
+    std::cout << std::setw(7) << threads << std::setw(13) << std::fixed
+              << std::setprecision(0) << r.tuples_per_second << std::setw(9)
+              << std::setprecision(2)
               << (base_tps > 0 ? r.tuples_per_second / base_tps : 0.0)
               << std::setw(7) << r.repair.tuples_fully_covered
               << std::setw(9) << r.repair.tuples_partial << std::setw(11)

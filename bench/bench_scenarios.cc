@@ -39,10 +39,10 @@
 #include "core/batch_repair.h"
 #include "incremental/delta_repair.h"
 #include "relational/csv.h"
+#include "stream/ordered_pipeline.h"
 #include "stream/sink.h"
 #include "stream/stream_repair.h"
 #include "telemetry/metrics.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "workload/scenario.h"
 

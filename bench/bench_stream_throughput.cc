@@ -16,8 +16,8 @@
 
 #include "bench_util.h"
 #include "relational/csv.h"
+#include "stream/ordered_pipeline.h"
 #include "stream/stream_repair.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "workload/dirty_gen.h"
 

@@ -24,8 +24,6 @@ RuleSetSummary::RuleSetSummary(const DependencyGraph& graph, AttrSet trusted)
   reachable_.resize(n);
   fanout_.resize(n);
   downstream_.resize(n);
-  closure_with_self_.resize(n);
-  invalidated_by_rule_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const EditingRule& rule = rules.at(i);
     reachable_[i] = rule.premise_set().SubsetOf(closure_) &&
@@ -49,65 +47,7 @@ RuleSetSummary::RuleSetSummary(const DependencyGraph& graph, AttrSet trusted)
     for (size_t j = 0; j < n; ++j) {
       if (seen[j]) downstream_[i].push_back(j);
     }
-    closure_with_self_[i] = seen;
-    closure_with_self_[i][i] = true;
-    AttrSet region;
-    for (size_t j = 0; j < n; ++j) {
-      if (closure_with_self_[i][j]) region.Add(rules.at(j).rhs());
-    }
-    invalidated_by_rule_[i] = region;
   }
-
-  size_t num_master_attrs =
-      rules.rm_schema() ? rules.rm_schema()->num_attrs() : 0;
-  rules_by_master_attr_.resize(num_master_attrs);
-  for (size_t i = 0; i < n; ++i) {
-    const EditingRule& rule = rules.at(i);
-    AttrSet reads;
-    for (AttrId a : rule.lhsm()) reads.Add(a);
-    reads.Add(rule.rhsm());
-    for (AttrId a : reads.ToVector()) {
-      if (a < num_master_attrs) rules_by_master_attr_[a].push_back(i);
-    }
-  }
-}
-
-std::vector<size_t> RuleSetSummary::RulesReadingMasterAttrs(
-    const AttrSet& master_attrs) const {
-  std::vector<bool> member(num_rules(), false);
-  for (AttrId a : master_attrs.ToVector()) {
-    if (a >= rules_by_master_attr_.size()) continue;
-    for (size_t i : rules_by_master_attr_[a]) member[i] = true;
-  }
-  std::vector<size_t> out;
-  for (size_t i = 0; i < member.size(); ++i) {
-    if (member[i]) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<size_t> RuleSetSummary::ReachableFrom(
-    const std::vector<size_t>& seeds) const {
-  std::vector<bool> member(num_rules(), false);
-  for (size_t s : seeds) {
-    if (s >= closure_with_self_.size()) continue;
-    for (size_t j = 0; j < closure_with_self_[s].size(); ++j) {
-      if (closure_with_self_[s][j]) member[j] = true;
-    }
-  }
-  std::vector<size_t> out;
-  for (size_t i = 0; i < member.size(); ++i) {
-    if (member[i]) out.push_back(i);
-  }
-  return out;
-}
-
-AttrSet RuleSetSummary::InvalidatedRegion(const AttrSet& master_attrs) const {
-  AttrSet region;
-  for (size_t i : RulesReadingMasterAttrs(master_attrs)) {
-    region = region.Union(invalidated_by_rule_[i]);
-  }
-  return region;
 }
 
 }  // namespace certfix

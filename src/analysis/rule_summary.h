@@ -2,12 +2,9 @@
 /// \brief Precomputed per-rule reachability / fan-out over a rule set.
 ///
 /// DependencyGraph (core/) answers reachability questions by walking edges
-/// on every call; consumers that ask repeatedly with the same Sigma — the
-/// incremental engine invalidating per master delta, the analyzer emitting
-/// per-rule rows, diagnostics tooling — share this summary instead. All
-/// query results are defined to be identical to the corresponding
-/// DependencyGraph methods (tested in tests/analyze_test.cc); only the
-/// cost moves from per-query graph walks to one O(|Sigma|^2) precompute.
+/// on every call; the analyzer, which emits one row per rule, reads this
+/// summary instead: one O(|Sigma|^2) precompute of the trusted closure
+/// and each rule's downstream set.
 
 #ifndef CERTFIX_ANALYSIS_RULE_SUMMARY_H_
 #define CERTFIX_ANALYSIS_RULE_SUMMARY_H_
@@ -21,11 +18,10 @@
 namespace certfix {
 
 /// \brief Summary of one (Sigma, Z) pair: schema-level closure of the
-/// trusted region, per-rule reachability and fan-out, and precomputed
-/// master-attribute -> rule and rule -> downstream-closure maps.
+/// trusted region, and per-rule reachability, fan-out and downstream
+/// rules.
 class RuleSetSummary {
  public:
-  RuleSetSummary() = default;
   /// Builds the summary from an existing dependency graph (the graph is
   /// only read during construction; the summary keeps no reference to it)
   /// and the trusted region Z.
@@ -49,16 +45,6 @@ class RuleSetSummary {
     return downstream_[i];
   }
 
-  /// Same contract as DependencyGraph::RulesReadingMasterAttrs: rules
-  /// whose master side (Xm or Bm) intersects `master_attrs`, ascending.
-  std::vector<size_t> RulesReadingMasterAttrs(const AttrSet& master_attrs) const;
-  /// Same contract as DependencyGraph::ReachableFrom: transitive closure
-  /// over successor edges, seeds included, ascending.
-  std::vector<size_t> ReachableFrom(const std::vector<size_t>& seeds) const;
-  /// Same contract as DependencyGraph::InvalidatedRegion: rhs attributes
-  /// of ReachableFrom(RulesReadingMasterAttrs(master_attrs)).
-  AttrSet InvalidatedRegion(const AttrSet& master_attrs) const;
-
  private:
   AttrSet trusted_;
   AttrSet closure_;
@@ -66,13 +52,6 @@ class RuleSetSummary {
   std::vector<size_t> fanout_;
   /// downstream_[i]: strict-ish transitive successors (see Downstream).
   std::vector<std::vector<size_t>> downstream_;
-  /// closure_with_self_[i]: ReachableFrom({i}) as a membership vector.
-  std::vector<std::vector<bool>> closure_with_self_;
-  /// invalidated_by_rule_[i]: rhs attrs of ReachableFrom({i}).
-  std::vector<AttrSet> invalidated_by_rule_;
-  /// rules_by_master_attr_[a]: rules whose (Xm, Bm) contains master
-  /// attribute a, ascending.
-  std::vector<std::vector<size_t>> rules_by_master_attr_;
 };
 
 }  // namespace certfix

@@ -1,123 +1,97 @@
 #include "core/batch_repair.h"
 
-#include <memory>
+#include <utility>
 
 #include "analysis/analyzer.h"
-#include "core/repair_memo.h"
-#include "core/repair_tuple.h"
+#include "core/shard_repair.h"
+#include "stream/ordered_pipeline.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
-#include "util/thread_pool.h"
 
 namespace certfix {
 
-void BatchRepair::RepairRange(const Relation& data, AttrSet trusted,
-                              AttrSet all, size_t begin, size_t end,
-                              const PoolPtr& local_pool,
-                              ShardResult* out) const {
-  CERTFIX_SPAN("batch.shard_repair");
-  // One bridge for the whole range: every row's cells live in the same
-  // pool (the shard-local one, or the input's on the sequential path), so
-  // each distinct value is hashed into master-pool id space once.
-  const PoolPtr& probe_pool = local_pool != nullptr ? local_pool : data.pool();
-  PoolBridge bridge(probe_pool.get(), sat_->index().pool().get());
-  // Repeated relevant projections replay their recorded outcome
-  // (core/repair_memo.h); the master is immutable here, so nothing flushes.
-  RepairMemo memo(sat_->rules(), trusted);
-  const std::vector<size_t> first_round = sat_->FirstRoundProbeRules(trusted);
-  std::vector<Tuple> rows;
-  rows.reserve(kProbeBlock);
-  for (size_t base = begin; base < end; base += kProbeBlock) {
-    const size_t n = std::min(kProbeBlock, end - base);
-    rows.clear();
-    // Stage: materialize the block's rows and push their memo buckets and
-    // round-1 value-summary buckets into the cache...
-    for (size_t j = 0; j < n; ++j) {
-      Tuple row = local_pool != nullptr
-                      ? data.at(base + j).RebasedTo(local_pool)
-                      : data.at(base + j);
-      memo.Prefetch(row);
-      sat_->index().PrefetchRhsProbes(row, first_round, &bridge);
-      rows.push_back(std::move(row));
-    }
-    // ...then resolve: repair in row order while the lines are in flight.
-    for (size_t j = 0; j < n; ++j) {
-      const size_t i = base + j;
-      TupleRepair r = RepairOneTuple(*sat_, rows[j], trusted, all, memo,
-                                     &bridge);
-      switch (r.report.kind) {
-        case FixClass::kConflicting:
-          ++out->conflicting;
-          out->conflict_rows.push_back(i);
-          continue;
-        case FixClass::kFullyCovered:
-          ++out->fully_covered;
-          break;
-        case FixClass::kPartial:
-          ++out->partial;
-          break;
-        case FixClass::kUntouched:
-          ++out->untouched;
-          break;
-      }
-      out->cells_changed += r.report.cells_changed;
-      if (r.report.cells_changed > 0) {
-        out->changed.emplace_back(i, std::move(r.fixed));
-      }
-    }
-  }
-  out->memo_hits = memo.hits();
-  out->memo_misses = memo.misses();
-}
+namespace {
+/// Slots per shard ring (the stream engine's default queue capacity): the
+/// window, shards x this, bounds the rows in flight.
+constexpr size_t kRingCapacity = 256;
+}  // namespace
 
 BatchRepairResult BatchRepair::Repair(const Relation& data,
                                       AttrSet trusted) const {
+  using Pipeline = OrderedShardPipeline<size_t, RepairedRow>;
   BatchRepairResult result;
   result.repaired = data;
-  AttrSet all = sat_->rules().r_schema()->AllAttrs();
-
-  size_t threads = options_.num_threads == 0 ? DefaultParallelism()
-                                             : options_.num_threads;
-  std::vector<ShardResult> shards;
-  if (threads <= 1) {
-    // Sequential reference path: the original tuple-at-a-time loop, no
-    // rebasing (rows keep interning into the shared input pool).
-    shards.resize(1);
-    RepairRange(data, trusted, all, 0, data.size(), nullptr, &shards[0]);
-  } else {
-    // Partition -> repair-shard -> deterministic merge. Shards are
-    // contiguous row ranges; each worker interns into its own local pool
-    // and fills its own ShardResult slot, so no pool is written
-    // concurrently. Merging in shard order makes the output, counters,
-    // and conflict_rows independent of scheduling.
-    shards.resize(NumChunks(data.size(), threads, options_.chunk_size));
-    ParallelFor(data.size(), threads, options_.chunk_size,
-                [&](size_t chunk, size_t begin, size_t end) {
-                  PoolPtr local = std::make_shared<ValuePool>();
-                  RepairRange(data, trusted, all, begin, end, local,
-                              &shards[chunk]);
-                });
+  const size_t num_attrs = data.schema()->num_attrs();
+  std::vector<ShardRepairer> shards =
+      MakeShards(ResolveShards(options_.num_threads), *sat_, trusted);
+  // Rows whose fix differs from the input, in row order. Their cells are
+  // written after the pipeline is done: result.repaired shares data's
+  // pool, which the submitter and workers read until then.
+  std::vector<std::pair<size_t, std::vector<Value>>> changed;
+  {
+    Pipeline pipeline(
+        shards.size() > 1 ? shards.size() : 0, kRingCapacity,
+        [&](size_t ring, std::vector<Pipeline::Ticket>& block,
+            const Pipeline::Emit& emit) {
+          CERTFIX_SPAN("batch.shard_repair");
+          shards[ring].RepairBlock(
+              block.size(),
+              [&](size_t j) { return data.at(block[j].job); },
+              ShardOutput::kChangedRows, emit);
+          // Rows are dealt round-robin, so a ring whose row is within one
+          // round of the end gets no more: free the shard's pool and memo
+          // now, on its own thread and alongside the other shards, rather
+          // than on the caller after the join.
+          if (block.back().job + shards.size() >= data.size()) {
+            shards[ring].RecycleIfOver(0);
+          }
+        },
+        // Rows are submitted in order from 0, so a result's seq is its row.
+        [&](uint64_t row, RepairedRow& r) {
+          ++(r.memo_hit ? result.memo_hits : result.memo_misses);
+          switch (r.report.kind) {
+            case FixClass::kConflicting:
+              ++result.tuples_conflicting;
+              result.conflict_rows.push_back(row);
+              return;
+            case FixClass::kFullyCovered:
+              ++result.tuples_fully_covered;
+              break;
+            case FixClass::kPartial:
+              ++result.tuples_partial;
+              break;
+            case FixClass::kUntouched:
+              ++result.tuples_untouched;
+              break;
+          }
+          result.cells_changed += r.report.cells_changed;
+          if (r.report.cells_changed > 0) {
+            changed.emplace_back(row, std::move(r.fixed));
+          }
+        },
+        "batch.merge");
+    // Round-robin by seq deals every shard an even share of the rows.
+    for (size_t i = 0; i < data.size(); ++i) {
+      // False only after a worker failed; Drain rethrows its error.
+      if (!pipeline.Submit(i, [](size_t, uint64_t seq) { return seq; })) {
+        break;
+      }
+    }
+    pipeline.Drain();
   }
-  CERTFIX_SPAN("batch.merge");
-  for (ShardResult& s : shards) {
-    result.tuples_fully_covered += s.fully_covered;
-    result.tuples_partial += s.partial;
-    result.tuples_untouched += s.untouched;
-    result.tuples_conflicting += s.conflicting;
-    result.cells_changed += s.cells_changed;
-    result.memo_hits += s.memo_hits;
-    result.memo_misses += s.memo_misses;
-    result.conflict_rows.insert(result.conflict_rows.end(),
-                                s.conflict_rows.begin(),
-                                s.conflict_rows.end());
-    // SetRow re-interns only cells that differ, so shard-local ids merge
-    // into the output pool at cost proportional to the repair size.
-    for (const auto& [row, fixed] : s.changed) {
-      result.repaired.SetRow(row, fixed);
+  {
+    CERTFIX_SPAN("batch.merge");
+    for (auto& [row, fixed] : changed) {
+      for (size_t a = 0; a < num_attrs; ++a) {
+        const AttrId attr = static_cast<AttrId>(a);
+        if (result.repaired.Cell(row, attr) != fixed[a]) {
+          result.repaired.SetCell(row, attr, std::move(fixed[a]));
+        }
+      }
     }
   }
   // Fold run totals into the registry so `--metrics-json` mirrors the
-  // result struct without threading a handle through the shard workers.
+  // result struct.
   telemetry::Registry* reg = telemetry::Registry::Global();
   reg->GetCounter("batch.rows")->Add(data.size());
   reg->GetCounter("batch.fully_covered")->Add(result.tuples_fully_covered);

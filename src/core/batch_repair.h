@@ -15,21 +15,23 @@
 /// Threading model: repair is embarrassingly parallel across tuples —
 /// each tuple's (Sigma, Dm) saturation is independent, and `Saturator`
 /// and `MasterIndex` are safe for concurrent read-only use after
-/// construction (see saturation.h / master_index.h). With
-/// `RepairOptions::num_threads > 1` the input is split into contiguous
-/// row-range shards, each shard is repaired by a pool worker
-/// (util/thread_pool.h), and shard results are merged in row order, so
-/// the output — repaired relation, every counter, and the order of
-/// `conflict_rows` — is value-identical (byte-identical under WriteCsv)
-/// to the sequential `num_threads == 1` path, which still runs the
-/// original tuple-at-a-time loop.
+/// construction (see saturation.h / master_index.h). Repair runs on the
+/// ordered shard pipeline the online engines run on
+/// (stream/ordered_pipeline.h): rows are admitted in row order and dealt
+/// round-robin to `RepairOptions::num_threads` shards, each repairing
+/// blocks with its own ShardRepairer (core/shard_repair.h), and results
+/// are applied strictly in row order. So the output — repaired relation,
+/// every counter, and the order of `conflict_rows` — is value-identical
+/// (byte-identical under WriteCsv) at any thread count. At one thread the
+/// pipeline runs in zero-worker mode, on the calling thread.
 ///
 /// Interning contract (see value_pool.h): all shards share the master
-/// relation's immutable ValuePool read-only; each shard rebases its rows
-/// into a shard-local pool, interns every value its saturations produce
-/// locally, and the changed rows are merged back into the output
-/// relation's pool on the calling thread, in shard order. No pool is ever
-/// written concurrently.
+/// relation's immutable ValuePool read-only and read the input's cells;
+/// each shard builds its rows in a shard-local pool and interns every
+/// value its saturations produce there. Changed cells are written into
+/// the output relation, which shares the input's pool, on the calling
+/// thread once every row is repaired. No pool is ever written
+/// concurrently.
 
 #ifndef CERTFIX_CORE_BATCH_REPAIR_H_
 #define CERTFIX_CORE_BATCH_REPAIR_H_
@@ -42,11 +44,9 @@ namespace certfix {
 
 /// \brief Execution knobs for BatchRepair.
 struct RepairOptions {
-  /// Worker count. 1 = the original sequential loop (the differential-
-  /// testing reference); 0 = one worker per hardware thread.
+  /// Shard count. 1 = repair on the calling thread; 0 = one shard per
+  /// hardware thread. Capped at max(16, 2x hardware) (ResolveShards).
   size_t num_threads = 1;
-  /// Rows per shard. 0 = divide the input evenly over the workers.
-  size_t chunk_size = 0;
   /// Ruleset analysis before repairing (RepairChecked only): off trusts
   /// (Sigma, Dm, Z) as-is, warn logs analyzer diagnostics, strict refuses
   /// inconsistent rulesets with the witness in the error (analyzer.h).
@@ -87,33 +87,6 @@ class BatchRepair {
   const RepairOptions& options() const { return options_; }
 
  private:
-  /// Per-shard tallies and changed rows; `conflict_rows` and the row
-  /// positions in `changed` are absolute.
-  struct ShardResult {
-    size_t fully_covered = 0;
-    size_t partial = 0;
-    size_t untouched = 0;
-    size_t conflicting = 0;
-    size_t cells_changed = 0;
-    size_t memo_hits = 0;
-    size_t memo_misses = 0;
-    std::vector<size_t> conflict_rows;
-    /// Rows whose fix differs from the input, in row order.
-    std::vector<std::pair<size_t, Tuple>> changed;
-  };
-
-  /// Repairs rows [begin, end) of `data` into `out`. With `local_pool`
-  /// set, each row is rebased into it first so all interning stays
-  /// shard-local; with it null (the sequential path) rows keep sharing
-  /// `data`'s pool. The eager per-row rebase costs one hash per cell even
-  /// for rows saturation never changes — the price of keeping pools
-  /// strictly single-writer. Deferring it needs copy-on-write tuple
-  /// pools (rebase on first applied move); candidate future optimization
-  /// if profiles show clean-row rebasing dominating parallel repair.
-  void RepairRange(const Relation& data, AttrSet trusted, AttrSet all,
-                   size_t begin, size_t end, const PoolPtr& local_pool,
-                   ShardResult* out) const;
-
   const Saturator* sat_;
   RepairOptions options_;
 };

@@ -1,14 +1,16 @@
 /// \file shard_repair.h
-/// \brief The shard step of the online engines: one shard's repair state
+/// \brief The shard step of all three engines: one shard's repair state
 /// and the stage-then-resolve walk over a block of tuples.
 ///
-/// StreamRepairEngine and DeltaRepairEngine hand each shard blocks of
-/// owned cell values (stream/ordered_pipeline.h). A ShardRepairer builds
-/// them into rows of its own ValuePool — nothing else writes that pool
-/// (the single-writer contract, value_pool.h) — probes the master through
-/// its own PoolBridge, replays repeats from its own RepairMemo, and copies
-/// every repaired row back out as owned Values, so results reach the
-/// merge stage without touching shard state.
+/// BatchRepair, StreamRepairEngine and DeltaRepairEngine each own one
+/// ShardRepairer per ring of their ordered shard pipeline
+/// (stream/ordered_pipeline.h) and hand it blocks of rows: owned cell
+/// values, or rows of the batch input. A ShardRepairer builds them into
+/// rows of its own ValuePool — nothing else writes that pool (the
+/// single-writer contract, value_pool.h) — probes the master through its
+/// own PoolBridge, replays repeats from its own RepairMemo, and copies
+/// repaired rows back out as owned Values, so results reach the merge
+/// stage without touching shard state.
 ///
 /// Thread safety: none. One ShardRepairer per shard, used by one thread
 /// at a time.
@@ -24,16 +26,28 @@
 
 namespace certfix {
 
+/// What a shard's results carry besides the report: the engine's needs.
+enum class ShardOutput {
+  kRows,           ///< every row, repaired or not (the stream engine)
+  kRowsAndProbes,  ///< every row and its master-probe hashes (delta)
+  kChangedRows,    ///< only rows a fix changed (batch)
+};
+
 /// \brief One repaired tuple leaving a shard. Plain values only, so it
 /// can cross to the merge stage's thread.
 struct RepairedRow {
-  std::vector<Value> fixed;      ///< repaired row (the input row on conflict)
+  /// The repaired row (the input row on conflict). Empty under
+  /// ShardOutput::kChangedRows when no cell changed.
+  std::vector<Value> fixed;
   FixReport report;
-  std::vector<uint64_t> probes;  ///< master-probe hashes, when recorded
+  std::vector<uint64_t> probes;  ///< under ShardOutput::kRowsAndProbes
   bool memo_hit = false;         ///< replayed from the shard memo
 };
 
-class ShardRepairer {
+/// Two cache lines apart: engines keep their shards side by side in one
+/// vector, each written by its own worker on every tuple, and x86's
+/// adjacent-line prefetcher pairs 64-byte lines.
+class alignas(128) ShardRepairer {
  public:
   /// Every row repairs trusting `trusted`, memoized in a RepairMemo over
   /// `rules`.
@@ -47,30 +61,33 @@ class ShardRepairer {
 
   /// Bounded memory on unbounded streams: once the shard pool holds more
   /// than `max_values` values, drops it together with the bridge cache
-  /// indexed by it and the memo keyed on its ids. Returns true when it
-  /// did. Call between blocks: staged rows hold ids of the old pool.
+  /// indexed by it, the memo keyed on its ids and the last block's staged
+  /// rows, so the old pool is freed here. Returns true when it did. Call
+  /// between blocks.
   bool RecycleIfOver(size_t max_values);
 
   RepairMemo& memo() { return memo_; }
 
-  /// Repairs one block of `n` rows in two passes. Stage: moves each
-  /// row's cells (`values_of(j)`, a std::vector<Value>&) into a row of
-  /// the shard pool and prefetches its memo bucket and round-1
-  /// master-probe buckets, so the whole block's loads overlap. Resolve:
-  /// repairs the rows in order with RepairOneTuple, recording
-  /// master-probe hashes when `record_probes`, and calls
-  /// `out(j, RepairedRow)` after each.
+  /// Repairs one block of `n` rows in two passes. Stage: builds each
+  /// row (`values_of(j)`: a std::vector<Value>& whose cells it moves, or
+  /// a Tuple of another pool, only read) into a row of the shard pool and
+  /// prefetches its memo bucket and round-1 master-probe buckets, so the
+  /// whole block's loads overlap. Resolve: repairs the rows in order with
+  /// RepairOneTuple and calls `out(j, RepairedRow)` after each, filled as
+  /// `output` asks.
   template <typename ValuesOf, typename Out>
-  void RepairBlock(size_t n, ValuesOf&& values_of, bool record_probes,
+  void RepairBlock(size_t n, ValuesOf&& values_of, ShardOutput output,
                    Out&& out) {
     rows_.clear();  // also drops a block an exception cut short
-    for (size_t j = 0; j < n; ++j) Stage(std::move(values_of(j)));
-    for (size_t j = 0; j < n; ++j) out(j, Repair(j, record_probes));
+    for (size_t j = 0; j < n; ++j) Stage(values_of(j));
+    for (size_t j = 0; j < n; ++j) out(j, Repair(j, output));
   }
 
  private:
-  void Stage(std::vector<Value> values);
-  RepairedRow Repair(size_t j, bool record_probes);
+  void Stage(std::vector<Value>& values);  ///< moves the cells out
+  void Stage(const Tuple& source);
+  void StageRow(Tuple row);  ///< `row` is in the shard pool
+  RepairedRow Repair(size_t j, ShardOutput output);
 
   SchemaPtr schema_;
   AttrSet trusted_;
@@ -82,6 +99,11 @@ class ShardRepairer {
   std::vector<size_t> first_round_;  ///< rules round 1 probes, per Bind
   std::vector<Tuple> rows_;          ///< staged rows of the current block
 };
+
+/// `n` shards repairing trusting `trusted`, bound to `sat`: the shard
+/// state of a pipeline with n workers, or with none when n = 1.
+std::vector<ShardRepairer> MakeShards(size_t n, const Saturator& sat,
+                                      AttrSet trusted);
 
 }  // namespace certfix
 

@@ -23,12 +23,6 @@ Relation CopyToPrivatePool(const Relation& master) {
   return copy;
 }
 
-/// Shard workers for `num_shards`: one shard repairs inline on the
-/// caller's thread (zero workers).
-size_t Workers(size_t num_shards) {
-  const size_t shards = ResolveShards(num_shards);
-  return shards > 1 ? shards : 0;
-}
 }  // namespace
 
 DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules,
@@ -45,7 +39,6 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
       trusted_(trusted),
       options_(options),
       graph_(rules),
-      summary_(graph_, trusted),
       master_(std::move(master)),
       index_(std::make_unique<MasterIndex>(rules, master_)),
       sat_(std::make_unique<Saturator>(rules, master_, *index_)),
@@ -71,8 +64,15 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
                {"delta.conflicting", &DeltaRepairStats::conflicting, true},
                {"delta.cells_changed", &DeltaRepairStats::cells_changed,
                 true}}),
-      pipeline_(precheck_status_.ok() ? Workers(options_.num_shards) : 0,
-                options_.queue_capacity, [this] { return MakeShardStep(); },
+      shards_(MakeShards(ResolveShards(options_.num_shards), *sat_, trusted_)),
+      // One shard repairs inline on the caller's thread (zero workers).
+      pipeline_(precheck_status_.ok() && shards_.size() > 1 ? shards_.size()
+                                                            : 0,
+                options_.queue_capacity,
+                [this](size_t ring, std::vector<Pipeline::Ticket>& block,
+                       const Pipeline::Emit& emit) {
+                  RepairShardBlock(ring, block, emit);
+                },
                 [this](uint64_t, Done& done) { ApplyResult(done); },
                 "delta.merge") {}
 
@@ -93,9 +93,6 @@ Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   CERTFIX_TL_COUNTER("delta.tuples_repaired")->Increment();
   Job job;
   job.slot = slot;
-  job.epoch = sat_epoch_;
-  job.sat = sat_.get();
-  job.flush = memo_flush_head_;
   job.values.reserve(schema_->num_attrs());
   for (size_t a = 0; a < schema_->num_attrs(); ++a) {
     job.values.push_back(input_.Cell(slot, static_cast<AttrId>(a)));
@@ -107,58 +104,22 @@ Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   return Status::OK();
 }
 
-void DeltaRepairEngine::ApplyMemoFlush(RepairMemo& memo,
-                                       const MemoFlush* head,
-                                       uint64_t last_epoch) {
-  if (memo.entries() == 0) return;  // nothing cached, nothing stale
-  // Collect the nodes published since this repair context last ran. The
-  // chain is newest-first; epochs are consecutive, so completeness means
-  // the oldest collected node is exactly last_epoch + 1.
-  std::vector<const MemoFlush*> nodes;
-  for (const MemoFlush* n = head; n != nullptr && n->epoch > last_epoch;
-       n = n->prev.get()) {
-    nodes.push_back(n);
+void DeltaRepairEngine::RepairShardBlock(
+    size_t ring, std::vector<Pipeline::Ticket>& block,
+    const Pipeline::Emit& emit) {
+  CERTFIX_SPAN("delta.shard_repair");
+  ShardRepairer& shard = shards_[ring];
+  if (shard.RecycleIfOver(options_.pool_recycle_values)) {
+    CERTFIX_TL_COUNTER("delta.pool_recycles")->Increment();
   }
-  if (nodes.empty() || nodes.back()->epoch != last_epoch + 1) {
-    // The depth cap cut the chain before it reached us: some invalidation
-    // is unrecoverable, so drop everything rather than risk a stale hit.
-    memo.Clear();
-    return;
-  }
-  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-    memo.FlushProbes((*it)->hashes);
-  }
-}
-
-DeltaRepairEngine::Pipeline::Step DeltaRepairEngine::MakeShardStep() {
-  auto shard = std::make_shared<ShardRepairer>(*rules_, trusted_);
-  return [this, shard, epoch = ~uint64_t{0}](
-             std::vector<Pipeline::Ticket>& block,
-             const Pipeline::Emit& emit) mutable {
-    CERTFIX_SPAN("delta.shard_repair");
-    // Master deltas drain the pipeline before the epoch advances, so a
-    // ring never holds jobs of two epochs at once — one check covers the
-    // whole block.
-    const Job& head = block.front().job;
-    if (epoch != head.epoch) {
-      // New epoch = the master (and its pool) changed under a rebuild
-      // barrier; the ring's mutex published the new saturator.
-      shard->Bind(*head.sat);
-      ApplyMemoFlush(shard->memo(), head.flush.get(), epoch);
-      epoch = head.epoch;
-    }
-    if (shard->RecycleIfOver(options_.pool_recycle_values)) {
-      CERTFIX_TL_COUNTER("delta.pool_recycles")->Increment();
-    }
-    shard->RepairBlock(
-        block.size(),
-        [&block](size_t j) -> std::vector<Value>& {
-          return block[j].job.values;
-        },
-        /*record_probes=*/true, [&](size_t j, RepairedRow row) {
-          emit(j, Done{block[j].job.slot, std::move(row)});
-        });
-  };
+  shard.RepairBlock(
+      block.size(),
+      [&block](size_t j) -> std::vector<Value>& {
+        return block[j].job.values;
+      },
+      ShardOutput::kRowsAndProbes, [&](size_t j, RepairedRow row) {
+        emit(j, Done{block[j].job.slot, std::move(row)});
+      });
 }
 
 void DeltaRepairEngine::AddClass(uint8_t cls, int delta) {
@@ -238,34 +199,20 @@ void DeltaRepairEngine::Flush() {
 Status DeltaRepairEngine::EnsureIndexFresh() {
   if (!index_stale_) return Status::OK();
   CERTFIX_SPAN("delta.rebuild");
-  // A master delta staled the index. The pipeline is already quiescent
-  // (master mutations drain it), so no worker can be probing the old one.
+  // A master delta staled the index. The pipeline is drained: master
+  // deltas drain it before they mutate the master, and nothing is
+  // submitted while index_stale_ is set (every path that submits runs
+  // this first). So no worker is probing the old index, and no worker
+  // touches a shard while this thread rebinds it and flushes its memo.
   index_ = std::make_unique<MasterIndex>(*rules_, master_);
   sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
-  ++sat_epoch_;
   CERTFIX_TL_COUNTER("delta.master_rebuilds")->Increment();
   index_stale_ = false;
-  // Publish this epoch's memo invalidation. A node exists for every
-  // epoch — even an empty one — so a worker can prove its flush chain is
-  // gapless down to the epoch it last saw.
-  auto node = std::make_shared<MemoFlush>();
-  node->epoch = sat_epoch_;
-  node->hashes = std::move(pending_memo_flush_);
-  pending_memo_flush_.clear();
-  node->prev = memo_flush_head_;
-  memo_flush_head_ = std::move(node);
-  // Cap the chain. The cut mutates a node others may hold refs to, but
-  // the pipeline is quiescent here (master deltas drained it) and no
-  // worker dereferences its chain outside batch start, so nothing races;
-  // workers cut off simply Clear() when they next run.
-  MemoFlush* n = memo_flush_head_.get();
-  for (size_t depth = 1; n->prev != nullptr; ++depth) {
-    if (depth >= kMaxFlushChain) {
-      n->prev.reset();
-      break;
-    }
-    n = n->prev.get();
+  for (ShardRepairer& shard : shards_) {
+    shard.Bind(*sat_);
+    shard.memo().FlushProbes(pending_memo_flush_);
   }
+  pending_memo_flush_.clear();
   std::vector<uint32_t> dirty(dirty_slots_.begin(), dirty_slots_.end());
   dirty_slots_.clear();
   CERTFIX_TL_COUNTER("delta.tuples_invalidated")->Add(dirty.size());
@@ -353,10 +300,9 @@ void DeltaRepairEngine::InvalidateMasterRow(
     size_t row, const std::vector<size_t>& rule_idxs) {
   for (size_t i : rule_idxs) {
     uint64_t h = MasterProbeKeyHash(i, master_, row, rules_->at(i).lhsm());
-    // Every affected hash joins the next epoch's memo flush, whether or
-    // not a live slot depends on it right now: shard memos also hold
-    // entries for rows since deleted or updated, and for rows on rings
-    // this thread knows nothing about.
+    // Every affected hash joins the next rebuild's memo flush, whether
+    // or not a live slot depends on it right now: shard memos also hold
+    // entries for rows since deleted or updated.
     pending_memo_flush_.push_back(h);
     auto it = probe_to_slots_.find(h);
     if (it == probe_to_slots_.end()) continue;
@@ -407,9 +353,8 @@ Status DeltaRepairEngine::MasterUpdate(size_t pos, const Tuple& t) {
   }
   pipeline_.Drain();
   // Only rules whose master side reads a changed attribute can answer
-  // differently — and only for the row's old or new key. The summary's
-  // precomputed per-attribute rule lists front the graph walk here.
-  std::vector<size_t> affected = summary_.RulesReadingMasterAttrs(changed);
+  // differently — and only for the row's old or new key.
+  std::vector<size_t> affected = graph_.RulesReadingMasterAttrs(changed);
   {
     std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     InvalidateMasterRow(pos, affected);  // old projections

@@ -41,9 +41,11 @@
 ///
 /// Memoization: each shard's RepairMemo (core/repair_memo.h) survives
 /// master rebuilds, unlike in the batch and stream engines, whose master
-/// never changes. A rebuild flushes exactly the entries whose recorded
-/// probes a master delta could have re-answered (the hashes that drive
-/// slot invalidation), so hot entries keep paying off across epochs.
+/// never changes. At the rebuild, with the pipeline drained, the caller
+/// thread rebinds every shard to the new Saturator and flushes from its
+/// memo exactly the entries whose recorded probes a master delta could
+/// have re-answered (the hashes that drive slot invalidation), so hot
+/// entries keep paying off across rebuilds, on idle shards too.
 ///
 /// Memory: deleted rows leave tombstoned slots in the backing store (live
 /// order is an indirection vector); a long-lived engine under heavy churn
@@ -65,7 +67,6 @@
 #include <vector>
 
 #include "analysis/analyze_mode.h"
-#include "analysis/rule_summary.h"
 #include "core/dependency_graph.h"
 #include "core/master_index.h"
 #include "core/shard_repair.h"
@@ -182,42 +183,15 @@ class DeltaRepairEngine {
   /// case every mutator returns this status (witness in the message).
   const Status& precheck_status() const { return precheck_status_; }
 
-  /// Precomputed per-rule reachability/fan-out shared with the
-  /// master-delta invalidation path (analysis/rule_summary.h).
-  const RuleSetSummary& summary() const { return summary_; }
-
  private:
   // Slot classification: FixClass values 0..3, plus pending (enqueued,
   // not yet applied) and dead (deleted).
   static constexpr uint8_t kPendingClass = 4;
   static constexpr uint8_t kDeadClass = 5;
 
-  /// One master-rebuild epoch's memo invalidation: the probe hashes a
-  /// master delta could have re-answered, linked to the previous epoch's
-  /// node. Workers flush lazily — a worker that skipped epochs (its ring
-  /// was idle) walks the chain from the job's head down to the epoch it
-  /// last saw and applies every node on the way; if the chain was capped
-  /// before reaching it, the worker drops its whole memo (sound, never
-  /// stale). Nodes are immutable after publication; prev is cut only at
-  /// the depth cap, under pipeline quiescence.
-  struct MemoFlush {
-    uint64_t epoch = 0;
-    std::vector<uint64_t> hashes;
-    std::shared_ptr<MemoFlush> prev;
-  };
-  /// Epochs are consecutive (every rebuild appends one node), so a chain
-  /// of this depth serves workers up to this many epochs behind; older
-  /// ones Clear(). Bounds chain memory under master-heavy churn.
-  static constexpr size_t kMaxFlushChain = 32;
-
-  /// One repair job riding a shard ring. Carries the saturator pointer and
-  /// its epoch so workers rebind their pool bridge exactly when a master
-  /// rebuild happened (the ring's mutex publishes the new saturator).
+  /// One repair job riding a shard ring.
   struct Job {
     uint32_t slot = 0;
-    uint64_t epoch = 0;
-    const Saturator* sat = nullptr;
-    std::shared_ptr<MemoFlush> flush;  ///< chain head at enqueue
     std::vector<Value> values;
   };
   /// One slot's repair result on its way to ApplyResult.
@@ -228,16 +202,14 @@ class DeltaRepairEngine {
   using Pipeline = OrderedShardPipeline<Job, Done>;
 
   Status CheckLive();
-  /// Applies every flush-chain node with epoch > last_epoch to `memo`
-  /// (oldest first); clears the memo outright when the chain no longer
-  /// reaches last_epoch + 1. No-op on an empty memo.
-  static void ApplyMemoFlush(RepairMemo& memo, const MemoFlush* head,
-                             uint64_t last_epoch);
-  /// Rebuilds MasterIndex/Saturator if a master delta staled them, then
-  /// enqueues re-repairs for the invalidated slots.
+  /// Rebuilds MasterIndex/Saturator if a master delta staled them,
+  /// rebinds every shard and flushes its memo, then enqueues re-repairs
+  /// for the invalidated slots.
   Status EnsureIndexFresh();
   Status EnqueueRepair(uint32_t slot);
-  Pipeline::Step MakeShardStep();
+  /// The pipeline step: repairs one block with shard `ring`.
+  void RepairShardBlock(size_t ring, std::vector<Pipeline::Ticket>& block,
+                        const Pipeline::Emit& emit);
   /// Applies one seq-ordered result to the maintained state. Caller holds
   /// the merge lock.
   void ApplyResult(Done& done);
@@ -253,12 +225,10 @@ class DeltaRepairEngine {
   AttrSet trusted_;
   DeltaRepairOptions options_;
   DependencyGraph graph_;
-  RuleSetSummary summary_;  ///< fronts graph_ on the invalidation path
 
   Relation master_;
   std::unique_ptr<MasterIndex> index_;
   std::unique_ptr<Saturator> sat_;
-  uint64_t sat_epoch_ = 0;
   bool index_stale_ = false;
   Status precheck_status_;  ///< strict analyze_first verdict
 
@@ -276,13 +246,14 @@ class DeltaRepairEngine {
   std::vector<uint8_t> slot_class_;
   std::vector<uint32_t> slot_cells_;  ///< per-slot cells_changed
 
-  /// Memo-invalidation state, written by the caller thread only:
-  /// pending_memo_flush_ gathers probe hashes as master deltas land and
-  /// becomes the next epoch's MemoFlush node at the rebuild.
+  /// Probe hashes gathered as master deltas land, flushed from every
+  /// shard memo at the next rebuild. Caller thread only.
   std::vector<uint64_t> pending_memo_flush_;
-  std::shared_ptr<MemoFlush> memo_flush_head_;
 
   telemetry::RegistryDiff<DeltaRepairStats> counts_;
+  /// One per ring. Workers use shard r only inside step(r, ...); the
+  /// caller touches them only at the rebuild, with the pipeline drained.
+  std::vector<ShardRepairer> shards_;
   Pipeline pipeline_;  ///< last: its workers use everything above
 };
 

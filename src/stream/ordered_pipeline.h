@@ -1,7 +1,7 @@
 /// \file ordered_pipeline.h
-/// \brief The ordered shard pipeline both online engines run on
-/// (StreamRepairEngine, DeltaRepairEngine): jobs are admitted with a
-/// sequence number, routed to per-shard bounded rings, turned into
+/// \brief The ordered shard pipeline all three engines run on
+/// (BatchRepair, StreamRepairEngine, DeltaRepairEngine): jobs are admitted
+/// with a sequence number, routed to per-shard bounded rings, turned into
 /// results by shard workers, and applied strictly in admission order.
 ///
 /// ```
@@ -11,8 +11,9 @@
 ///        v
 ///   ring 0   ring 1  ...  ring N-1   BoundedQueue each; a full ring
 ///     |        |            |        blocks the submitter (backpressure)
-///   worker 0 worker 1 ... worker N-1 PopBatch(kProbeBlock) -> step(block),
-///     |        |            |        one result emitted per job
+///   worker 0 worker 1 ... worker N-1 PopBatch(kProbeBlock) ->
+///     |        |            |        step(ring, block), one result
+///     |        |            |        emitted per job
 ///     +--------+------------+
 ///              v
 ///   reorder ring, slot seq % window  one merge lock; a result waits here
@@ -26,11 +27,18 @@
 /// [next_apply, next_apply + window): the reorder ring never collides,
 /// and never holds more than the window.
 ///
+/// Shard state: the engine owns it, one entry per ring, and the step
+/// finds its entry by the ring index it is handed. Only ring r's worker
+/// calls step(r, ...), one block at a time, so an entry needs no lock of
+/// its own; the owner may touch every entry while the pipeline is drained
+/// (Drain() has returned and nothing was submitted since).
+///
 /// Zero-worker mode (workers == 0): no threads and no rings. Submit runs
-/// the step on the calling thread and applies the result before it
+/// step(0, ...) on the calling thread and applies the result before it
 /// returns, holding the merge lock throughout. It is meant for a single
-/// submitter (the delta engine at one shard); the lock only keeps it safe
-/// when thread creation fails and the pipeline falls back to it.
+/// submitter (the batch and delta engines at one shard); the lock only
+/// keeps it safe when thread creation fails and the pipeline falls back
+/// to it.
 ///
 /// Failure: the first exception a worker throws (from its step or from
 /// apply) is kept; the pipeline then refuses submits, closes every ring,
@@ -56,13 +64,18 @@
 #include "core/repair_tuple.h"
 #include "stream/bounded_queue.h"
 #include "telemetry/trace.h"
-#include "util/thread_pool.h"
 
 namespace certfix {
 
+/// The hardware thread count, or 1 when it is unknown.
+inline size_t DefaultParallelism() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<size_t>(hw);
+}
+
 /// Shard count for a requested one: 0 = one per hardware thread, capped
-/// like ParallelFor at max(16, 2x hardware). The cap never changes
-/// output, only routing.
+/// at max(16, 2x hardware) so an absurd request cannot exhaust OS
+/// threads. The cap never changes output, only routing.
 inline size_t ResolveShards(size_t requested) {
   const size_t shards = requested == 0 ? DefaultParallelism() : requested;
   return std::min(shards, std::max<size_t>(16, 2 * DefaultParallelism()));
@@ -78,27 +91,23 @@ class OrderedShardPipeline {
   };
   /// Hands the merge stage the result of `block[j]`.
   using Emit = std::function<void(size_t j, Result result)>;
-  /// Repairs one block (jobs popped together from one ring, in ring
-  /// order), calling emit exactly once per job.
-  using Step = std::function<void(std::vector<Ticket>& block,
+  /// Repairs one block (jobs popped together from ring `ring`, in ring
+  /// order) with that ring's shard state, calling emit exactly once per
+  /// job. Calls for one ring never overlap.
+  using Step = std::function<void(size_t ring, std::vector<Ticket>& block,
                                   const Emit& emit)>;
-  /// Builds one shard's step around its shard-local state. Called once
-  /// per worker, on that worker's thread (in zero-worker mode once, on
-  /// the constructing thread).
-  using MakeStep = std::function<Step()>;
   /// Applies one result, under the merge lock, in seq order.
   using Apply = std::function<void(uint64_t seq, Result& result)>;
 
   /// Starts `workers` shard workers, each serving its own ring of
-  /// `ring_capacity` slots (at least 1). `merge_span` (a string literal)
-  /// names the trace span around each worker result's merge. If thread
-  /// creation fails part-way, the pipeline keeps the workers that started
-  /// and drops the other rings; with none started it runs in zero-worker
-  /// mode.
-  OrderedShardPipeline(size_t workers, size_t ring_capacity,
-                       MakeStep make_step, Apply apply,
-                       const char* merge_span)
-      : make_step_(std::move(make_step)),
+  /// `ring_capacity` slots (at least 1); the step sees ring indexes below
+  /// max(workers, 1). `merge_span` (a string literal) names the trace
+  /// span around each worker result's merge. If thread creation fails
+  /// part-way, the pipeline keeps the workers that started and drops the
+  /// other rings; with none started it runs in zero-worker mode.
+  OrderedShardPipeline(size_t workers, size_t ring_capacity, Step step,
+                       Apply apply, const char* merge_span)
+      : step_(std::move(step)),
         apply_(std::move(apply)),
         merge_span_(merge_span) {
     ring_capacity = std::max<size_t>(ring_capacity, 1);
@@ -112,14 +121,13 @@ class OrderedShardPipeline {
     try {
       for (size_t s = 0; s < workers; ++s) {
         BoundedQueue<Ticket>* ring = rings_[s].get();
-        workers_.emplace_back([this, ring] { WorkerLoop(ring); });
+        workers_.emplace_back([this, s, ring] { WorkerLoop(s, ring); });
       }
     } catch (const std::system_error&) {
-      // Thread exhaustion mid-spawn (same stance as ThreadPool): a worker
-      // serves only its own ring, so unserved rings go; the window stays.
+      // Thread exhaustion mid-spawn: a worker serves only its own ring, so
+      // unserved rings go; the window stays.
       rings_.resize(workers_.size());
     }
-    if (rings_.empty()) inline_step_ = make_step_();
   }
 
   /// Close(): drains the rings and joins the workers; a worker error not
@@ -219,23 +227,22 @@ class OrderedShardPipeline {
     if (closed_) return false;
     inline_block_.clear();
     inline_block_.push_back(Ticket{next_seq_++, std::move(job)});
-    inline_step_(inline_block_, [this](size_t j, Result result) {
+    step_(0, inline_block_, [this](size_t j, Result result) {
       apply_(inline_block_[j].seq, result);
       ++next_apply_;
     });
     return true;
   }
 
-  void WorkerLoop(BoundedQueue<Ticket>* ring) {
+  void WorkerLoop(size_t index, BoundedQueue<Ticket>* ring) {
     try {
-      const Step step = make_step_();
       std::vector<Ticket> block;
       block.reserve(kProbeBlock);
       const Emit emit = [this, &block](size_t j, Result result) {
         Merge(block[j].seq, std::move(result));
       };
       while (ring->PopBatch(&block, kProbeBlock) > 0) {
-        step(block, emit);
+        step_(index, block, emit);
         block.clear();
       }
     } catch (...) {
@@ -261,8 +268,11 @@ class OrderedShardPipeline {
       ++next_apply_;
     }
     if (next_apply_ != first) {
+      // Wake waiters only when their condition can have turned: a
+      // submitter waits for the full window to open, Drain for zero.
+      const bool window_was_full = in_flight_ >= reorder_.size();
       in_flight_ -= next_apply_ - first;
-      progress_.notify_all();
+      if (window_was_full || in_flight_ == 0) progress_.notify_all();
     }
   }
 
@@ -276,10 +286,9 @@ class OrderedShardPipeline {
     for (auto& ring : rings_) ring->Close();
   }
 
-  const MakeStep make_step_;
+  const Step step_;
   const Apply apply_;
   const char* const merge_span_;
-  Step inline_step_;                  ///< zero-worker mode only
   std::vector<Ticket> inline_block_;  ///< zero-worker mode only
 
   mutable std::mutex mutex_;          ///< the merge lock; guards below

@@ -33,9 +33,13 @@ StreamRepairEngine::StreamRepairEngine(const Saturator& sat, AttrSet trusted,
       // in precheck_status_ — Push refuses, Finish throws it.
       precheck_status_(GateRuleset(sat, trusted_, options_.analyze_first,
                                    "StreamRepairEngine")),
-      pipeline_(precheck_status_.ok() ? ResolveShards(options_.num_shards)
-                                      : 0,
-                options_.queue_capacity, [this] { return MakeShardStep(); },
+      shards_(MakeShards(ResolveShards(options_.num_shards), sat, trusted_)),
+      pipeline_(precheck_status_.ok() ? shards_.size() : 0,
+                options_.queue_capacity,
+                [this](size_t ring, std::vector<Pipeline::Ticket>& block,
+                       const Pipeline::Emit& emit) {
+                  RepairShardBlock(ring, block, emit);
+                },
                 [this](uint64_t seq, RepairedRow& r) { EmitRecord(seq, r); },
                 "stream.merge") {}
 
@@ -92,22 +96,20 @@ Status StreamRepairEngine::PushStrings(
   return Status::OK();
 }
 
-StreamRepairEngine::Pipeline::Step StreamRepairEngine::MakeShardStep() {
-  auto shard = std::make_shared<ShardRepairer>(sat_->rules(), trusted_);
-  shard->Bind(*sat_);
-  return [this, shard](std::vector<Pipeline::Ticket>& block,
-                       const Pipeline::Emit& emit) {
-    CERTFIX_SPAN("stream.shard_repair");
-    // Once per block, before any row is staged: the budget may overshoot
-    // by at most one block of values.
-    if (shard->RecycleIfOver(options_.pool_recycle_values)) {
-      CERTFIX_TL_COUNTER("stream.pool_recycles")->Increment();
-    }
-    shard->RepairBlock(
-        block.size(),
-        [&block](size_t j) -> std::vector<Value>& { return block[j].job; },
-        /*record_probes=*/false, emit);
-  };
+void StreamRepairEngine::RepairShardBlock(
+    size_t ring, std::vector<Pipeline::Ticket>& block,
+    const Pipeline::Emit& emit) {
+  CERTFIX_SPAN("stream.shard_repair");
+  ShardRepairer& shard = shards_[ring];
+  // Once per block, before any row is staged: the budget may overshoot
+  // by at most one block of values.
+  if (shard.RecycleIfOver(options_.pool_recycle_values)) {
+    CERTFIX_TL_COUNTER("stream.pool_recycles")->Increment();
+  }
+  shard.RepairBlock(
+      block.size(),
+      [&block](size_t j) -> std::vector<Value>& { return block[j].job; },
+      ShardOutput::kRows, emit);
 }
 
 void StreamRepairEngine::EmitRecord(uint64_t seq, RepairedRow& row) {

@@ -68,8 +68,8 @@ struct StreamSnapshot {
 
 /// \brief Execution knobs for the streaming engine.
 struct StreamOptions {
-  /// Shard-worker count. 0 = one per hardware thread. Capped like
-  /// ParallelFor at max(16, 2x hardware) — the cap never changes output,
+  /// Shard-worker count. 0 = one per hardware thread. Capped at
+  /// max(16, 2x hardware) (ResolveShards) — the cap never changes output,
   /// only routing.
   size_t num_shards = 1;
   /// Slots per shard ring; also sizes the in-flight window
@@ -133,7 +133,9 @@ class StreamRepairEngine {
   using Pipeline = OrderedShardPipeline<std::vector<Value>, RepairedRow>;
 
   bool Submit(std::vector<Value> values);  ///< admit + route + enqueue
-  Pipeline::Step MakeShardStep();
+  /// The pipeline step: repairs one block with shard `ring`.
+  void RepairShardBlock(size_t ring, std::vector<Pipeline::Ticket>& block,
+                        const Pipeline::Emit& emit);
   void EmitRecord(uint64_t seq, RepairedRow& row);  ///< in-order apply
 
   const Saturator* sat_;
@@ -145,6 +147,7 @@ class StreamRepairEngine {
   telemetry::RegistryDiff<StreamSnapshot> counts_;
   Status precheck_status_;              ///< strict analyze_first verdict
   bool finished_ = false;
+  std::vector<ShardRepairer> shards_;   ///< one per ring
   Pipeline pipeline_;                   ///< last: its workers use the above
 };
 

@@ -100,8 +100,7 @@ void Usage(std::ostream& err) {
       << "  check   --master M.csv --rules R.rules --region a,b,c\n"
       << "  repair  --master M.csv --rules R.rules --input D.csv\n"
       << "          --trusted a,b [--output OUT.csv] [--threads N]\n"
-      << "          [--chunk-size N] [--analyze off|warn|strict]\n"
-      << "          [telemetry flags]\n"
+      << "          [--analyze off|warn|strict] [telemetry flags]\n"
       << "  repair-stream\n"
       << "          --master M.csv --rules R.rules --input D.csv\n"
       << "          --trusted a,b [--output OUT.csv] [--threads N]\n"
@@ -200,8 +199,8 @@ int CmdMine(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 }
 
 /// Parses an optional non-negative integer flag. 0 is a meaningful value
-/// for every size knob (all hardware threads / even split), so a typo
-/// must not silently parse to it.
+/// for size knobs (--threads 0 = all hardware threads), so a typo must
+/// not silently parse to it.
 bool ParseSizeFlag(const ParsedArgs& args, const char* flag, size_t* out,
                    std::ostream& err) {
   auto it = args.flags.find(flag);
@@ -464,7 +463,6 @@ int CmdRepair(const ParsedArgs& args, std::ostream& out,
   }
   RepairOptions options;
   if (!ParseSizeFlag(args, "threads", &options.num_threads, err) ||
-      !ParseSizeFlag(args, "chunk-size", &options.chunk_size, err) ||
       !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
     return 1;
   }
@@ -915,7 +913,7 @@ const std::vector<Command>& Commands() {
         {"check", {"master", "rules", "region"}, CmdCheck},
         {"repair",
          with_telemetry({"master", "rules", "input", "trusted", "output",
-                         "threads", "chunk-size", "analyze"}),
+                         "threads", "analyze"}),
          CmdRepair},
         {"repair-stream",
          with_telemetry({"master", "rules", "input", "trusted", "output",

@@ -17,12 +17,11 @@
 ///
 ///   certfix repair  --master M.csv --rules R.rules --input D.csv
 ///                   --trusted a,b [--output OUT.csv] [--threads N]
-///                   [--chunk-size N]
 ///       Batch-repair D.csv trusting the listed attributes of every row;
 ///       write the repaired relation and print statistics. --threads N
-///       repairs N row shards in parallel (0 = all hardware threads;
-///       output is identical at any thread count); --chunk-size sets the
-///       rows per shard.
+///       deals the rows round-robin to N shards repaired in parallel
+///       (0 = all hardware threads; output is identical at any thread
+///       count).
 ///
 /// Each subcommand accepts exactly the flags it reads: any other flag is
 /// a usage error (exit 1, "unknown flag --X for <command>"). The usage

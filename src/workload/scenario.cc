@@ -1,5 +1,7 @@
 #include "workload/scenario.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -75,7 +77,9 @@ Result<double> ToDouble(const RawValue& v, const std::string& key,
   }
   char* end = nullptr;
   double d = std::strtod(v.text.c_str(), &end);
-  if (end == v.text.c_str() || *end != '\0') {
+  // nan and inf parse, but would slip past every range check in Validate
+  // (each comparison with nan is false).
+  if (end == v.text.c_str() || *end != '\0' || !std::isfinite(d)) {
     return Status::ParseError("spec line " + std::to_string(line_no) + ": " +
                               key + ": bad number '" + v.text + "'");
   }
@@ -89,7 +93,13 @@ Result<uint64_t> ToUint(const RawValue& v, const std::string& key,
     return Status::ParseError("spec line " + std::to_string(line_no) + ": " +
                               key + ": bad unsigned integer '" + v.text + "'");
   }
-  return std::strtoull(v.text.c_str(), nullptr, 10);
+  errno = 0;
+  const uint64_t n = std::strtoull(v.text.c_str(), nullptr, 10);
+  if (errno == ERANGE) {  // strtoull saturates instead of failing
+    return Status::ParseError("spec line " + std::to_string(line_no) + ": " +
+                              key + ": out of range '" + v.text + "'");
+  }
+  return n;
 }
 
 Result<std::string> ToStr(const RawValue& v, const std::string& key,

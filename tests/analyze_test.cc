@@ -1,8 +1,8 @@
 /// \file analyze_test.cc
 /// \brief Ruleset static analyzer: golden diagnostic fixtures
-/// (tests/golden/analyze/), RuleSetSummary <-> DependencyGraph
-/// equivalence, the analyze_first gate on all three engines, and the
-/// soundness property "analyze-clean rulesets never conflict mid-repair".
+/// (tests/golden/analyze/), the analyze_first gate on all three engines,
+/// and the soundness property "analyze-clean rulesets never conflict
+/// mid-repair".
 
 #include "analysis/analyzer.h"
 
@@ -11,7 +11,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "analysis/rule_summary.h"
 #include "core/batch_repair.h"
 #include "incremental/delta_repair.h"
 #include "stream/stream_repair.h"
@@ -206,63 +205,6 @@ TEST(AnalyzerTypeTest, PositionalTypeMismatchFlagged) {
   EXPECT_EQ(report.FirstError()->kind, DiagnosticKind::kTypeMismatch);
   EXPECT_NE(report.FirstError()->message.find("can never match"),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// RuleSetSummary must answer exactly like the DependencyGraph it fronts
-// (the incremental engine swaps one for the other on the invalidation
-// path).
-
-TEST(RuleSummaryTest, MatchesDependencyGraphOnSupplierRules) {
-  SchemaPtr r = SupplierSchema();
-  SchemaPtr rm = SupplierMasterSchema();
-  RuleSet rules = SupplierRules(r, rm);
-  DependencyGraph graph(rules);
-  RuleSetSummary summary(graph, Attrs(r, {"zip", "phn", "type"}));
-
-  ASSERT_EQ(summary.num_rules(), rules.size());
-  // Every master attribute singleton and every pair.
-  for (AttrId a = 0; a < rm->num_attrs(); ++a) {
-    AttrSet sa;
-    sa.Add(a);
-    EXPECT_EQ(summary.RulesReadingMasterAttrs(sa),
-              graph.RulesReadingMasterAttrs(sa))
-        << "attr " << rm->attr_name(a);
-    EXPECT_EQ(summary.InvalidatedRegion(sa), graph.InvalidatedRegion(sa));
-    for (AttrId b = a + 1; b < rm->num_attrs(); ++b) {
-      AttrSet sab = sa;
-      sab.Add(b);
-      EXPECT_EQ(summary.RulesReadingMasterAttrs(sab),
-                graph.RulesReadingMasterAttrs(sab));
-      EXPECT_EQ(summary.InvalidatedRegion(sab), graph.InvalidatedRegion(sab));
-    }
-  }
-  // Every rule singleton seed, plus a few multi-seed queries.
-  for (size_t i = 0; i < rules.size(); ++i) {
-    EXPECT_EQ(summary.ReachableFrom({i}), graph.ReachableFrom({i}))
-        << "seed " << i;
-  }
-  EXPECT_EQ(summary.ReachableFrom({0, 3}), graph.ReachableFrom({0, 3}));
-  EXPECT_EQ(summary.ReachableFrom({}), graph.ReachableFrom({}));
-}
-
-TEST(RuleSummaryTest, MatchesDependencyGraphOnHospRules) {
-  SchemaPtr schema = HospWorkload::MakeSchema();
-  RuleSet rules = HospWorkload::MakeRules(schema);
-  DependencyGraph graph(rules);
-  AttrSet trusted = AttrSet::FromVector(
-      {*schema->IndexOf("id"), *schema->IndexOf("mCode")});
-  RuleSetSummary summary(graph, trusted);
-  for (AttrId a = 0; a < schema->num_attrs(); ++a) {
-    AttrSet sa;
-    sa.Add(a);
-    EXPECT_EQ(summary.RulesReadingMasterAttrs(sa),
-              graph.RulesReadingMasterAttrs(sa));
-    EXPECT_EQ(summary.InvalidatedRegion(sa), graph.InvalidatedRegion(sa));
-  }
-  for (size_t i = 0; i < rules.size(); ++i) {
-    EXPECT_EQ(summary.ReachableFrom({i}), graph.ReachableFrom({i}));
-  }
 }
 
 // ---------------------------------------------------------------------------

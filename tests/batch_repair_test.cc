@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "reference/naive_repair.h"
+#include "relational/csv.h"
 #include "test_util.h"
 #include "workload/dirty_gen.h"
 #include "workload/hosp.h"
@@ -10,6 +15,12 @@ namespace certfix {
 namespace {
 
 using namespace testing_fixtures;
+
+std::string ToCsv(const Relation& rel) {
+  std::ostringstream out;
+  EXPECT_TRUE(WriteCsv(rel, out).ok());
+  return out.str();
+}
 
 class BatchRepairSupplierTest : public ::testing::Test {
  protected:
@@ -104,8 +115,8 @@ TEST(BatchRepairHospTest, RestoresDuplicatesAtScale) {
   }
 }
 
-// --- Differential tests: the parallel engine must be bit-identical to
-// the sequential num_threads == 1 reference path. ---
+// --- Differential tests: the engine must be bit-identical at every
+// shard count to its num_threads == 1 run on the calling thread. ---
 
 void ExpectSameRepair(const BatchRepairResult& expected,
                       const BatchRepairResult& actual,
@@ -145,17 +156,13 @@ TEST_F(BatchRepairSupplierTest, ParallelMatchesSequentialWithConflicts) {
   AttrSet trusted = Attrs(r_, {"AC", "phn", "type", "zip"});
   BatchRepairResult sequential = BatchRepair(*sat_).Repair(data, trusted);
   EXPECT_GT(sequential.tuples_conflicting, 0u);
-  for (size_t threads : {2, 3, 8}) {
-    for (size_t chunk : {0, 1, 4}) {
-      RepairOptions options;
-      options.num_threads = threads;
-      options.chunk_size = chunk;
-      BatchRepairResult parallel =
-          BatchRepair(*sat_, options).Repair(data, trusted);
-      ExpectSameRepair(sequential, parallel,
-                       "threads=" + std::to_string(threads) +
-                           " chunk=" + std::to_string(chunk));
-    }
+  for (size_t shards : {1, 2, 3, 8}) {
+    RepairOptions options;
+    options.num_threads = shards;
+    BatchRepairResult parallel =
+        BatchRepair(*sat_, options).Repair(data, trusted);
+    ExpectSameRepair(sequential, parallel,
+                     "shards=" + std::to_string(shards));
   }
 }
 
@@ -207,6 +214,46 @@ TEST(BatchRepairHospTest, ParallelMatchesSequentialAtScale) {
     ExpectSameRepair(sequential, parallel,
                      "threads=" + std::to_string(threads));
   }
+}
+
+TEST(BatchRepairHospTest, MoreRowsThanTheAdmissionWindow) {
+  // Each shard ring holds 256 rows, so 3 shards admit 768 at a time:
+  // 1001 rows make the submitter wait for the merge to free the window.
+  SchemaPtr schema = HospWorkload::MakeSchema();
+  RuleSet rules = HospWorkload::MakeRules(schema);
+  Rng rng(5);
+  Relation master = HospWorkload::MakeMaster(schema, 60, &rng);
+  MasterIndex index(rules, master);
+  Saturator sat(rules, master, index);
+
+  AttrSet trusted;
+  trusted.Add(*schema->IndexOf("id"));
+  trusted.Add(*schema->IndexOf("mCode"));
+  DirtyGenOptions gen_options;
+  gen_options.duplicate_rate = 0.7;
+  gen_options.noise_rate = 0.4;
+  gen_options.protected_attrs = trusted;
+  gen_options.seed = 44;
+  Rng rng2(45);
+  Relation non_master = HospWorkload::MakeMaster(schema, 40, &rng2, 500000);
+  DirtyGenerator gen(master, non_master, gen_options);
+  Relation dirty(schema);
+  for (const DirtyPair& pair : gen.Generate(1001)) {
+    ASSERT_TRUE(dirty.Append(pair.dirty).ok());
+  }
+
+  RepairOptions options;
+  options.num_threads = 3;
+  BatchRepairResult result = BatchRepair(sat, options).Repair(dirty, trusted);
+  EXPECT_EQ(ToCsv(result.repaired),
+            ToCsv(reference::BatchRepair(rules, master, dirty, trusted)));
+  EXPECT_GT(result.cells_changed, 0u);
+  EXPECT_EQ(result.tuples_fully_covered + result.tuples_partial +
+                result.tuples_untouched + result.tuples_conflicting,
+            dirty.size());
+  EXPECT_EQ(result.memo_hits + result.memo_misses, dirty.size());
+  ExpectSameRepair(BatchRepair(sat).Repair(dirty, trusted), result,
+                   "1001 rows, 3 shards");
 }
 
 TEST(BatchRepairHospTest, EmptyRelation) {

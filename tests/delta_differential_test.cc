@@ -229,6 +229,46 @@ TEST_F(DeltaSupplierTest, IrrelevantMasterUpdateInvalidatesNothing) {
   ExpectMatchesScratch(&engine, rules_, trusted, "irrelevant master update");
 }
 
+TEST_F(DeltaSupplierTest, IdleShardKeepsItsMemoAcrossManyRebuilds) {
+  // Two shards route by slot parity. Shard 0 repairs T1 once, then sits
+  // idle while 33 master inserts of unrelated keys each force a rebuild.
+  // Every rebuild flushes only the probes those rows could re-answer, so
+  // re-inserting T1 on shard 0 must replay its memo entry.
+  AttrSet trusted = Attrs(r_, {"AC", "phn", "type", "zip"});
+  DeltaRepairOptions options;
+  options.num_shards = 2;
+  DeltaRepairEngine engine(rules_, dm_, trusted, options);
+  ASSERT_EQ(engine.num_shards(), 2u);
+  ASSERT_TRUE(engine.Insert(T1(r_)).ok());  // slot 0: shard 0
+  ASSERT_TRUE(engine.Insert(T4(r_)).ok());  // slot 1: shard 1
+  engine.Flush();
+
+  constexpr int kRebuilds = 33;
+  const Tuple s1 = dm_.at(0);
+  for (int i = 0; i < kRebuilds; ++i) {
+    Tuple row(rm_, dm_.pool());
+    for (size_t a = 0; a < rm_->num_attrs(); ++a) {
+      row.Set(static_cast<AttrId>(a), s1.at(static_cast<AttrId>(a)));
+    }
+    const std::string n = std::to_string(i);
+    row.Set(A(rm_, "AC"), Value::Str("9" + n));
+    row.Set(A(rm_, "Hphn"), Value::Str("555" + n));
+    row.Set(A(rm_, "Mphn"), Value::Str("666" + n));
+    row.Set(A(rm_, "zip"), Value::Str("ZZ " + n));
+    ASSERT_TRUE(engine.MasterInsert(row).ok());
+    engine.Flush();  // the rebuild
+  }
+  DeltaRepairStats before = engine.stats();
+  ASSERT_EQ(before.master_rebuilds, static_cast<uint64_t>(kRebuilds));
+  ASSERT_EQ(before.tuples_invalidated, 0u);  // no live probe was touched
+
+  ASSERT_TRUE(engine.Insert(T1(r_)).ok());  // slot 2: shard 0
+  DeltaRepairStats after = engine.stats();
+  EXPECT_EQ(after.memo_hits, before.memo_hits + 1);
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
+  ExpectMatchesScratch(&engine, rules_, trusted, "idle shard memo");
+}
+
 // ---------------------------------------------------------------------------
 // Property test: random relations, random rule subsets, 500+-step delta
 // sequences, oracle check every K steps, at 1/2/8 shards.

@@ -1,7 +1,8 @@
 /// \file ordered_pipeline_test.cc
 /// \brief The ordered shard pipeline (stream/ordered_pipeline.h) on its
-/// own — admission-order apply under random worker delays, the reorder
-/// ring bounded by the window, first-error surfacing, zero-worker mode —
+/// own — admission-order apply under random worker delays, the ring
+/// index handed to the step, the reorder ring bounded by the window,
+/// first-error surfacing, zero-worker mode —
 /// plus the engines' registry views: two engines built one after another
 /// under one registry each report only their own counts and max_reorder.
 
@@ -37,7 +38,7 @@ size_t ByJob(const int& job, uint64_t) { return static_cast<size_t>(job); }
 /// A step that sleeps a pseudo-random 0-199 us per job (a fixed function
 /// of the job), then emits job * 10.
 IntPipeline::Step DelayedTimesTen() {
-  return [](std::vector<IntPipeline::Ticket>& block,
+  return [](size_t, std::vector<IntPipeline::Ticket>& block,
             const IntPipeline::Emit& emit) {
     for (size_t j = 0; j < block.size(); ++j) {
       const uint32_t h = static_cast<uint32_t>(block[j].job) * 2654435761u;
@@ -54,7 +55,7 @@ TEST(OrderedPipelineTest, AppliesInAdmissionOrderUnderRandomDelays) {
     std::vector<uint64_t> seqs;
     std::vector<int> results;
     IntPipeline pipeline(
-        workers, kRing, [] { return DelayedTimesTen(); },
+        workers, kRing, DelayedTimesTen(),
         [&](uint64_t seq, int& result) {
           seqs.push_back(seq);
           results.push_back(result);
@@ -80,6 +81,41 @@ TEST(OrderedPipelineTest, AppliesInAdmissionOrderUnderRandomDelays) {
   }
 }
 
+TEST(OrderedPipelineTest, StepSeesItsRingAndCallsPerRingNeverOverlap) {
+  // The engines index their shard state by the ring the step is handed,
+  // unlocked: every job must arrive with the ring it was routed to, and
+  // no two calls may hold one ring's state at once.
+  constexpr size_t kWorkers = 3;
+  std::atomic<int> busy[kWorkers] = {};
+  std::atomic<int> misrouted{0};
+  std::atomic<int> overlapped{0};
+  std::vector<int> applied;
+  IntPipeline pipeline(
+      kWorkers, 2,
+      [&](size_t ring, std::vector<IntPipeline::Ticket>& block,
+          const IntPipeline::Emit& emit) {
+        if (ring >= kWorkers || busy[ring].fetch_add(1) != 0) {
+          overlapped.fetch_add(1);
+        }
+        for (size_t j = 0; j < block.size(); ++j) {
+          if (static_cast<size_t>(block[j].job) % kWorkers != ring) {
+            misrouted.fetch_add(1);
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+          emit(j, block[j].job);
+        }
+        if (ring < kWorkers) busy[ring].fetch_sub(1);
+      },
+      [&applied](uint64_t, int& result) { applied.push_back(result); },
+      "test.merge");
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(pipeline.Submit(i, ByJob));
+  pipeline.Drain();
+  EXPECT_EQ(misrouted.load(), 0);
+  EXPECT_EQ(overlapped.load(), 0);
+  ASSERT_EQ(applied.size(), 200u);
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(applied[i], i);
+}
+
 TEST(OrderedPipelineTest, ReorderRingFillsExactlyToTheWindow) {
   // Two workers, rings of 4: a window of 8. Job 0 (ring 0) holds back
   // until jobs 1-7 (ring 1) have all merged, so the reorder ring buffers
@@ -91,20 +127,17 @@ TEST(OrderedPipelineTest, ReorderRingFillsExactlyToTheWindow) {
   std::vector<int> applied;
   IntPipeline pipeline(
       2, kRing,
-      [&merged] {
-        return IntPipeline::Step([&merged](std::vector<IntPipeline::Ticket>&
-                                               block,
-                                           const IntPipeline::Emit& emit) {
-          for (size_t j = 0; j < block.size(); ++j) {
-            if (block[j].job == 0) {
-              while (merged.load() < static_cast<int>(kWindow) - 1) {
-                std::this_thread::sleep_for(std::chrono::microseconds(50));
-              }
+      [&merged](size_t, std::vector<IntPipeline::Ticket>& block,
+                const IntPipeline::Emit& emit) {
+        for (size_t j = 0; j < block.size(); ++j) {
+          if (block[j].job == 0) {
+            while (merged.load() < static_cast<int>(kWindow) - 1) {
+              std::this_thread::sleep_for(std::chrono::microseconds(50));
             }
-            emit(j, block[j].job);
-            merged.fetch_add(1);
           }
-        });
+          emit(j, block[j].job);
+          merged.fetch_add(1);
+        }
       },
       [&applied](uint64_t, int& result) { applied.push_back(result); },
       "test.merge");
@@ -127,17 +160,15 @@ TEST(OrderedPipelineTest, FirstWorkerErrorSurfacesOnceAndRefusesSubmits) {
   // exactly once, and neither submitters nor Drain may hang.
   IntPipeline pipeline(
       2, 2,
-      [] {
-        return IntPipeline::Step([](std::vector<IntPipeline::Ticket>& block,
-                                    const IntPipeline::Emit& emit) {
-          for (size_t j = 0; j < block.size(); ++j) {
-            const int job = block[j].job;
-            if (job == 3 || job == 4) {
-              throw std::runtime_error("boom-" + std::to_string(job));
-            }
-            emit(j, job);
+      [](size_t, std::vector<IntPipeline::Ticket>& block,
+         const IntPipeline::Emit& emit) {
+        for (size_t j = 0; j < block.size(); ++j) {
+          const int job = block[j].job;
+          if (job == 3 || job == 4) {
+            throw std::runtime_error("boom-" + std::to_string(job));
           }
-        });
+          emit(j, job);
+        }
       },
       [](uint64_t, int&) {}, "test.merge");
   int submitted = 0;
@@ -164,7 +195,7 @@ TEST(OrderedPipelineTest, ApplyErrorSurfacesAfterClose) {
   // as a worker failure; Close() joins without throwing, Drain() reports.
   std::vector<int> applied;
   IntPipeline pipeline(
-      3, 4, [] { return DelayedTimesTen(); },
+      3, 4, DelayedTimesTen(),
       [&applied](uint64_t seq, int& result) {
         if (seq == 5) throw std::logic_error("sink refused");
         applied.push_back(result);
@@ -186,15 +217,14 @@ TEST(OrderedPipelineTest, ZeroWorkerModeAppliesInSubmitOrderOnTheCaller) {
   size_t steps = 0;
   IntPipeline pipeline(
       0, 4,
-      [&] {
-        return IntPipeline::Step([&](std::vector<IntPipeline::Ticket>& block,
-                                     const IntPipeline::Emit& emit) {
-          EXPECT_EQ(std::this_thread::get_id(), caller);
-          ASSERT_EQ(block.size(), 1u);
-          ++steps;
-          if (block[0].job < 0) throw std::invalid_argument("negative");
-          emit(0, block[0].job * 10);
-        });
+      [&](size_t ring, std::vector<IntPipeline::Ticket>& block,
+          const IntPipeline::Emit& emit) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(ring, 0u);
+        ASSERT_EQ(block.size(), 1u);
+        ++steps;
+        if (block[0].job < 0) throw std::invalid_argument("negative");
+        emit(0, block[0].job * 10);
       },
       [&](uint64_t seq, int& result) {
         seqs.push_back(seq);

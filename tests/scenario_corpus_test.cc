@@ -7,7 +7,8 @@
 //                naive reference repair (reference/naive_repair.h: linear
 //                master scans, Value equality, no MasterIndex, no memo, no
 //                pools) of the final input against the final master
-//  * batch     — BatchRepair over the same final state, at 1 and 8 threads
+//  * batch     — BatchRepair over the same final state, at 1, 2 and 8
+//                shards
 //  * delta     — DeltaRepairEngine consuming the log via DeltaLogSource,
 //                at 1, 2 and 8 shards
 //  * stream    — StreamRepairEngine over the final input rows (point-of-
@@ -114,7 +115,7 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
   MasterIndex index(sc->rules, *final_master);
   Saturator sat(sc->rules, *final_master, index);
 
-  for (size_t threads : {1, 8}) {
+  for (size_t threads : {1, 2, 8}) {
     SCOPED_TRACE("batch threads " + std::to_string(threads));
     RepairOptions options;
     options.num_threads = threads;

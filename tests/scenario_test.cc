@@ -106,6 +106,17 @@ TEST(ScenarioSpecTest, MalformedValuesFail) {
   EXPECT_FALSE(ParseScenarioSpec("name = \"a\" trailing\n", "x").ok());
   EXPECT_FALSE(ParseScenarioSpec("just-a-token\n", "x").ok());
   EXPECT_FALSE(ParseScenarioSpec("= 3\n", "x").ok());
+  // Out of range or non-finite: a parse error naming the line, not a
+  // saturated seed or a rate every range check in Validate waves through.
+  for (const char* text : {"seed = 99999999999999999999999\n",
+                           "duplicate_rate = nan\n",
+                           "duplicate_rate = inf\n"}) {
+    Result<ScenarioSpec> spec = ParseScenarioSpec(text, "x");
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_EQ(spec.status().code(), StatusCode::kParseError) << text;
+    EXPECT_NE(spec.status().message().find("spec line 1"), std::string::npos)
+        << spec.status();
+  }
 }
 
 TEST(ScenarioSpecTest, ValidationRejectsBadRanges) {
