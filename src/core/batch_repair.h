@@ -74,13 +74,18 @@ class BatchRepair {
       : sat_(&sat), options_(options) {}
 
   /// Repairs a copy of `data`, trusting t[Z] of every tuple. Tuples that
-  /// fail the unique-fix check are reported and left unchanged.
+  /// fail the unique-fix check are reported and left unchanged. `data`
+  /// must be over the rules' R schema (the same object or a structurally
+  /// equal one); otherwise throws std::invalid_argument before reading a
+  /// row.
   BatchRepairResult Repair(const Relation& data, AttrSet trusted) const;
 
-  /// Repair behind the options' analyze_first gate: runs the ruleset
-  /// analyzer first and, under strict, returns Inconsistent (witness in
+  /// Repair behind the options' analyze_first gate: returns
+  /// InvalidArgument for a relation of another schema, then runs the
+  /// ruleset analyzer and, under strict, returns Inconsistent (witness in
   /// the message) instead of repairing when the ruleset has errors. With
-  /// analyze_first = off this is exactly Repair.
+  /// analyze_first = off this is Repair with the schema error as a
+  /// status.
   Result<BatchRepairResult> RepairChecked(const Relation& data,
                                           AttrSet trusted) const;
 

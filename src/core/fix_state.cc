@@ -32,37 +32,4 @@ uint64_t MasterProbeKeyHash(size_t rule_idx, const Relation& dm, size_t row,
   return h;
 }
 
-bool FixState::IsEnabled(const RuleSet& rules, const Relation& dm,
-                         const FixMove& move) const {
-  const EditingRule& rule = rules.at(move.rule_idx);
-  if (!rule.premise_set().SubsetOf(z_)) return false;
-  if (z_.Contains(rule.rhs())) return false;
-  const Tuple& tm = dm.at(move.master_idx);
-  return rule.AppliesTo(tuple_, tm);
-}
-
-std::vector<FixMove> FixState::EnabledMoves(const RuleSet& rules,
-                                            const MasterIndex& index) const {
-  std::vector<FixMove> moves;
-  PoolBridge bridge(tuple_.pool().get(), index.pool().get());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    const EditingRule& rule = rules.at(i);
-    if (!rule.premise_set().SubsetOf(z_)) continue;
-    if (z_.Contains(rule.rhs())) continue;
-    if (!rule.pattern().Matches(tuple_)) continue;
-    for (size_t m : index.Candidates(i, tuple_, &bridge)) {
-      moves.push_back(FixMove{i, m, rule.rhs(),
-                              index.master().Cell(m, rule.rhsm())});
-    }
-  }
-  return moves;
-}
-
-void FixState::Apply(const RuleSet& rules, const FixMove& move) {
-  const EditingRule& rule = rules.at(move.rule_idx);
-  tuple_.Set(rule.rhs(), move.value);
-  z_.Add(rule.rhs());
-  applied_.push_back(move);
-}
-
 }  // namespace certfix

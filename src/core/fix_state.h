@@ -1,16 +1,15 @@
 /// \file fix_state.h
-/// \brief Single-step fix semantics: states, enabled moves, and application
-/// (the t ->((Z,Tc),phi,tm) t' relation of Sect. 3).
+/// \brief One fix step (the t ->((Z,Tc),phi,tm) t' relation of Sect. 3) as
+/// the engines record it, and the probe hashes they log it by. The
+/// single-step state machine is a test oracle: tests/reference/fix_state.h.
 
 #ifndef CERTFIX_CORE_FIX_STATE_H_
 #define CERTFIX_CORE_FIX_STATE_H_
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "core/master_index.h"
-#include "relational/attr_set.h"
-#include "rules/rule_set.h"
+#include "relational/relation.h"
 
 namespace certfix {
 
@@ -54,43 +53,6 @@ uint64_t ProbeKeyHash(size_t rule_idx, const Tuple& t,
 /// collisions, which are sound).
 uint64_t MasterProbeKeyHash(size_t rule_idx, const Relation& dm, size_t row,
                             const std::vector<AttrId>& attrs);
-
-/// \brief The evolving state of a fixing process: the current tuple and the
-/// validated attribute set Z. Z only grows; an attribute's value changes at
-/// most once (when it enters Z via a move) — the monotonicity that makes
-/// the uniqueness analysis of saturation.h exact.
-class FixState {
- public:
-  FixState(Tuple t, AttrSet z0) : tuple_(std::move(t)), z_(z0), z0_(z0) {}
-
-  const Tuple& tuple() const { return tuple_; }
-  AttrSet validated() const { return z_; }
-  AttrSet initial() const { return z0_; }
-  const std::vector<FixMove>& applied() const { return applied_; }
-
-  /// A move is enabled iff premise(phi) is validated, rhs(phi) is not,
-  /// t matches tp, and t[X] = tm[Xm] (Sect. 3's justified application).
-  bool IsEnabled(const RuleSet& rules, const Relation& dm,
-                 const FixMove& move) const;
-
-  /// All enabled moves under the current state.
-  std::vector<FixMove> EnabledMoves(const RuleSet& rules,
-                                    const MasterIndex& index) const;
-
-  /// Applies an enabled move: t[B] := tm[Bm], Z := Z + {B}.
-  void Apply(const RuleSet& rules, const FixMove& move);
-
-  /// True if no move is enabled (the fixpoint condition of Sect. 3).
-  bool IsFixpoint(const RuleSet& rules, const MasterIndex& index) const {
-    return EnabledMoves(rules, index).empty();
-  }
-
- private:
-  Tuple tuple_;
-  AttrSet z_;
-  AttrSet z0_;
-  std::vector<FixMove> applied_;
-};
 
 }  // namespace certfix
 

@@ -77,65 +77,26 @@ std::shared_ptr<MasterIndex::ValueIndex> MasterIndex::BuildValueIndex(
 }
 
 void MasterIndex::Build(const RuleSet& rules, const MasterIndex* share) {
-  rule_to_index_.reserve(rules.size());
   rule_to_value_.reserve(rules.size());
   probe_.reserve(rules.size());
   for (const EditingRule& rule : rules) {
     probe_.push_back(rule.lhs());
-
-    // Row index (keyed by Xm), shared across rules with the same Xm.
-    if (rule.lhsm().empty()) {
-      rule_to_index_.push_back(-1);
-    } else {
-      auto it = key_ids_.find(rule.lhsm());
-      if (it == key_ids_.end()) {
-        int id = -1;
-        if (share != nullptr) {
-          auto sit = share->key_ids_.find(rule.lhsm());
-          if (sit != share->key_ids_.end()) {
-            id = static_cast<int>(indexes_.size());
-            indexes_.push_back(
-                share->indexes_[static_cast<size_t>(sit->second)]);
-          }
-        }
-        if (id < 0) {
-          id = static_cast<int>(indexes_.size());
-          indexes_.push_back(std::make_shared<FlatKeyIndex>(*dm_, rule.lhsm()));
-        }
-        it = key_ids_.emplace(rule.lhsm(), id).first;
-      }
-      rule_to_index_.push_back(it->second);
-    }
-
-    // Value summary (keyed by (Xm, Bm)).
     std::pair<std::vector<AttrId>, AttrId> vkey{rule.lhsm(), rule.rhsm()};
     auto vit = value_ids_.find(vkey);
     if (vit == value_ids_.end()) {
-      int id = -1;
+      std::shared_ptr<ValueIndex> vi;
       if (share != nullptr) {
         auto sit = share->value_ids_.find(vkey);
         if (sit != share->value_ids_.end()) {
-          id = static_cast<int>(value_indexes_.size());
-          value_indexes_.push_back(
-              share->value_indexes_[static_cast<size_t>(sit->second)]);
+          vi = share->value_indexes_[static_cast<size_t>(sit->second)];
         }
       }
-      if (id < 0) {
-        id = static_cast<int>(value_indexes_.size());
-        value_indexes_.push_back(
-            BuildValueIndex(*dm_, rule.lhsm(), rule.rhsm()));
-      }
+      if (vi == nullptr) vi = BuildValueIndex(*dm_, rule.lhsm(), rule.rhsm());
+      value_indexes_.push_back(std::move(vi));
+      const int id = static_cast<int>(value_indexes_.size() - 1);
       vit = value_ids_.emplace(std::move(vkey), id).first;
     }
     rule_to_value_.push_back(vit->second);
-  }
-  // The full-row list is only needed by empty-X rules (reductions); build
-  // it on demand rather than per index construction.
-  bool any_empty = false;
-  for (int idx : rule_to_index_) any_empty |= (idx < 0);
-  if (any_empty) {
-    all_rows_.resize(dm_->size());
-    for (size_t i = 0; i < dm_->size(); ++i) all_rows_[i] = i;
   }
 }
 
@@ -148,14 +109,6 @@ MasterIndex::MasterIndex(const RuleSet& rules, const Relation& dm,
                          const MasterIndex& share_from)
     : dm_(&dm) {
   Build(rules, &share_from);
-}
-
-RowSpan MasterIndex::Candidates(size_t rule_idx, const Tuple& t,
-                                PoolBridge* bridge) const {
-  int idx = rule_to_index_[rule_idx];
-  if (idx < 0) return RowSpan(all_rows_);
-  return indexes_[static_cast<size_t>(idx)]->LookupTuple(t, probe_[rule_idx],
-                                                         bridge);
 }
 
 const MasterIndex::RhsSummary& MasterIndex::RhsValues(

@@ -7,6 +7,7 @@
 
 #include "rules/rule_parser.h"
 #include "storage/io_util.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace certfix {
@@ -156,13 +157,20 @@ bool DurableSession::Exists(const std::string& dir) {
 }
 
 DurableSession::~DurableSession() {
-  if (wal_ != nullptr) (void)wal_->Sync();
+  if (wal_ == nullptr) return;
+  Status synced = wal_->Sync();
+  if (!synced.ok()) {
+    CERTFIX_LOG(kError) << "durable session " << dir_
+                        << ": final WAL sync failed: " << synced.ToString();
+  }
 }
 
 Status DurableSession::Apply(const Delta& delta) {
+  CERTFIX_RETURN_IF_ERROR(failed_);
   // Append + fsync BEFORE touching the engine: a delta acknowledged to
   // the caller is always recoverable.
-  CERTFIX_RETURN_IF_ERROR(wal_->Append(delta));
+  Status appended = wal_->Append(delta);
+  if (!appended.ok()) return FailStop(appended);
   ++records_since_snapshot_;
   Status verdict = engine_->Apply(delta);
   if (options_.snapshot_every > 0 &&
@@ -173,6 +181,7 @@ Status DurableSession::Apply(const Delta& delta) {
 }
 
 Status DurableSession::ApplyAll(DeltaSource* source) {
+  CERTFIX_RETURN_IF_ERROR(failed_);
   Delta delta;
   for (;;) {
     CERTFIX_ASSIGN_OR_RETURN(bool got, source->Next(&delta));
@@ -182,14 +191,21 @@ Status DurableSession::ApplyAll(DeltaSource* source) {
 }
 
 Status DurableSession::WriteSnapshot() {
+  CERTFIX_RETURN_IF_ERROR(failed_);
   uint64_t old = snapshot_id_;
-  CERTFIX_RETURN_IF_ERROR(CommitGeneration(old + 1));
+  Status committed = CommitGeneration(old + 1);
+  if (!committed.ok()) return FailStop(committed);
   // Past the manifest commit point: the old generation is dead weight.
   std::error_code ec;
   std::filesystem::remove(SnapshotPath(old, "master"), ec);
   std::filesystem::remove(SnapshotPath(old, "input"), ec);
   std::filesystem::remove(WalPath(old), ec);
   return Status::OK();
+}
+
+Status DurableSession::FailStop(const Status& error) {
+  failed_ = error;
+  return error;
 }
 
 Status DurableSession::CommitGeneration(uint64_t id) {

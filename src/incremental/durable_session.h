@@ -29,6 +29,11 @@
 ///  * Recovery (Open): read MANIFEST, load both snapshots, rebuild the
 ///    engine (the master is adopted move-in, so columns past the RAM
 ///    budget stay memory-mapped), Load() the input, replay wal-<N>.
+///  * Fail-stop: after a WAL error (a torn frame recovery stops at) or a
+///    rotation error (wal_ may be on an uncommitted generation), a later
+///    delta could be acknowledged yet unrecoverable. So every later
+///    Apply, ApplyAll and WriteSnapshot returns the first such error and
+///    touches neither WAL nor engine; the caller reopens with Open.
 ///
 /// Why replay is exact: engine state is a deterministic function of
 /// (master, input order, delta sequence) — the oracle contract of
@@ -104,13 +109,15 @@ class DurableSession {
 
   /// WAL-append + fsync, then engine apply (and auto-rotation when
   /// snapshot_every is hit). The engine's verdict is returned; rejected
-  /// deltas stay in the WAL harmlessly (see file comment).
+  /// deltas stay in the WAL harmlessly (see file comment). Fail-stop on
+  /// a WAL or rotation error (see file comment).
   Status Apply(const Delta& delta);
   /// Applies every delta `source` yields, stopping on source errors.
   Status ApplyAll(DeltaSource* source);
 
   /// Rotates to a fresh snapshot generation (manifest commit), emptying
-  /// the WAL. Telemetry: snapshot.bytes / snapshot.writes.
+  /// the WAL. Telemetry: snapshot.bytes / snapshot.writes. Fail-stop on
+  /// error (see file comment).
   Status WriteSnapshot();
 
   DeltaRepairEngine& engine() { return *engine_; }
@@ -126,6 +133,8 @@ class DurableSession {
   /// Writes generation `id` (both snapshots + fresh WAL), then commits
   /// it by atomically rewriting MANIFEST. Resets records_since_snapshot_.
   Status CommitGeneration(uint64_t id);
+  /// Records `error` as the session's failure and returns it.
+  Status FailStop(const Status& error);
   std::string SnapshotPath(uint64_t id, const char* which) const;
   std::string WalPath(uint64_t id) const;
 
@@ -138,6 +147,7 @@ class DurableSession {
   uint64_t snapshot_id_ = 0;
   uint64_t records_since_snapshot_ = 0;
   RecoveryInfo recovery_;
+  Status failed_;  ///< first WAL/rotation error; OK while the session runs
 };
 
 }  // namespace certfix

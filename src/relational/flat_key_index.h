@@ -3,8 +3,8 @@
 ///
 /// A node-based std::unordered_map costs one pointer chase plus a heap
 /// node per probe — the dominant cost of the repair hot path once values
-/// are interned. This file is the one hash-index implementation the
-/// engines run on:
+/// are interned. This file holds the hash table the engines probe and the
+/// row index built on it:
 ///
 ///  * FlatIdTable — an open-addressing hash table over fixed-arity
 ///    ValueId keys. Slots are grouped eight to a cache-line-sized
@@ -13,14 +13,17 @@
 ///    match) and touches key memory only on a tag hit. Short keys
 ///    (arity <= 4) are stored inline in the slot array; longer keys
 ///    live in a contiguous arena the slot points into. Deletion is by
-///    tombstone; the table resizes at 7/8 occupancy.
+///    tombstone; the table resizes at 7/8 occupancy. The engines probe
+///    it through MasterIndex's value summaries (core/master_index.h)
+///    and the per-shard repair memos.
 ///
 ///  * FlatKeyIndex — key -> row positions (Lookup / LookupTuple, with
 ///    PoolBridge translation for probes from a foreign pool) on a
 ///    FlatIdTable, with all postings in one contiguous arena instead of
 ///    a std::vector per key. Lookups return a RowSpan view into that
-///    arena; each key's rows are in ascending row position. The
-///    map-backed reference the tests diff it against lives in
+///    arena; each key's rows are in ascending row position. Only
+///    Suggest's PartialMasterIndexCache (core/applicable_rules.h) uses
+///    it. The map-backed reference the tests diff it against lives in
 ///    tests/reference/key_index.h.
 
 #ifndef CERTFIX_RELATIONAL_FLAT_KEY_INDEX_H_

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "reference/naive_repair.h"
@@ -78,6 +79,33 @@ TEST_F(BatchRepairSupplierTest, PartialCoverageCounted) {
   EXPECT_EQ(result.tuples_partial, 1u);
   EXPECT_EQ(result.repaired.at(0).at(A(r_, "AC")).as_string(), "131");
   EXPECT_EQ(result.repaired.at(0).at(A(r_, "fn")).as_string(), "Bob");
+}
+
+TEST_F(BatchRepairSupplierTest, RefusesRelationOfAnotherSchema) {
+  // Two columns where the rules read nine: repairing would read past the
+  // end of every row's cells.
+  SchemaPtr narrow =
+      Schema::Make("Narrow", std::vector<std::string>{"zip", "AC"});
+  Relation data(narrow);
+  ASSERT_TRUE(data.AppendStrings({"EH7 4AH", "020"}).ok());
+  for (size_t threads : {1u, 4u}) {
+    RepairOptions options;
+    options.num_threads = threads;
+    BatchRepair repair(*sat_, options);
+    EXPECT_THROW(repair.Repair(data, AttrSet{0}), std::invalid_argument);
+    Result<BatchRepairResult> checked = repair.RepairChecked(data, AttrSet{0});
+    ASSERT_FALSE(checked.ok());
+    EXPECT_EQ(checked.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // A structurally equal copy of R (another schema object) is R.
+  SchemaPtr r_copy = SupplierSchema();
+  Relation copy(r_copy);
+  ASSERT_TRUE(copy.Append(T1(r_copy)).ok());
+  Result<BatchRepairResult> repaired = BatchRepair(*sat_).RepairChecked(
+      copy, Attrs(r_, {"zip", "phn", "type", "item"}));
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_EQ(repaired->tuples_fully_covered, 1u);
 }
 
 TEST(BatchRepairHospTest, RestoresDuplicatesAtScale) {

@@ -17,7 +17,9 @@
 #include "incremental/durable_session.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +29,7 @@
 
 #include "core/batch_repair.h"
 #include "relational/csv.h"
+#include "test_util.h"
 #include "util/random.h"
 #include "workload/dirty_gen.h"
 #include "workload/hosp.h"
@@ -34,16 +37,7 @@
 namespace certfix {
 namespace {
 
-uint64_t BaseSeed() {
-  const char* env = std::getenv("CERTFIX_PROPERTY_SEED");
-  if (env != nullptr) return std::strtoull(env, nullptr, 10);
-  return 20260807;
-}
-
-uint64_t NextSeed() {
-  static uint64_t iteration = 0;
-  return BaseSeed() + 1009 * iteration++;
-}
+uint64_t NextSeed() { return testing_fixtures::NextPropertySeed(20260807); }
 
 std::string ToCsv(const Relation& rel) {
   std::ostringstream out;
@@ -158,6 +152,13 @@ void CopyDir(const std::string& from, const std::string& to) {
                         std::filesystem::copy_options::recursive);
 }
 
+/// Size of `path` in bytes; 0 when it does not exist.
+uint64_t FileSize(const std::string& path) {
+  std::error_code ec;
+  const uint64_t size = std::filesystem::file_size(path, ec);
+  return ec ? 0 : size;
+}
+
 void TruncateFile(const std::string& path, uint64_t len) {
   std::filesystem::resize_file(path, len);
 }
@@ -173,16 +174,63 @@ void MaybeSaveArtifact(const std::string& dir, const std::string& label) {
 }
 
 /// From-scratch oracle over the session's current input and master.
-void ExpectMatchesScratch(DurableSession* session, const RuleSet& rules,
-                          AttrSet trusted, const std::string& label) {
-  Relation final_input = session->engine().SnapshotInput();
-  Relation final_master = session->engine().master();
+/// BatchRepair of `engine`'s current input against its current master, as
+/// CSV bytes.
+std::string ScratchCsv(DeltaRepairEngine& engine, const RuleSet& rules,
+                       AttrSet trusted) {
+  Relation final_input = engine.SnapshotInput();
+  Relation final_master = engine.master();
   MasterIndex index(rules, final_master);
   Saturator sat(rules, final_master, index);
-  BatchRepairResult batch = BatchRepair(sat).Repair(final_input, trusted);
+  return ToCsv(BatchRepair(sat).Repair(final_input, trusted).repaired);
+}
+
+void ExpectMatchesScratch(DurableSession* session, const RuleSet& rules,
+                          AttrSet trusted, const std::string& label) {
   EXPECT_EQ(ToCsv(session->engine().SnapshotRepaired()),
-            ToCsv(batch.repaired))
+            ScratchCsv(session->engine(), rules, trusted))
       << label;
+}
+
+/// Caps the size of every file the process writes at `limit` bytes, with
+/// SIGXFSZ ignored: a write crossing the cap is cut short at it and the
+/// next one fails with EFBIG ("File too large"), a disk-full stand-in.
+/// The destructor restores the old limit and handler, so an assertion
+/// failing under the cap cannot leak it into later tests.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t limit)
+      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    if (::getrlimit(RLIMIT_FSIZE, &old_limit_) != 0) return;
+    rlimit capped = old_limit_;
+    capped.rlim_cur = static_cast<rlim_t>(limit);
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    if (ok_) ::setrlimit(RLIMIT_FSIZE, &old_limit_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  void (*old_handler_)(int);
+  rlimit old_limit_{};
+  bool ok_ = false;
+};
+
+/// Expected repaired bytes after exactly `prefix` of `w.deltas`: a fresh
+/// in-memory engine replays them, and BatchRepair repairs its final input
+/// and master from scratch.
+std::string ScratchAfterPrefix(const World& w, size_t prefix) {
+  DeltaRepairEngine engine(w.rules, w.master, w.trusted);
+  EXPECT_TRUE(engine.Load(w.input).ok());
+  for (size_t i = 0; i < prefix; ++i) {
+    EXPECT_TRUE(engine.Apply(w.deltas[i]).ok()) << "delta " << i;
+  }
+  return ScratchCsv(engine, w.rules, w.trusted);
 }
 
 TEST(CrashRecoveryTest, KillAtEveryWalOffsetRecoversAcknowledgedPrefix) {
@@ -398,6 +446,90 @@ TEST(CrashRecoveryTest, RejectedDeltasReplayAsDeterministicNoOps) {
   EXPECT_EQ((*reopened)->recovery().replayed_records,
             w.deltas.size() + 1);
   EXPECT_EQ(ToCsv((*reopened)->engine().SnapshotRepaired()), want);
+}
+
+TEST(CrashRecoveryTest, FailedWalAppendStopsTheSession) {
+  uint64_t seed = NextSeed();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  World w = MakeWorld(seed, 4);
+
+  std::string dir = FreshDir("wal_fail");
+  DurableOptions options;
+  Result<std::unique_ptr<DurableSession>> created = DurableSession::Create(
+      dir, w.rules, w.master, w.input, w.trusted, options);
+  ASSERT_TRUE(created.ok()) << created.status();
+  std::unique_ptr<DurableSession> session = std::move(created).ValueOrDie();
+  ASSERT_TRUE(session->Apply(w.deltas[0]).ok());
+
+  // The next append runs out of room five bytes in: a torn frame that
+  // recovery stops at, so nothing after it could ever be recovered.
+  const std::string wal_path = dir + "/wal-0.log";
+  const uint64_t wal_end = FileSize(wal_path);
+  Status failed;
+  {
+    FileSizeCap cap(wal_end + 5);
+    ASSERT_TRUE(cap.ok());
+    failed = session->Apply(w.deltas[1]);
+  }
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(FileSize(wal_path), wal_end + 5);
+
+  // The disk has room again, but the session stays stopped: every call
+  // returns the first error and touches neither the WAL nor the engine.
+  const std::string live = ToCsv(session->engine().SnapshotRepaired());
+  EXPECT_EQ(session->Apply(w.deltas[2]).ToString(), failed.ToString());
+  VectorDeltaSource rest({w.deltas[2], w.deltas[3]});
+  EXPECT_EQ(session->ApplyAll(&rest).ToString(), failed.ToString());
+  EXPECT_EQ(session->WriteSnapshot().ToString(), failed.ToString());
+  EXPECT_EQ(FileSize(wal_path), wal_end + 5);
+  EXPECT_EQ(session->snapshot_id(), 0u);
+  EXPECT_EQ(ToCsv(session->engine().SnapshotRepaired()), live);
+  session.reset();
+
+  // Reopening recovers exactly the acknowledged prefix: the first delta.
+  Result<std::unique_ptr<DurableSession>> reopened =
+      DurableSession::Open(dir, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->recovery().replayed_records, 1u);
+  EXPECT_EQ((*reopened)->recovery().discarded_bytes, 5u);
+  EXPECT_EQ(ToCsv((*reopened)->engine().SnapshotRepaired()),
+            ScratchAfterPrefix(w, 1));
+}
+
+TEST(CrashRecoveryTest, FailedRotationStopsTheSession) {
+  uint64_t seed = NextSeed();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  World w = MakeWorld(seed, 3);
+
+  std::string dir = FreshDir("rotate_fail");
+  DurableOptions options;
+  Result<std::unique_ptr<DurableSession>> created = DurableSession::Create(
+      dir, w.rules, w.master, w.input, w.trusted, options);
+  ASSERT_TRUE(created.ok()) << created.status();
+  std::unique_ptr<DurableSession> session = std::move(created).ValueOrDie();
+  ASSERT_TRUE(session->Apply(w.deltas[0]).ok());
+
+  // No snapshot of the next generation fits under the cap.
+  Status failed;
+  {
+    FileSizeCap cap(64);
+    ASSERT_TRUE(cap.ok());
+    failed = session->WriteSnapshot();
+  }
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(session->Apply(w.deltas[1]).ToString(), failed.ToString());
+  EXPECT_EQ(session->snapshot_id(), 0u);
+  session.reset();
+
+  Result<std::unique_ptr<DurableSession>> reopened =
+      DurableSession::Open(dir, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->recovery().snapshot_id, 0u);
+  EXPECT_EQ((*reopened)->recovery().replayed_records, 1u);
+  EXPECT_EQ(ToCsv((*reopened)->engine().SnapshotRepaired()),
+            ScratchAfterPrefix(w, 1));
+  // The reopened session runs again.
+  EXPECT_TRUE((*reopened)->Apply(w.deltas[1]).ok());
 }
 
 }  // namespace

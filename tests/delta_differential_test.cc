@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -273,19 +272,6 @@ TEST_F(DeltaSupplierTest, IdleShardKeepsItsMemoAcrossManyRebuilds) {
 // Property test: random relations, random rule subsets, 500+-step delta
 // sequences, oracle check every K steps, at 1/2/8 shards.
 
-uint64_t BaseSeed() {
-  const char* env = std::getenv("CERTFIX_PROPERTY_SEED");
-  if (env != nullptr) return std::strtoull(env, nullptr, 10);
-  return 20260729;
-}
-
-/// Seed shift per in-process iteration so --gtest_repeat soaks different
-/// sequences while a single run stays reproducible.
-uint64_t NextSeed() {
-  static uint64_t iteration = 0;
-  return BaseSeed() + 1009 * iteration++;
-}
-
 struct PropertyWorld {
   SchemaPtr schema;
   RuleSet rules;              // random subset of the HOSP rules
@@ -397,7 +383,7 @@ void ApplyRandomDelta(DeltaRepairEngine* engine, PropertyWorld* w, Rng* rng,
 }
 
 TEST(DeltaPropertyTest, RandomDeltaSequencesMatchScratchAtEveryShardCount) {
-  uint64_t seed = NextSeed();
+  uint64_t seed = NextPropertySeed(20260729);
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " (set CERTFIX_PROPERTY_SEED to reproduce)");
   PropertyWorld w = MakeWorld(seed);

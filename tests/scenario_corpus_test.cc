@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -37,21 +36,11 @@
 #include "relational/csv.h"
 #include "stream/sink.h"
 #include "stream/stream_repair.h"
+#include "test_util.h"
 #include "workload/scenario.h"
 
 namespace certfix {
 namespace {
-
-uint64_t SeedShift() {
-  static uint64_t base = [] {
-    const char* env = std::getenv("CERTFIX_PROPERTY_SEED");
-    return env != nullptr ? std::strtoull(env, nullptr, 10) : 0ULL;
-  }();
-  // Each fixture-set construction (one per --gtest_repeat iteration)
-  // advances the shift, so soak repetitions explore fresh seeds.
-  static uint64_t iteration = 0;
-  return base + 1009 * iteration++;
-}
 
 std::vector<std::string> CorpusSpecs() {
   std::vector<std::string> paths;
@@ -86,7 +75,8 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
   Result<ScenarioSpec> loaded = LoadScenarioSpecFile(GetParam());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ScenarioSpec spec = std::move(loaded).ValueOrDie();
-  const uint64_t shift = SeedShift();
+  // Every case, and every --gtest_repeat iteration, gets a fresh shift.
+  const uint64_t shift = testing_fixtures::NextPropertySeed(0);
   spec.seed += shift;
   SCOPED_TRACE("scenario " + spec.name + " seed " +
                std::to_string(spec.seed) + " (shift " +

@@ -6,6 +6,8 @@
 #define CERTFIX_TESTS_TEST_UTIL_H_
 
 #include <cassert>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -120,6 +122,23 @@ inline AttrId A(const SchemaPtr& schema, const std::string& name) {
   Result<AttrId> id = schema->IndexOf(name);
   assert(id.ok());
   return *id;
+}
+
+/// The CERTFIX_PROPERTY_SEED environment value, or `fallback` when it is
+/// unset. The randomized property tests seed from it, so a CI soak leg
+/// that sets it walks fresh instances, and a failure reproduces by
+/// setting it again.
+inline uint64_t PropertySeed(uint64_t fallback) {
+  const char* env = std::getenv("CERTFIX_PROPERTY_SEED");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : fallback;
+}
+
+/// Seed of a test binary's next randomized case: PropertySeed(default_seed)
+/// shifted by 1009 per call, so every --gtest_repeat iteration soaks fresh
+/// seeds while a single run stays reproducible.
+inline uint64_t NextPropertySeed(uint64_t default_seed) {
+  static uint64_t iteration = 0;
+  return PropertySeed(default_seed) + 1009 * iteration++;
 }
 
 }  // namespace testing_fixtures

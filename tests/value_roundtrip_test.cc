@@ -11,25 +11,17 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
 #include <string>
 
+#include "test_util.h"
+
 namespace certfix {
 namespace {
 
-uint64_t BaseSeed() {
-  const char* env = std::getenv("CERTFIX_PROPERTY_SEED");
-  if (env != nullptr) return std::strtoull(env, nullptr, 10);
-  return 20260808;
-}
-
-uint64_t NextSeed() {
-  static uint64_t iteration = 0;
-  return BaseSeed() + 1009 * iteration++;
-}
+uint64_t NextSeed() { return testing_fixtures::NextPropertySeed(20260808); }
 
 void ExpectIntRoundTrip(int64_t v) {
   Value val = Value::Int(v);
