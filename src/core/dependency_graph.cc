@@ -63,41 +63,6 @@ std::vector<size_t> DependencyGraph::RulesReadingMasterAttrs(
   return out;
 }
 
-std::vector<size_t> DependencyGraph::ReachableFrom(
-    const std::vector<size_t>& seeds) const {
-  std::vector<bool> seen(out_.size(), false);
-  std::vector<size_t> stack;
-  for (size_t s : seeds) {
-    if (s < seen.size() && !seen[s]) {
-      seen[s] = true;
-      stack.push_back(s);
-    }
-  }
-  while (!stack.empty()) {
-    size_t u = stack.back();
-    stack.pop_back();
-    for (size_t v : out_[u]) {
-      if (!seen[v]) {
-        seen[v] = true;
-        stack.push_back(v);
-      }
-    }
-  }
-  std::vector<size_t> out;
-  for (size_t i = 0; i < seen.size(); ++i) {
-    if (seen[i]) out.push_back(i);
-  }
-  return out;
-}
-
-AttrSet DependencyGraph::InvalidatedRegion(const AttrSet& master_attrs) const {
-  AttrSet region;
-  for (size_t i : ReachableFrom(RulesReadingMasterAttrs(master_attrs))) {
-    region.Add(rules_->at(i).rhs());
-  }
-  return region;
-}
-
 std::string DependencyGraph::ToDot() const {
   std::string out = "digraph sigma {\n";
   for (size_t u = 0; u < out_.size(); ++u) {

@@ -39,21 +39,6 @@ class DependencyGraph {
   /// empty result means the delta invalidates nothing.
   std::vector<size_t> RulesReadingMasterAttrs(const AttrSet& master_attrs) const;
 
-  /// Transitive closure over successor edges from `seeds` (seeds
-  /// included), ascending. If a seed rule's firing changes, only rules in
-  /// this closure can fire differently downstream — the rule-level
-  /// invalidated region of a change. Analysis/diagnostics API: the
-  /// engine's live path needs only RulesReadingMasterAttrs (its probe
-  /// index is already exact at the tuple level).
-  std::vector<size_t> ReachableFrom(const std::vector<size_t>& seeds) const;
-
-  /// Input-side attributes a master delta touching `master_attrs` can
-  /// rewrite: the rhs attributes of ReachableFrom(RulesReadingMasterAttrs).
-  /// Cells outside this region are provably unaffected — an a-priori
-  /// bound on a delta's blast radius (analysis/diagnostics, like
-  /// ReachableFrom).
-  AttrSet InvalidatedRegion(const AttrSet& master_attrs) const;
-
   /// Graphviz dot rendering for documentation and debugging.
   std::string ToDot() const;
 

@@ -35,7 +35,7 @@ std::string FixConflict::ToString(const SchemaPtr& schema) const {
 }
 
 SaturationResult Saturator::Run(const Tuple& t, AttrSet z0, int excluded,
-                                std::vector<Value>* proposals,
+                                std::vector<FixMove>* proposals,
                                 PoolBridge* bridge, ProbeLog* probes) const {
   SaturationResult result;
   result.fixed = t;
@@ -92,10 +92,11 @@ SaturationResult Saturator::Run(const Tuple& t, AttrSet z0, int excluded,
               }
             }
             for (size_t k = 0; !seen && k < pre_existing; ++k) {
-              if ((*proposals)[k] == p.value) seen = true;
+              if ((*proposals)[k].value == p.value) seen = true;
             }
             if (!seen) {
-              proposals->push_back(p.value);
+              proposals->push_back(FixMove{p.rule_idx, p.master_idx,
+                                           it->first, p.value});
               proposal_ids.push_back(p.id);
             }
           }
@@ -135,7 +136,7 @@ SaturationResult Saturator::Saturate(const Tuple& t, AttrSet z0) const {
 
 SaturationResult Saturator::SaturateExcluding(
     const Tuple& t, AttrSet z0, AttrId excluded,
-    std::vector<Value>* proposals) const {
+    std::vector<FixMove>* proposals) const {
   PoolBridge bridge(t.pool().get(), index_->pool().get());
   return Run(t, z0, static_cast<int>(excluded), proposals, &bridge);
 }
@@ -152,7 +153,7 @@ SaturationResult Saturator::CheckUniqueFix(const Tuple& t, AttrSet z0,
   // depend on B. Two distinct values means two distinct maximal fixes.
   AttrSet targets = full.covered.Minus(z0);
   for (AttrId b : targets.ToVector()) {
-    std::vector<Value> proposals;
+    std::vector<FixMove> proposals;
     SaturationResult excl =
         Run(t, z0, static_cast<int>(b), &proposals, bridge, probes);
     if (!excl.unique) {
@@ -165,7 +166,8 @@ SaturationResult Saturator::CheckUniqueFix(const Tuple& t, AttrSet z0,
     if (proposals.size() > 1) {
       full.unique = false;
       full.conflicts.push_back(
-          FixConflict{b, proposals[0], proposals[1], 0, 0});
+          FixConflict{b, proposals[0].value, proposals[1].value,
+                      proposals[0].rule_idx, proposals[1].rule_idx});
       return full;
     }
   }

@@ -77,11 +77,12 @@ class Saturator {
   /// here, the complete check is CheckUniqueFix below.
   SaturationResult Saturate(const Tuple& t, AttrSet z0) const;
 
-  /// Saturation that never validates `excluded`; all values proposed for
-  /// `excluded` across the run are appended to `proposals` (deduplicated).
+  /// Saturation that never validates `excluded`; the first move proposing
+  /// each distinct value for `excluded` across the run is appended to
+  /// `proposals` (deduplicated by value), so a conflict names its rules.
   SaturationResult SaturateExcluding(const Tuple& t, AttrSet z0,
                                      AttrId excluded,
-                                     std::vector<Value>* proposals) const;
+                                     std::vector<FixMove>* proposals) const;
 
   /// Exact unique-fix decision (and the fix itself when unique): full
   /// saturation plus one excluded saturation per covered target attribute.
@@ -121,7 +122,7 @@ class Saturator {
   // `probes`, when non-null, records a ProbeKeyHash for every RhsValues
   // call this run performs.
   SaturationResult Run(const Tuple& t, AttrSet z0, int excluded,
-                       std::vector<Value>* proposals, PoolBridge* bridge,
+                       std::vector<FixMove>* proposals, PoolBridge* bridge,
                        ProbeLog* probes = nullptr) const;
 
   const RuleSet* rules_;

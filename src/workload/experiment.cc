@@ -98,36 +98,6 @@ MetricsAccumulator ScoreRepairs(const std::vector<const DirtyPair*>& pairs,
 
 }  // namespace
 
-BatchExperimentResult RunBatchRepairExperiment(
-    const Saturator& sat, const Relation& master, const Relation& non_master,
-    AttrSet trusted, const ExperimentConfig& config,
-    const RepairOptions& options) {
-  ExperimentConfig gen_config = config;
-  gen_config.gen.protected_attrs = trusted;
-  DirtyGenerator gen(master, non_master, gen_config.gen);
-  std::vector<DirtyPair> pairs = gen.Generate(gen_config.num_tuples);
-
-  BatchExperimentResult result;
-  Relation dirty(master.schema());
-  std::vector<const DirtyPair*> appended = BuildDirtyRelation(pairs, &dirty);
-  result.num_tuples = appended.size();
-
-  BatchRepair engine(sat, options);
-  Timer timer;
-  result.repair = engine.Repair(dirty, trusted);
-  result.seconds = timer.Seconds();
-  result.tuples_per_second =
-      result.seconds > 0
-          ? static_cast<double>(appended.size()) / result.seconds
-          : 0.0;
-
-  MetricsAccumulator acc = ScoreRepairs(appended, result.repair.repaired);
-  result.recall_a = acc.recall_a();
-  result.precision_a = acc.precision_a();
-  result.f_measure = acc.f_measure();
-  return result;
-}
-
 BaselineResult RunIncRepBaseline(const CfdSet& cfds,
                                  const std::vector<DirtyPair>& pairs,
                                  const IncRepOptions& options) {

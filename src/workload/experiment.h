@@ -6,7 +6,6 @@
 #ifndef CERTFIX_WORKLOAD_EXPERIMENT_H_
 #define CERTFIX_WORKLOAD_EXPERIMENT_H_
 
-#include "core/batch_repair.h"
 #include "core/certain_fix.h"
 #include "repair/increp.h"
 #include "workload/dirty_gen.h"
@@ -62,31 +61,6 @@ struct BaselineResult {
 BaselineResult RunIncRepBaseline(const CfdSet& cfds,
                                  const std::vector<DirtyPair>& pairs,
                                  const IncRepOptions& options = {});
-
-/// \brief Outcome of one no-interaction batch-repair run (the Sect. 7
-/// future-work engine), scored against the generator's ground truth.
-struct BatchExperimentResult {
-  BatchRepairResult repair;
-  double recall_a = 0.0;
-  double precision_a = 0.0;
-  double f_measure = 0.0;
-  double seconds = 0.0;            ///< BatchRepair::Repair wall time only
-  double tuples_per_second = 0.0;
-  size_t num_tuples = 0;
-};
-
-/// Generates `config.num_tuples` dirty inputs (protecting `trusted` so
-/// the trusted-Z premise of batch repair holds), repairs them with
-/// BatchRepair under `options`, and scores attribute-level quality.
-/// Generation is excluded from the timed section, so `tuples_per_second`
-/// measures the repair engine alone; results are deterministic for a
-/// fixed `config.gen.seed` and independent of `options.num_threads`.
-BatchExperimentResult RunBatchRepairExperiment(const Saturator& sat,
-                                               const Relation& master,
-                                               const Relation& non_master,
-                                               AttrSet trusted,
-                                               const ExperimentConfig& config,
-                                               const RepairOptions& options);
 
 }  // namespace certfix
 

@@ -5,7 +5,7 @@
 /// workloads (hosp.h / dblp.h) into a replayable scenario — a master
 /// relation, an initial input relation, and a DeltaLogSource-compatible
 /// delta log. The CLI (`certfix workload gen`), the scenario-corpus
-/// harness (tests/scenario_corpus_test.cc), and bench_scenarios all
+/// harness (tests/scenario_corpus_test.cc) and perfbench's workloads all
 /// replay the *same bytes*, so "engines agree on every workload shape we
 /// can name" is a byte-level statement.
 ///

@@ -74,6 +74,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // conflict: error diagnostic, but plain analyze still exits 0.
         GoldenCase{"conflict", 0, 2},
+        // cross-round: a round-1 fix conflicts with a round-2 proposal;
+        // the report must name the two proposing rules.
+        GoldenCase{"cross-round", 0, 2},
         // dead / cycle / gap: warnings only; strict passes.
         GoldenCase{"dead", 0, 0}, GoldenCase{"cycle", 0, 0},
         GoldenCase{"gap", 0, 0},

@@ -209,38 +209,29 @@ TEST_F(BatchRepairSupplierTest, MoreThreadsThanRows) {
 }
 
 TEST(BatchRepairHospTest, ParallelMatchesSequentialAtScale) {
-  SchemaPtr schema = HospWorkload::MakeSchema();
-  RuleSet rules = HospWorkload::MakeRules(schema);
-  Rng rng(9);
-  Relation master = HospWorkload::MakeMaster(schema, 300, &rng);
-  MasterIndex index(rules, master);
-  Saturator sat(rules, master, index);
-
-  AttrSet trusted;
-  trusted.Add(*schema->IndexOf("id"));
-  trusted.Add(*schema->IndexOf("mCode"));
-  DirtyGenOptions gen_options;
-  gen_options.duplicate_rate = 0.6;  // mix of fixable and untouchable rows
-  gen_options.noise_rate = 0.4;
-  gen_options.protected_attrs = trusted;
-  gen_options.seed = 31;
-  Rng rng2(77);
-  Relation non_master = HospWorkload::MakeMaster(schema, 150, &rng2, 500000);
-  DirtyGenerator gen(master, non_master, gen_options);
-
-  Relation dirty(schema);
-  for (const DirtyPair& pair : gen.Generate(101)) {  // odd row count
-    ASSERT_TRUE(dirty.Append(pair.dirty).ok());
-  }
-
-  BatchRepairResult sequential = BatchRepair(sat).Repair(dirty, trusted);
-  for (size_t threads : {1, 2, 8}) {
-    RepairOptions options;
-    options.num_threads = threads;
-    BatchRepairResult parallel =
-        BatchRepair(sat, options).Repair(dirty, trusted);
-    ExpectSameRepair(sequential, parallel,
-                     "threads=" + std::to_string(threads));
+  for (const HospDirtyBatch& b : AtScaleHospBatches()) {
+    const std::string label = std::to_string(b.dirty.size()) + " rows";
+    MasterIndex index(b.rules, b.master);
+    Saturator sat(b.rules, b.master, index);
+    BatchRepairResult sequential = BatchRepair(sat).Repair(b.dirty, b.trusted);
+    EXPECT_GT(sequential.tuples_fully_covered, 0u) << label;
+    EXPECT_GT(sequential.cells_changed, 0u) << label;
+    // Precision 1: every cell the repair changes gets its clean value.
+    for (size_t i = 0; i < b.pairs.size(); ++i) {
+      const Tuple& out = sequential.repaired.at(i);
+      for (AttrId a : b.pairs[i].dirty.DiffAttrs(out)) {
+        EXPECT_EQ(out.at(a), b.pairs[i].clean.at(a))
+            << label << " row " << i << " attr " << b.schema->attr_name(a);
+      }
+    }
+    for (size_t threads : {1, 2, 4, 8}) {
+      RepairOptions options;
+      options.num_threads = threads;
+      BatchRepairResult parallel =
+          BatchRepair(sat, options).Repair(b.dirty, b.trusted);
+      ExpectSameRepair(sequential, parallel,
+                       label + " threads=" + std::to_string(threads));
+    }
   }
 }
 

@@ -63,39 +63,6 @@ TEST_F(DependencyGraphTest, RulesReadingMasterAttrs) {
   EXPECT_TRUE(graph.RulesReadingMasterAttrs(irrelevant).empty());
 }
 
-TEST_F(DependencyGraphTest, ReachableFromFollowsEdges) {
-  DependencyGraph graph(rules_);
-  // phi2 (rhs str) has no successors: closure is itself.
-  EXPECT_EQ(graph.ReachableFrom({1}), (std::vector<size_t>{1}));
-  // phi8 (rhs zip) enables phi1..phi3, and phi1 (rhs AC) re-enables
-  // phi6..phi9; the closure runs through the AC/zip cycle.
-  std::vector<size_t> closure = graph.ReachableFrom({7});
-  for (size_t expect : {0u, 1u, 2u, 5u, 6u, 7u, 8u}) {
-    EXPECT_NE(std::find(closure.begin(), closure.end(), expect),
-              closure.end())
-        << "rule " << expect;
-  }
-  // phi4/phi5 (type=2 phone rules) are not fed by zip/AC.
-  EXPECT_EQ(std::find(closure.begin(), closure.end(), 3u), closure.end());
-  EXPECT_TRUE(graph.ReachableFrom({}).empty());
-}
-
-TEST_F(DependencyGraphTest, InvalidatedRegionBoundsMasterDeltas) {
-  DependencyGraph graph(rules_);
-  // A master delta on Mphn can rewrite fn and ln (phi4, phi5) and nothing
-  // else — those rules have no successors.
-  AttrSet mphn;
-  mphn.Add(A(rm_, "Mphn"));
-  AttrSet region = graph.InvalidatedRegion(mphn);
-  EXPECT_EQ(region, Attrs(r_, {"fn", "ln"}));
-  // A delta on master zip reaches everything in the AC/zip cycle.
-  AttrSet zip;
-  zip.Add(A(rm_, "zip"));
-  EXPECT_EQ(graph.InvalidatedRegion(zip),
-            Attrs(r_, {"AC", "str", "city", "zip"}));
-  EXPECT_TRUE(graph.InvalidatedRegion(AttrSet{}).Empty());
-}
-
 TEST_F(DependencyGraphTest, PredecessorsMirrorSuccessors) {
   DependencyGraph graph(rules_);
   for (size_t u = 0; u < graph.num_nodes(); ++u) {

@@ -161,44 +161,5 @@ TEST(ExperimentTest, HighNoiseHurtsIncRepMoreThanCertainFix) {
   EXPECT_LE(high.precision_a, low.precision_a + 0.15);
 }
 
-TEST(ExperimentTest, BatchRepairExperimentIsThreadIndependent) {
-  SchemaPtr schema = HospWorkload::MakeSchema();
-  RuleSet rules = HospWorkload::MakeRules(schema);
-  Rng rng(17);
-  Relation master = HospWorkload::MakeMaster(schema, 200, &rng);
-  Rng rng2(9090);
-  Relation non_master = HospWorkload::MakeMaster(schema, 100, &rng2, 1000000);
-  MasterIndex index(rules, master);
-  Saturator sat(rules, master, index);
-
-  AttrSet trusted;
-  trusted.Add(*schema->IndexOf("id"));
-  trusted.Add(*schema->IndexOf("mCode"));
-  ExperimentConfig config;
-  config.num_tuples = 80;
-  config.gen.seed = 5;
-
-  RepairOptions sequential;
-  BatchExperimentResult base = RunBatchRepairExperiment(
-      sat, master, non_master, trusted, config, sequential);
-  EXPECT_EQ(base.num_tuples, 80u);
-  EXPECT_GT(base.repair.tuples_fully_covered, 0u);
-  // Only corrupted cells get touched, and only with certain fixes.
-  EXPECT_EQ(base.precision_a, 1.0);
-  EXPECT_GT(base.tuples_per_second, 0.0);
-
-  RepairOptions parallel;
-  parallel.num_threads = 4;
-  BatchExperimentResult mt = RunBatchRepairExperiment(
-      sat, master, non_master, trusted, config, parallel);
-  EXPECT_EQ(mt.repair.tuples_fully_covered, base.repair.tuples_fully_covered);
-  EXPECT_EQ(mt.repair.cells_changed, base.repair.cells_changed);
-  EXPECT_EQ(mt.f_measure, base.f_measure);
-  ASSERT_EQ(mt.repair.repaired.size(), base.repair.repaired.size());
-  for (size_t i = 0; i < base.repair.repaired.size(); ++i) {
-    EXPECT_EQ(mt.repair.repaired.at(i), base.repair.repaired.at(i));
-  }
-}
-
 }  // namespace
 }  // namespace certfix

@@ -124,11 +124,44 @@ TEST_F(SaturationTest, ChainedFiring) {
 
 TEST_F(SaturationTest, ExcludedSaturationCollectsProposals) {
   Tuple t1 = T1(r_);
-  std::vector<Value> proposals;
+  std::vector<FixMove> proposals;
   sat_->SaturateExcluding(t1, Attrs(r_, {"zip"}), A(r_, "city"),
                           &proposals);
   ASSERT_EQ(proposals.size(), 1u);
-  EXPECT_EQ(proposals[0].as_string(), "Edi");
+  EXPECT_EQ(proposals[0].value.as_string(), "Edi");
+  EXPECT_EQ(rules_.at(proposals[0].rule_idx).name(), "phi3");
+}
+
+TEST(SaturationCrossRoundTest, ConflictNamesBothProposingRules) {
+  // r1 proposes C:=c1 in round 1; r3 proposes C:=d1 once r2 validates B
+  // in round 1. The full saturation applies c1 and never sees d1; only
+  // the C-excluded run collects both, and it must blame r1 and r3, not
+  // the decoy that happens to be rule #0.
+  SchemaPtr schema = Schema::Make(
+      "R", std::vector<std::string>{"A", "B", "C", "D", "E"});
+  Relation dm(schema);
+  ASSERT_TRUE(dm.AppendStrings({"a", "b1", "c1", "d1", "e1"}).ok());
+  Result<RuleSet> rules = ParseRules(R"(
+    rule decoy: (A | A) -> (E | E)
+    rule r1: (A | A) -> (C | C)
+    rule r2: (A | A) -> (B | B)
+    rule r3: (B | B) -> (C | D)
+  )", schema, schema);
+  ASSERT_TRUE(rules.ok()) << rules.status();
+  MasterIndex index(*rules, dm);
+  Saturator sat(*rules, dm, index);
+  Result<Tuple> t = Tuple::FromStrings(schema, {"a", "x", "y", "w", "z"});
+  ASSERT_TRUE(t.ok());
+
+  SaturationResult result = sat.CheckUniqueFix(*t, Attrs(schema, {"A"}));
+  EXPECT_FALSE(result.unique);
+  ASSERT_EQ(result.conflicts.size(), 1u);
+  const FixConflict& c = result.conflicts[0];
+  EXPECT_EQ(c.attr, A(schema, "C"));
+  EXPECT_EQ(c.value_a.as_string(), "c1");
+  EXPECT_EQ(c.value_b.as_string(), "d1");
+  EXPECT_EQ(rules->at(c.rule_a).name(), "r1");
+  EXPECT_EQ(rules->at(c.rule_b).name(), "r3");
 }
 
 TEST_F(SaturationTest, MasterDisagreementIsConflict) {

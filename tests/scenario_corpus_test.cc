@@ -1,7 +1,8 @@
 // Scenario-corpus harness: every checked-in spec under tests/scenarios/
 // (CERTFIX_SCENARIO_DIR) is generated, serialized to its delta-log bytes,
 // and replayed through all three engines, which must agree byte-for-byte
-// with the naive reference engine:
+// with the naive reference engine. Each spec runs as checked in and again
+// with 20x its delta count (the `_x20` cases, at 4 shards only):
 //
 //  * oracle    — positional replay of the log (ApplyDeltaLog), then the
 //                naive reference repair (reference/naive_repair.h: linear
@@ -29,6 +30,7 @@
 #include <cctype>
 #include <filesystem>
 #include <sstream>
+#include <tuple>
 
 #include "core/batch_repair.h"
 #include "incremental/delta_repair.h"
@@ -61,20 +63,26 @@ std::string CsvBytes(const Relation& rel) {
   return out.str();
 }
 
-class ScenarioCorpusTest : public ::testing::TestWithParam<std::string> {};
+// (delta-count multiplier, spec path).
+using CorpusCase = std::tuple<size_t, std::string>;
 
-std::string ParamName(const ::testing::TestParamInfo<std::string>& info) {
-  std::string stem = std::filesystem::path(info.param).stem().string();
+class ScenarioCorpusTest : public ::testing::TestWithParam<CorpusCase> {};
+
+std::string ParamName(const ::testing::TestParamInfo<CorpusCase>& info) {
+  const auto& [scale, path] = info.param;
+  std::string stem = std::filesystem::path(path).stem().string();
   for (char& c : stem) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
-  return stem;
+  return scale == 1 ? stem : stem + "_x" + std::to_string(scale);
 }
 
 TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
-  Result<ScenarioSpec> loaded = LoadScenarioSpecFile(GetParam());
+  const auto& [scale, path] = GetParam();
+  Result<ScenarioSpec> loaded = LoadScenarioSpecFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ScenarioSpec spec = std::move(loaded).ValueOrDie();
+  spec.num_deltas *= scale;
   // Every case, and every --gtest_repeat iteration, gets a fresh shift.
   const uint64_t shift = testing_fixtures::NextPropertySeed(0);
   spec.seed += shift;
@@ -105,7 +113,12 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
   MasterIndex index(sc->rules, *final_master);
   Saturator sat(sc->rules, *final_master, index);
 
-  for (size_t threads : {1, 2, 8}) {
+  // The 20x replays run at one multi-shard count, which keeps the
+  // sanitizer jobs short; the checked-in sizes cover 1, 2 and 8.
+  const std::vector<size_t> shard_counts =
+      scale == 1 ? std::vector<size_t>{1, 2, 8} : std::vector<size_t>{4};
+
+  for (size_t threads : shard_counts) {
     SCOPED_TRACE("batch threads " + std::to_string(threads));
     RepairOptions options;
     options.num_threads = threads;
@@ -115,7 +128,7 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
     EXPECT_EQ(result.memo_hits + result.memo_misses, final_input->size());
   }
 
-  for (size_t shards : {1, 2, 8}) {
+  for (size_t shards : shard_counts) {
     SCOPED_TRACE("shards " + std::to_string(shards));
 
     // Delta engine: consume the serialized log bytes via DeltaLogSource.
@@ -182,7 +195,9 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, ScenarioCorpusTest,
-                         ::testing::ValuesIn(CorpusSpecs()), ParamName);
+                         ::testing::Combine(::testing::Values(1, 20),
+                                            ::testing::ValuesIn(CorpusSpecs())),
+                         ParamName);
 
 // The corpus must stay broad enough to mean something: at least 6 specs,
 // covering skewed popularity, bursty arrival, correlated error clusters,

@@ -7,8 +7,6 @@
 #include "core/batch_repair.h"
 #include "relational/csv.h"
 #include "test_util.h"
-#include "workload/dirty_gen.h"
-#include "workload/hosp.h"
 
 namespace certfix {
 namespace {
@@ -216,38 +214,22 @@ TEST_F(StreamSupplierTest, CsvSinkMatchesBatchWriteCsv) {
 }
 
 TEST(StreamHospTest, MatchesBatchAtScaleAcrossThreadCounts) {
-  SchemaPtr schema = HospWorkload::MakeSchema();
-  RuleSet rules = HospWorkload::MakeRules(schema);
-  Rng rng(9);
-  Relation master = HospWorkload::MakeMaster(schema, 300, &rng);
-  MasterIndex index(rules, master);
-  Saturator sat(rules, master, index);
-
-  AttrSet trusted;
-  trusted.Add(*schema->IndexOf("id"));
-  trusted.Add(*schema->IndexOf("mCode"));
-  DirtyGenOptions gen_options;
-  gen_options.duplicate_rate = 0.6;  // mix of fixable and untouchable rows
-  gen_options.noise_rate = 0.4;
-  gen_options.protected_attrs = trusted;
-  gen_options.seed = 31;
-  Rng rng2(77);
-  Relation non_master = HospWorkload::MakeMaster(schema, 150, &rng2, 500000);
-  DirtyGenerator gen(master, non_master, gen_options);
-
-  Relation dirty(schema);
-  for (const DirtyPair& pair : gen.Generate(101)) {  // odd row count
-    ASSERT_TRUE(dirty.Append(pair.dirty).ok());
-  }
-
-  BatchRepairResult batch = BatchRepair(sat).Repair(dirty, trusted);
-  std::string batch_csv = ToCsv(batch.repaired);
-  for (size_t threads : {1, 2, 8}) {
-    StreamOptions options;
-    options.num_shards = threads;
-    options.queue_capacity = 16;
-    StreamRun run = RunStream(sat, dirty, trusted, options);
-    ExpectMatchesBatch(batch, run, "threads=" + std::to_string(threads));
+  for (const HospDirtyBatch& b : AtScaleHospBatches()) {
+    const std::string label = std::to_string(b.dirty.size()) + " rows";
+    MasterIndex index(b.rules, b.master);
+    Saturator sat(b.rules, b.master, index);
+    BatchRepairResult batch = BatchRepair(sat).Repair(b.dirty, b.trusted);
+    // 16-slot rings keep the small batch under backpressure; the
+    // 2,000-row batch runs through 64-slot rings.
+    const size_t ring = b.dirty.size() < 1000 ? 16 : 64;
+    for (size_t threads : {1, 2, 4, 8}) {
+      StreamOptions options;
+      options.num_shards = threads;
+      options.queue_capacity = ring;
+      StreamRun run = RunStream(sat, b.dirty, b.trusted, options);
+      ExpectMatchesBatch(batch, run,
+                         label + " threads=" + std::to_string(threads));
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #ifndef CERTFIX_TESTS_TEST_UTIL_H_
 #define CERTFIX_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +16,8 @@
 #include "relational/relation.h"
 #include "rules/rule_parser.h"
 #include "rules/rule_set.h"
+#include "workload/dirty_gen.h"
+#include "workload/hosp.h"
 
 namespace certfix {
 namespace testing_fixtures {
@@ -122,6 +126,64 @@ inline AttrId A(const SchemaPtr& schema, const std::string& name) {
   Result<AttrId> id = schema->IndexOf(name);
   assert(id.ok());
   return *id;
+}
+
+/// A generated dirty HOSP batch: the trusted keys {id, mCode} are
+/// protected, every other attribute is noisy.
+struct HospDirtyBatch {
+  SchemaPtr schema;
+  RuleSet rules;
+  AttrSet trusted;
+  Relation master;
+  std::vector<DirtyPair> pairs;  ///< row i of `dirty` is pairs[i].dirty
+  Relation dirty;
+};
+
+/// The batches the at-scale differential tests repair at every shard
+/// count: a mix of fixable and untouchable rows at an odd row count
+/// (|Dm| = 300, 101 rows), then the paper's defaults (d% = 30, n% = 20)
+/// at |Dm| = |D| = 2,000.
+inline std::vector<HospDirtyBatch> AtScaleHospBatches() {
+  struct Shape {
+    size_t master_rows;
+    uint64_t master_seed;
+    size_t non_master_rows;
+    uint64_t non_master_seed;
+    uint64_t non_master_offset;
+    double duplicate_rate;
+    double noise_rate;
+    uint64_t gen_seed;
+    size_t rows;
+  };
+  std::vector<HospDirtyBatch> batches;
+  for (const Shape& shape :
+       {Shape{300, 9, 150, 77, 500000, 0.6, 0.4, 31, 101},
+        Shape{2000, 42, 1000, 1309, 1000000, 0.3, 0.2, 17, 2000}}) {
+    HospDirtyBatch b;
+    b.schema = HospWorkload::MakeSchema();
+    b.rules = HospWorkload::MakeRules(b.schema);
+    b.trusted.Add(*b.schema->IndexOf("id"));
+    b.trusted.Add(*b.schema->IndexOf("mCode"));
+    Rng rng(shape.master_seed);
+    b.master = HospWorkload::MakeMaster(b.schema, shape.master_rows, &rng);
+    Rng rng2(shape.non_master_seed);
+    Relation non_master = HospWorkload::MakeMaster(
+        b.schema, shape.non_master_rows, &rng2, shape.non_master_offset);
+    DirtyGenOptions options;
+    options.duplicate_rate = shape.duplicate_rate;
+    options.noise_rate = shape.noise_rate;
+    options.protected_attrs = b.trusted;
+    options.seed = shape.gen_seed;
+    b.pairs = DirtyGenerator(b.master, non_master, options).Generate(
+        shape.rows);
+    b.dirty = Relation(b.schema);
+    for (const DirtyPair& pair : b.pairs) {
+      Status st = b.dirty.Append(pair.dirty);
+      EXPECT_TRUE(st.ok()) << st;
+    }
+    batches.push_back(std::move(b));
+  }
+  return batches;
 }
 
 /// The CERTFIX_PROPERTY_SEED environment value, or `fallback` when it is

@@ -1,18 +1,10 @@
 #!/usr/bin/env python3
-"""Diff a benchmark JSON against its checked-in baseline with tolerance.
+"""Diff a google-benchmark JSON against its checked-in baseline.
 
-Understands both formats this repo emits:
-
-  * google-benchmark output (BENCH_micro.json): per-benchmark cpu_time is
-    compared by name; a benchmark may be slower than baseline by at most
-    the tolerance factor. New/removed benchmarks are reported but do not
-    fail (the set evolves with the code).
-  * the custom summaries of bench_stream_throughput /
-    bench_incremental_updates: numeric fields are classified by name —
-    `*_per_sec` and `*speedup*` must not fall below baseline/tolerance,
-    `*_seconds` must not exceed baseline*tolerance, and boolean
-    `output_identical` must stay true (that one is a correctness gate,
-    not a perf number, so it ignores the tolerance).
+Per-benchmark cpu_time (bench_micro's BENCH_micro.json) is compared by
+name; a benchmark may be slower than baseline by at most the tolerance
+factor. New/removed benchmarks are reported but do not fail (the set
+evolves with the code).
 
 The default tolerance is deliberately loose (5x): CI runners vary a lot,
 and the diff exists to catch order-of-magnitude regressions (an
@@ -57,50 +49,6 @@ def diff_google_benchmark(current, baseline, tol, failures):
               % (name, c, b, ratio, marker))
 
 
-def classify(key):
-    if key.endswith("_per_sec") or "speedup" in key:
-        return "higher"
-    if key.endswith("_seconds") or key.endswith("_time"):
-        return "lower"
-    return None
-
-
-def diff_custom(current, baseline, tol, failures, prefix=""):
-    for key, bval in baseline.items():
-        if key not in current:
-            print("  note: field removed: %s%s" % (prefix, key))
-            continue
-        cval = current[key]
-        if key == "output_identical":
-            if cval is not True:
-                failures.append("%s%s: output no longer identical"
-                                % (prefix, key))
-            continue
-        if isinstance(bval, dict) and isinstance(cval, dict):
-            diff_custom(cval, bval, tol, failures, prefix + key + ".")
-            continue
-        if isinstance(bval, list) and isinstance(cval, list):
-            for i, (b, c) in enumerate(zip(bval, cval)):
-                if isinstance(b, dict):
-                    diff_custom(c, b, tol, failures,
-                                "%s%s[%d]." % (prefix, key, i))
-            continue
-        kind = classify(key)
-        if kind is None or not isinstance(bval, (int, float)) \
-                or isinstance(bval, bool) or not bval:
-            continue
-        ratio = cval / bval
-        bad = (kind == "higher" and ratio < 1.0 / tol) or \
-              (kind == "lower" and ratio > tol)
-        if bad:
-            failures.append("%s%s: %s vs baseline %s (%s-is-better, "
-                            "%.2fx outside %.1fx tolerance)"
-                            % (prefix, key, cval, bval, kind, ratio, tol))
-        print("  %-45s %12s vs %12s  (%.2fx)%s"
-              % (prefix + key, cval, bval, ratio,
-                 "  <-- FAIL" if bad else ""))
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("current")
@@ -112,10 +60,7 @@ def main():
     failures = []
     print("bench_diff: %s vs %s (tolerance %.1fx)"
           % (args.current, args.baseline, args.tolerance))
-    if "benchmarks" in baseline:
-        diff_google_benchmark(current, baseline, args.tolerance, failures)
-    else:
-        diff_custom(current, baseline, args.tolerance, failures)
+    diff_google_benchmark(current, baseline, args.tolerance, failures)
 
     if failures:
         print("bench_diff: %d regression(s):" % len(failures))
