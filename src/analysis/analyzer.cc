@@ -118,38 +118,6 @@ RulesetReport RulesetAnalyzer::Analyze(const Relation* master, AttrSet trusted,
   return report;
 }
 
-RulesetReport RulesetAnalyzer::AnalyzeWith(const Saturator& sat,
-                                           AttrSet trusted,
-                                           const AnalyzeOptions& opts) const {
-  DependencyGraph graph(*rules_);
-  RuleSetSummary summary(graph, trusted);
-
-  RulesetReport report;
-  report.num_rules = rules_->size();
-  const SchemaPtr& r = rules_->r_schema();
-  for (AttrId a : trusted.ToVector()) report.trusted.push_back(r->attr_name(a));
-  for (AttrId a : summary.closure().Minus(trusted).ToVector()) {
-    report.fixable.push_back(r->attr_name(a));
-  }
-  for (size_t i = 0; i < rules_->size(); ++i) {
-    RuleSummaryRow row;
-    row.rule = rules_->at(i).name();
-    row.reachable = summary.Reachable(i);
-    row.fanout = summary.Fanout(i);
-    row.downstream = summary.Downstream(i).size();
-    report.summary.push_back(std::move(row));
-  }
-
-  CheckSchemaAndTypes(&report);
-  if (report.ok() && !rules_->empty()) {
-    CheckConflicts(sat, trusted, opts, &report);
-  }
-  CheckCycles(graph, &report);
-  CheckStructure(summary, &report);
-  CheckShadowing(&report);
-  return report;
-}
-
 void RulesetAnalyzer::CheckSchemaAndTypes(RulesetReport* report) const {
   const SchemaPtr& r = rules_->r_schema();
   for (size_t i = 0; i < rules_->size(); ++i) {
@@ -463,19 +431,18 @@ void RulesetAnalyzer::CheckConflicts(const Saturator& sat, AttrSet trusted,
   }
 }
 
-Status GateRuleset(const Saturator& sat, AttrSet trusted, AnalyzeMode mode,
-                   const std::string& engine_name) {
+Status GateRuleset(const RuleSet& rules, const Relation& master,
+                   AttrSet trusted, AnalyzeMode mode) {
   if (mode == AnalyzeMode::kOff) return Status::OK();
-  RulesetAnalyzer analyzer(sat.rules());
-  RulesetReport report = analyzer.AnalyzeWith(sat, trusted);
+  RulesetReport report = RulesetAnalyzer(rules).Analyze(&master, trusted);
   for (const Diagnostic& d : report.diagnostics) {
-    CERTFIX_LOG(kWarn) << engine_name << " analyze_first: " << d.ToString();
+    CERTFIX_LOG(kWarn) << "analyze: " << d.ToString();
   }
   if (mode == AnalyzeMode::kStrict && !report.ok()) {
-    const Diagnostic* first = report.FirstError();
     return Status::Inconsistent(
-        engine_name + ": ruleset rejected by analyze_first=strict (" +
-        std::to_string(report.errors()) + " error(s)): " + first->ToString());
+        "ruleset rejected by strict analysis (" +
+        std::to_string(report.errors()) +
+        " error(s)): " + report.FirstError()->ToString());
   }
   return Status::OK();
 }

@@ -5,7 +5,7 @@
 /// (consistency witnesses), DependencyGraph (cycles, reachability),
 /// ZProblems-style closure (dead rules, coverage gaps) — behind one call
 /// producing a RulesetReport of typed diagnostics. Three consumers:
-/// `cli analyze` (human + --json), the engines' analyze_first gate
+/// `cli analyze` (human + --json), the repair commands' `--analyze` gate
 /// (GateRuleset below), and tests.
 ///
 /// The conflict search is a sound restriction of the active-domain
@@ -22,9 +22,6 @@
 #ifndef CERTFIX_ANALYSIS_ANALYZER_H_
 #define CERTFIX_ANALYSIS_ANALYZER_H_
 
-#include <string>
-
-#include "analysis/analyze_mode.h"
 #include "analysis/diagnostics.h"
 #include "analysis/rule_summary.h"
 #include "core/saturation.h"
@@ -60,11 +57,6 @@ class RulesetAnalyzer {
   RulesetReport Analyze(const Relation* master, AttrSet trusted,
                         const AnalyzeOptions& opts = {}) const;
 
-  /// Same analysis reusing a caller-owned saturator (the engines already
-  /// hold one over their (Sigma, Dm)).
-  RulesetReport AnalyzeWith(const Saturator& sat, AttrSet trusted,
-                            const AnalyzeOptions& opts = {}) const;
-
  private:
   void CheckSchemaAndTypes(RulesetReport* report) const;
   void CheckStructure(const RuleSetSummary& summary, RulesetReport* report) const;
@@ -77,14 +69,21 @@ class RulesetAnalyzer {
   SchemaPtr rm_;  ///< expected master schema (never null after ctor)
 };
 
-/// \brief Engine precondition: analyze (sat.rules(), sat.master(), trusted)
-/// under `mode`. kOff returns OK without analyzing; kWarn logs every
-/// diagnostic and returns OK; kStrict additionally returns an Inconsistent
-/// status carrying the first error (witness included) when any
-/// error-severity diagnostic exists. `engine_name` prefixes log lines and
-/// the returned message.
-Status GateRuleset(const Saturator& sat, AttrSet trusted, AnalyzeMode mode,
-                   const std::string& engine_name);
+/// \brief How a repair treats ruleset analysis before it starts.
+///
+///  - kOff:    no analysis; (Sigma, Dm, Z) is trusted as-is.
+///  - kWarn:   analyze, log every diagnostic at warn level, proceed.
+///  - kStrict: analyze; refuse the repair when any error-severity
+///             diagnostic exists, carrying the witness in the Status.
+enum class AnalyzeMode { kOff, kWarn, kStrict };
+
+/// \brief Repair precondition: analyze (rules, master, trusted) under
+/// `mode`, once, before any engine is built. kOff returns OK without
+/// analyzing; kWarn logs every diagnostic and returns OK; kStrict
+/// additionally returns an Inconsistent status carrying the first error
+/// (witness included) when any error-severity diagnostic exists.
+Status GateRuleset(const RuleSet& rules, const Relation& master,
+                   AttrSet trusted, AnalyzeMode mode);
 
 }  // namespace certfix
 

@@ -2,8 +2,8 @@
 /// \brief Typed diagnostics and the RulesetReport emitted by the analyzer.
 ///
 /// The report is the machine-readable contract of `cli analyze --json` and
-/// of the engines' analyze_first gate: diagnostic kinds and the JSON field
-/// layout are stable, golden-tested surface (tests/golden/analyze/).
+/// of the repair commands' `--analyze` gate: diagnostic kinds and the JSON
+/// field layout are stable, golden-tested surface (tests/golden/analyze/).
 
 #ifndef CERTFIX_ANALYSIS_DIAGNOSTICS_H_
 #define CERTFIX_ANALYSIS_DIAGNOSTICS_H_
@@ -40,7 +40,7 @@ enum class DiagnosticKind {
 };
 
 /// \brief How severe a diagnostic is. Errors make a ruleset unusable under
-/// analyze_first=strict; warnings and notes never block a session.
+/// `--analyze strict`; warnings and notes never block a repair.
 enum class DiagnosticSeverity { kError = 0, kWarning = 1, kNote = 2 };
 
 const char* DiagnosticKindName(DiagnosticKind kind);

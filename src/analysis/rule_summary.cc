@@ -7,19 +7,7 @@ RuleSetSummary::RuleSetSummary(const DependencyGraph& graph, AttrSet trusted)
   const RuleSet& rules = graph.rules();
   const size_t n = rules.size();
 
-  closure_ = trusted;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < n; ++i) {
-      const EditingRule& rule = rules.at(i);
-      if (!closure_.Contains(rule.rhs()) &&
-          rule.premise_set().SubsetOf(closure_)) {
-        closure_.Add(rule.rhs());
-        changed = true;
-      }
-    }
-  }
+  closure_ = rules.Closure(trusted);
 
   reachable_.resize(n);
   fanout_.resize(n);

@@ -31,7 +31,7 @@ class RuleSetSummary {
   const AttrSet& trusted() const { return trusted_; }
   /// Schema-level forward closure of Z under Sigma: Z plus every rhs
   /// derivable by repeatedly firing rules whose premises are closed
-  /// (ZProblems::Closure semantics, master data ignored).
+  /// (RuleSet::Closure, master data ignored).
   const AttrSet& closure() const { return closure_; }
 
   /// Whether rule `i` can ever fire from Z: its premise is inside the

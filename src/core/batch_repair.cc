@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/analyzer.h"
 #include "core/shard_repair.h"
 #include "stream/ordered_pipeline.h"
 #include "telemetry/metrics.h"
@@ -11,27 +10,19 @@
 
 namespace certfix {
 
-namespace {
-/// Slots per shard ring (the stream engine's default queue capacity): the
-/// window, shards x this, bounds the rows in flight.
-constexpr size_t kRingCapacity = 256;
-
-/// The shards read rows by the rules' R attribute ids, so `data` must be
-/// over R: the same schema object or an equal one, as for CheckTupleSchema.
-Status CheckSchema(const Relation& data, const SchemaPtr& r) {
-  if (data.schema() == r || data.schema()->Equals(*r)) return Status::OK();
-  return Status::InvalidArgument("BatchRepair: relation schema " +
-                                 data.schema()->name() +
-                                 " does not match the rules' schema " +
-                                 r->name());
-}
-}  // namespace
-
 BatchRepairResult BatchRepair::Repair(const Relation& data,
                                       AttrSet trusted) const {
   using Pipeline = OrderedShardPipeline<size_t, RepairedRow>;
-  Status schema = CheckSchema(data, sat_->rules().r_schema());
-  if (!schema.ok()) throw std::invalid_argument(schema.ToString());
+  // The shards read rows by the rules' R attribute ids, so `data` must be
+  // over R: the same schema object or an equal one, as for
+  // CheckTupleSchema.
+  const SchemaPtr& r = sat_->rules().r_schema();
+  if (data.schema() != r && !data.schema()->Equals(*r)) {
+    throw std::invalid_argument("BatchRepair: relation schema " +
+                                data.schema()->name() +
+                                " does not match the rules' schema " +
+                                r->name());
+  }
   BatchRepairResult result;
   result.repaired = data;
   const size_t num_attrs = data.schema()->num_attrs();
@@ -115,14 +106,6 @@ BatchRepairResult BatchRepair::Repair(const Relation& data,
   reg->GetCounter("batch.memo_hits")->Add(result.memo_hits);
   reg->GetCounter("batch.memo_misses")->Add(result.memo_misses);
   return result;
-}
-
-Result<BatchRepairResult> BatchRepair::RepairChecked(const Relation& data,
-                                                     AttrSet trusted) const {
-  CERTFIX_RETURN_IF_ERROR(CheckSchema(data, sat_->rules().r_schema()));
-  CERTFIX_RETURN_IF_ERROR(
-      GateRuleset(*sat_, trusted, options_.analyze_first, "BatchRepair"));
-  return Repair(data, trusted);
 }
 
 }  // namespace certfix

@@ -36,9 +36,7 @@
 #ifndef CERTFIX_CORE_BATCH_REPAIR_H_
 #define CERTFIX_CORE_BATCH_REPAIR_H_
 
-#include "analysis/analyze_mode.h"
 #include "core/saturation.h"
-#include "util/result.h"
 
 namespace certfix {
 
@@ -47,10 +45,6 @@ struct RepairOptions {
   /// Shard count. 1 = repair on the calling thread; 0 = one shard per
   /// hardware thread. Capped at max(16, 2x hardware) (ResolveShards).
   size_t num_threads = 1;
-  /// Ruleset analysis before repairing (RepairChecked only): off trusts
-  /// (Sigma, Dm, Z) as-is, warn logs analyzer diagnostics, strict refuses
-  /// inconsistent rulesets with the witness in the error (analyzer.h).
-  AnalyzeMode analyze_first = AnalyzeMode::kOff;
 };
 
 /// \brief Outcome of repairing one relation.
@@ -79,15 +73,6 @@ class BatchRepair {
   /// equal one); otherwise throws std::invalid_argument before reading a
   /// row.
   BatchRepairResult Repair(const Relation& data, AttrSet trusted) const;
-
-  /// Repair behind the options' analyze_first gate: returns
-  /// InvalidArgument for a relation of another schema, then runs the
-  /// ruleset analyzer and, under strict, returns Inconsistent (witness in
-  /// the message) instead of repairing when the ruleset has errors. With
-  /// analyze_first = off this is Repair with the schema error as a
-  /// status.
-  Result<BatchRepairResult> RepairChecked(const Relation& data,
-                                          AttrSet trusted) const;
 
   const RepairOptions& options() const { return options_; }
 

@@ -85,22 +85,6 @@ std::optional<PatternTuple> BuildRowForMaster(const RuleSet& rules,
   return std::nullopt;
 }
 
-AttrSet RegionFinder::Closure(AttrSet z) const {
-  const RuleSet& rules = sat_->rules();
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const EditingRule& rule : rules) {
-      if (z.Contains(rule.rhs())) continue;
-      if (rule.premise_set().SubsetOf(z)) {
-        z.Add(rule.rhs());
-        changed = true;
-      }
-    }
-  }
-  return z;
-}
-
 std::vector<AttrId> RegionFinder::CompCRegionZ(
     const CRegionOptions& opts) const {
   const SchemaPtr& schema = sat_->rules().r_schema();
@@ -114,7 +98,7 @@ std::vector<AttrId> RegionFinder::CompCRegionZ(
     for (AttrId a : order) {
       AttrSet z2 = z;
       z2.Remove(a);
-      if (Closure(z2) == all) z = z2;
+      if (sat_->rules().Closure(z2) == all) z = z2;
     }
     if (z.Count() < best.Count()) best = z;
   }
@@ -256,7 +240,7 @@ std::vector<RankedRegion> RegionFinder::ComputeCertainRegions(
     for (AttrId a : order) {
       AttrSet z2 = z;
       z2.Remove(a);
-      if (Closure(z2) == all) z = z2;
+      if (sat_->rules().Closure(z2) == all) z = z2;
     }
     candidates.insert(z);
   }

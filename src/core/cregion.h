@@ -67,9 +67,6 @@ class RegionFinder {
   Region BuildRegion(const std::vector<AttrId>& z, const CRegionOptions& opts,
                      double* coverage_out = nullptr) const;
 
-  /// Schema-level closure under Sigma (shared with ZProblems).
-  AttrSet Closure(AttrSet z) const;
-
  private:
   const Saturator* sat_;
 };

@@ -110,39 +110,4 @@ Result<std::vector<Tuple>> InstantiateRow(const RuleSet& rules,
   return out;
 }
 
-namespace {
-
-Result<bool> ExhaustiveCheck(const Saturator& sat, const Region& region,
-                             size_t max_instances, bool require_certain) {
-  AttrSet z_set = region.z_set();
-  for (const PatternTuple& row : region.tableau().rows()) {
-    CERTFIX_ASSIGN_OR_RETURN(
-        std::vector<Tuple> probes,
-        InstantiateRow(sat.rules(), sat.master(), region.z(), row,
-                       max_instances));
-    for (const Tuple& t : probes) {
-      SaturationResult r = sat.CheckUniqueFix(t, z_set);
-      if (!r.unique) return false;
-      if (require_certain &&
-          r.covered != sat.rules().r_schema()->AllAttrs()) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<bool> ExhaustiveConsistent(const Saturator& sat, const Region& region,
-                                  size_t max_instances) {
-  return ExhaustiveCheck(sat, region, max_instances, /*require_certain=*/false);
-}
-
-Result<bool> ExhaustiveCertainRegion(const Saturator& sat,
-                                     const Region& region,
-                                     size_t max_instances) {
-  return ExhaustiveCheck(sat, region, max_instances, /*require_certain=*/true);
-}
-
 }  // namespace certfix

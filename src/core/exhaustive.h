@@ -1,5 +1,6 @@
 /// \file exhaustive.h
-/// \brief Active-domain machinery and enumeration-based exact checkers.
+/// \brief Active-domain machinery behind the enumeration-based exact
+/// checkers (ConsistencyChecker, CoverageChecker, the ruleset analyzer).
 ///
 /// These mirror the (co)NP algorithms in the proofs of Theorems 1, 2 and 6:
 /// instantiate pattern rows over the active domain of (Sigma, Dm) plus one
@@ -46,16 +47,6 @@ Result<std::vector<Tuple>> InstantiateRow(const RuleSet& rules,
                                           size_t max_instances = 100000,
                                           const std::set<Value>* dom_hint =
                                               nullptr);
-
-/// Exact consistency of (Sigma, Dm) relative to (Z, Tc): every marked tuple
-/// has a unique fix. Enumerates instantiations (general tableaux allowed).
-Result<bool> ExhaustiveConsistent(const Saturator& sat, const Region& region,
-                                  size_t max_instances = 100000);
-
-/// Exact certain-region test: every marked tuple has a *certain* fix.
-Result<bool> ExhaustiveCertainRegion(const Saturator& sat,
-                                     const Region& region,
-                                     size_t max_instances = 100000);
 
 }  // namespace certfix
 

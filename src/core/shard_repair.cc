@@ -23,6 +23,7 @@ bool ShardRepairer::RecycleIfOver(size_t max_values) {
   pool_ = std::make_shared<ValuePool>();
   bridge_ = PoolBridge(pool_.get(), sat_->index().pool().get());
   memo_.Clear();
+  ++recycles_;
   return true;
 }
 

@@ -33,6 +33,11 @@ enum class ShardOutput {
   kChangedRows,    ///< only rows a fix changed (batch)
 };
 
+/// Values a stream or delta shard's pool may hold before it is recycled
+/// (RecycleIfOver, between blocks): keeps a shard's dictionary around a
+/// few MB on string-heavy streams.
+constexpr size_t kShardPoolLimit = size_t{1} << 16;
+
 /// \brief One repaired tuple leaving a shard. Plain values only, so it
 /// can cross to the merge stage's thread.
 struct RepairedRow {
@@ -65,6 +70,8 @@ class alignas(128) ShardRepairer {
   /// rows, so the old pool is freed here. Returns true when it did. Call
   /// between blocks.
   bool RecycleIfOver(size_t max_values);
+  /// How many times RecycleIfOver recycled.
+  uint64_t recycles() const { return recycles_; }
 
   RepairMemo& memo() { return memo_; }
 
@@ -98,6 +105,7 @@ class alignas(128) ShardRepairer {
   RepairMemo memo_;
   std::vector<size_t> first_round_;  ///< rules round 1 probes, per Bind
   std::vector<Tuple> rows_;          ///< staged rows of the current block
+  uint64_t recycles_ = 0;
 };
 
 /// `n` shards repairing trusting `trusted`, bound to `sat`: the shard

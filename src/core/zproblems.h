@@ -52,10 +52,6 @@ class ZProblems {
   /// schema-level closure covers R; the caller validates certainty.
   std::vector<AttrId> MinimumGreedy() const;
 
-  /// Schema-level forward closure of Z under Sigma: repeatedly add rhs of
-  /// rules whose premises are in the closure (master data ignored).
-  AttrSet Closure(AttrSet z) const;
-
   /// Attributes that must belong to every certain-region Z: those not
   /// mentioned in Sigma plus those never appearing as any rule's rhs.
   AttrSet ForcedAttrs() const;

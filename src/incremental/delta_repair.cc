@@ -4,8 +4,8 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "analysis/analyzer.h"
 #include "core/repair_memo.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace certfix {
@@ -37,47 +37,39 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
       schema_(rules.r_schema()),
       master_schema_(rules.rm_schema()),
       trusted_(trusted),
-      options_(options),
       graph_(rules),
       master_(std::move(master)),
       index_(std::make_unique<MasterIndex>(rules, master_)),
       sat_(std::make_unique<Saturator>(rules, master_, *index_)),
-      // The analyze_first gate runs before any worker exists: a strict
-      // rejection leaves the engine inert (no workers) with the verdict
-      // in precheck_status_ — every mutator returns it via CheckLive.
-      precheck_status_(GateRuleset(*sat_, trusted_, options_.analyze_first,
-                                   "DeltaRepairEngine")),
       input_(schema_),
       repaired_(schema_),
-      counts_({{"delta.deltas_applied", &DeltaRepairStats::deltas_applied},
-               {"delta.tuples_repaired", &DeltaRepairStats::tuples_repaired},
-               {"delta.tuples_invalidated",
-                &DeltaRepairStats::tuples_invalidated},
-               {"delta.master_rebuilds", &DeltaRepairStats::master_rebuilds},
-               {"delta.noop_updates", &DeltaRepairStats::noop_updates},
-               {"delta.memo_hits", &DeltaRepairStats::memo_hits},
-               {"delta.memo_misses", &DeltaRepairStats::memo_misses},
-               {"delta.pool_recycles", &DeltaRepairStats::pool_recycles},
-               {"delta.fully_covered", &DeltaRepairStats::fully_covered, true},
-               {"delta.partial", &DeltaRepairStats::partial, true},
-               {"delta.untouched", &DeltaRepairStats::untouched, true},
-               {"delta.conflicting", &DeltaRepairStats::conflicting, true},
-               {"delta.cells_changed", &DeltaRepairStats::cells_changed,
-                true}}),
-      shards_(MakeShards(ResolveShards(options_.num_shards), *sat_, trusted_)),
+      shards_(MakeShards(ResolveShards(options.num_shards), *sat_, trusted_)),
       // One shard repairs inline on the caller's thread (zero workers).
-      pipeline_(precheck_status_.ok() && shards_.size() > 1 ? shards_.size()
-                                                            : 0,
-                options_.queue_capacity,
+      pipeline_(shards_.size() > 1 ? shards_.size() : 0, kRingCapacity,
                 [this](size_t ring, std::vector<Pipeline::Ticket>& block,
                        const Pipeline::Emit& emit) {
                   RepairShardBlock(ring, block, emit);
                 },
                 [this](uint64_t, Done& done) { ApplyResult(done); },
-                "delta.merge") {}
+                "delta.merge") {
+  // Every instrument stats() mirrors exists from construction, so the
+  // registry lists the ones still at zero too.
+  telemetry::Registry* reg = telemetry::Registry::Global();
+  for (const char* name :
+       {"delta.deltas_applied", "delta.tuples_repaired",
+        "delta.tuples_invalidated", "delta.master_rebuilds",
+        "delta.noop_updates", "delta.memo_hits", "delta.memo_misses",
+        "delta.pool_recycles"}) {
+    reg->GetCounter(name);
+  }
+  for (const char* name : {"delta.fully_covered", "delta.partial",
+                           "delta.untouched", "delta.conflicting",
+                           "delta.cells_changed"}) {
+    reg->GetGauge(name);
+  }
+}
 
 Status DeltaRepairEngine::CheckLive() {
-  if (!precheck_status_.ok()) return precheck_status_;
   if (pipeline_.failed()) {
     return Status::Internal(
         "delta engine worker failed; Flush() rethrows the cause");
@@ -90,6 +82,7 @@ Status DeltaRepairEngine::CheckLive() {
 
 Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   CERTFIX_SPAN("delta.ingest");
+  ++counts_.tuples_repaired;
   CERTFIX_TL_COUNTER("delta.tuples_repaired")->Increment();
   Job job;
   job.slot = slot;
@@ -109,7 +102,7 @@ void DeltaRepairEngine::RepairShardBlock(
     const Pipeline::Emit& emit) {
   CERTFIX_SPAN("delta.shard_repair");
   ShardRepairer& shard = shards_[ring];
-  if (shard.RecycleIfOver(options_.pool_recycle_values)) {
+  if (shard.RecycleIfOver(kShardPoolLimit)) {
     CERTFIX_TL_COUNTER("delta.pool_recycles")->Increment();
   }
   shard.RepairBlock(
@@ -122,7 +115,8 @@ void DeltaRepairEngine::RepairShardBlock(
       });
 }
 
-void DeltaRepairEngine::AddClass(uint8_t cls, int delta) {
+void DeltaRepairEngine::AddClass(uint8_t cls, int64_t delta) {
+  live_class_[cls] += delta;
   switch (static_cast<FixClass>(cls)) {
     case FixClass::kFullyCovered:
       CERTFIX_TL_GAUGE("delta.fully_covered")->Add(delta);
@@ -137,6 +131,11 @@ void DeltaRepairEngine::AddClass(uint8_t cls, int delta) {
       CERTFIX_TL_GAUGE("delta.conflicting")->Add(delta);
       break;
   }
+}
+
+void DeltaRepairEngine::AddCells(int64_t delta) {
+  live_cells_ += delta;
+  CERTFIX_TL_GAUGE("delta.cells_changed")->Add(delta);
 }
 
 void DeltaRepairEngine::UnregisterProbes(uint32_t slot) {
@@ -155,6 +154,7 @@ void DeltaRepairEngine::ApplyResult(Done& done) {
   RepairedRow& r = done.row;
   // Memo tallies count every finished repair, even one whose slot died
   // in flight — they measure saturation work saved, not live state.
+  ++(r.memo_hit ? counts_.memo_hits : counts_.memo_misses);
   if (r.memo_hit) {
     CERTFIX_TL_COUNTER("delta.memo_hits")->Increment();
   } else {
@@ -180,8 +180,7 @@ void DeltaRepairEngine::ApplyResult(Done& done) {
   if (slot_class_[slot] != kPendingClass) AddClass(slot_class_[slot], -1);
   slot_class_[slot] = static_cast<uint8_t>(r.report.kind);
   AddClass(slot_class_[slot], +1);
-  CERTFIX_TL_GAUGE("delta.cells_changed")
-      ->Add(static_cast<int64_t>(r.report.cells_changed) - slot_cells_[slot]);
+  AddCells(static_cast<int64_t>(r.report.cells_changed) - slot_cells_[slot]);
   slot_cells_[slot] = static_cast<uint32_t>(r.report.cells_changed);
 }
 
@@ -206,6 +205,7 @@ Status DeltaRepairEngine::EnsureIndexFresh() {
   // touches a shard while this thread rebinds it and flushes its memo.
   index_ = std::make_unique<MasterIndex>(*rules_, master_);
   sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
+  ++counts_.master_rebuilds;
   CERTFIX_TL_COUNTER("delta.master_rebuilds")->Increment();
   index_stale_ = false;
   for (ShardRepairer& shard : shards_) {
@@ -215,6 +215,7 @@ Status DeltaRepairEngine::EnsureIndexFresh() {
   pending_memo_flush_.clear();
   std::vector<uint32_t> dirty(dirty_slots_.begin(), dirty_slots_.end());
   dirty_slots_.clear();
+  counts_.tuples_invalidated += dirty.size();
   CERTFIX_TL_COUNTER("delta.tuples_invalidated")->Add(dirty.size());
   for (uint32_t slot : dirty) {
     CERTFIX_RETURN_IF_ERROR(EnqueueRepair(slot));
@@ -236,6 +237,7 @@ Status DeltaRepairEngine::Insert(const Tuple& t) {
     slot_cells_.push_back(0);
   }
   order_.push_back(slot);
+  ++counts_.deltas_applied;
   CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return EnqueueRepair(slot);
 }
@@ -253,10 +255,12 @@ Status DeltaRepairEngine::Update(size_t pos, const Tuple& t) {
   CERTFIX_RETURN_IF_ERROR(EnsureIndexFresh());
   uint32_t slot = order_[pos];
   AttrSet changed = input_.UpdateRow(slot, t);
+  ++counts_.deltas_applied;
   CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   if (changed.Empty()) {
     // Cell-level dirty tracking: the row is byte-identical, its repair is
     // still exact — nothing to invalidate.
+    ++counts_.noop_updates;
     CERTFIX_TL_COUNTER("delta.noop_updates")->Increment();
     return Status::OK();
   }
@@ -277,11 +281,11 @@ Status DeltaRepairEngine::Delete(size_t pos) {
     std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     UnregisterProbes(slot);
     if (slot_class_[slot] != kPendingClass) AddClass(slot_class_[slot], -1);
-    CERTFIX_TL_GAUGE("delta.cells_changed")
-        ->Add(-static_cast<int64_t>(slot_cells_[slot]));
+    AddCells(-static_cast<int64_t>(slot_cells_[slot]));
     slot_cells_[slot] = 0;
     slot_class_[slot] = kDeadClass;
   }
+  ++counts_.deltas_applied;
   CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
@@ -325,6 +329,7 @@ Status DeltaRepairEngine::MasterInsert(const Tuple& t) {
     InvalidateMasterRow(master_.size() - 1, every);
   }
   index_stale_ = true;
+  ++counts_.deltas_applied;
   CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
@@ -346,8 +351,10 @@ Status DeltaRepairEngine::MasterUpdate(size_t pos, const Tuple& t) {
     AttrId attr = static_cast<AttrId>(a);
     if (master_.Cell(pos, attr) != t.at(attr)) changed.Add(attr);
   }
+  ++counts_.deltas_applied;
   CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   if (changed.Empty()) {
+    ++counts_.noop_updates;
     CERTFIX_TL_COUNTER("delta.noop_updates")->Increment();
     return Status::OK();
   }
@@ -394,6 +401,7 @@ Status DeltaRepairEngine::MasterDelete(size_t pos) {
   }
   master_ = std::move(next);
   index_stale_ = true;
+  ++counts_.deltas_applied;
   CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
@@ -473,10 +481,20 @@ std::vector<size_t> DeltaRepairEngine::ConflictPositions() {
 }
 
 DeltaRepairStats DeltaRepairEngine::stats() {
-  Flush();
-  DeltaRepairStats s;
-  counts_.Fill(&s);
+  Flush();  // drained: no worker touches a shard or applies a result
+  DeltaRepairStats s = counts_;
+  auto live = [this](FixClass cls) {
+    return static_cast<uint64_t>(live_class_[static_cast<size_t>(cls)]);
+  };
   s.rows = order_.size();
+  s.fully_covered = live(FixClass::kFullyCovered);
+  s.partial = live(FixClass::kPartial);
+  s.untouched = live(FixClass::kUntouched);
+  s.conflicting = live(FixClass::kConflicting);
+  s.cells_changed = static_cast<uint64_t>(live_cells_);
+  for (const ShardRepairer& shard : shards_) {
+    s.pool_recycles += shard.recycles();
+  }
   s.max_reorder = pipeline_.max_reorder();
   telemetry::Registry::Global()
       ->GetMaxGauge("delta.max_reorder")

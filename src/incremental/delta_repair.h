@@ -49,8 +49,8 @@
 ///
 /// Memory: deleted rows leave tombstoned slots in the backing store (live
 /// order is an indirection vector); a long-lived engine under heavy churn
-/// grows with total inserts, not live rows. Shard pools recycle as in the
-/// streaming engine.
+/// grows with total inserts, not live rows. Shard pools recycle past
+/// kShardPoolLimit values, as in the streaming engine.
 ///
 /// Threading contract for callers: all public methods must be called from
 /// one thread (the mutation stream is inherently ordered). Shard workers
@@ -60,19 +60,18 @@
 #define CERTFIX_INCREMENTAL_DELTA_REPAIR_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/analyze_mode.h"
 #include "core/dependency_graph.h"
 #include "core/master_index.h"
 #include "core/shard_repair.h"
 #include "stream/delta_source.h"
 #include "stream/ordered_pipeline.h"
-#include "telemetry/metrics.h"
 
 namespace certfix {
 
@@ -81,19 +80,13 @@ struct DeltaRepairOptions {
   /// Shard-worker count. 1 = inline sequential repair (the differential
   /// reference); 0 = one per hardware thread.
   size_t num_shards = 1;
-  /// Slots per shard ring; also sizes the in-flight admission window.
-  size_t queue_capacity = 256;
-  /// Recycle a shard's ValuePool once it exceeds this many values.
-  size_t pool_recycle_values = 1u << 16;
-  /// Ruleset analysis at construction (analysis/analyzer.h): warn logs
-  /// every diagnostic and proceeds; strict refuses the session — every
-  /// mutator returns the Inconsistent verdict (conflict witness included).
-  AnalyzeMode analyze_first = AnalyzeMode::kOff;
 };
 
 /// \brief Counters. The live-state fields (rows..cells_changed) mirror
 /// BatchRepairResult over the currently maintained relation; the activity
-/// fields measure how much work the mutation stream actually caused.
+/// fields measure how much work the mutation stream actually caused this
+/// engine. The same counts also go to the `delta.*` instruments of the
+/// telemetry registry that is Global(), summed over every engine.
 struct DeltaRepairStats {
   uint64_t deltas_applied = 0;     ///< mutations accepted
   uint64_t tuples_repaired = 0;    ///< RepairOneTuple runs (incl. loads)
@@ -178,11 +171,6 @@ class DeltaRepairEngine {
   /// Counter snapshot (flushes first so live-state fields are exact).
   DeltaRepairStats stats();
 
-  /// The analyze_first verdict from construction. OK unless the options
-  /// asked for strict analysis and the ruleset was rejected, in which
-  /// case every mutator returns this status (witness in the message).
-  const Status& precheck_status() const { return precheck_status_; }
-
  private:
   // Slot classification: FixClass values 0..3, plus pending (enqueued,
   // not yet applied) and dead (deleted).
@@ -201,6 +189,7 @@ class DeltaRepairEngine {
   };
   using Pipeline = OrderedShardPipeline<Job, Done>;
 
+  /// Internal once a worker failed; Flush() rethrows the cause.
   Status CheckLive();
   /// Rebuilds MasterIndex/Saturator if a master delta staled them,
   /// rebinds every shard and flushes its memo, then enqueues re-repairs
@@ -217,20 +206,21 @@ class DeltaRepairEngine {
   /// Marks every live slot that probed `row`'s key under one of
   /// `rule_idxs` dirty. Caller holds the merge lock.
   void InvalidateMasterRow(size_t row, const std::vector<size_t>& rule_idxs);
-  void AddClass(uint8_t cls, int delta);
+  /// Moves the live tallies of class `cls` or of changed cells by
+  /// `delta`, here and in the registry gauge. Caller holds the merge lock.
+  void AddClass(uint8_t cls, int64_t delta);
+  void AddCells(int64_t delta);
 
   const RuleSet* rules_;
   SchemaPtr schema_;
   SchemaPtr master_schema_;
   AttrSet trusted_;
-  DeltaRepairOptions options_;
   DependencyGraph graph_;
 
   Relation master_;
   std::unique_ptr<MasterIndex> index_;
   std::unique_ptr<Saturator> sat_;
   bool index_stale_ = false;
-  Status precheck_status_;  ///< strict analyze_first verdict
 
   /// Slot stores: append-only; order_ holds the live slots in visible
   /// order. input_ is written by the caller thread only; repaired_ and the
@@ -250,7 +240,13 @@ class DeltaRepairEngine {
   /// shard memo at the next rebuild. Caller thread only.
   std::vector<uint64_t> pending_memo_flush_;
 
-  telemetry::RegistryDiff<DeltaRepairStats> counts_;
+  /// This engine's activity counters (deltas_applied..master_rebuilds
+  /// and noop_updates on the caller thread, memo tallies under the merge
+  /// lock) and its live tallies per FixClass and of changed cells (under
+  /// the merge lock).
+  DeltaRepairStats counts_;
+  std::array<int64_t, 4> live_class_{};
+  int64_t live_cells_ = 0;
   /// One per ring. Workers use shard r only inside step(r, ...); the
   /// caller touches them only at the rebuild, with the pipeline drained.
   std::vector<ShardRepairer> shards_;

@@ -57,7 +57,7 @@
 namespace certfix {
 
 struct DurableOptions {
-  /// Engine knobs (shards, rings, analysis) used by the in-memory engine.
+  /// The in-memory engine's shard count.
   DeltaRepairOptions engine;
   /// Auto-rotate the snapshot after this many WAL appends; 0 = only on
   /// explicit WriteSnapshot() (the WAL then grows without bound).
@@ -122,6 +122,7 @@ class DurableSession {
 
   DeltaRepairEngine& engine() { return *engine_; }
   const RuleSet& rules() const { return *rules_; }
+  AttrSet trusted() const { return trusted_; }
   const RecoveryInfo& recovery() const { return recovery_; }
   uint64_t records_since_snapshot() const { return records_since_snapshot_; }
   uint64_t snapshot_id() const { return snapshot_id_; }

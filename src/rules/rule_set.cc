@@ -39,6 +39,20 @@ AttrSet RuleSet::MentionedAttrs() const {
   return s;
 }
 
+AttrSet RuleSet::Closure(AttrSet z) const {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const EditingRule& rule : rules_) {
+      if (!z.Contains(rule.rhs()) && rule.premise_set().SubsetOf(z)) {
+        z.Add(rule.rhs());
+        changed = true;
+      }
+    }
+  }
+  return z;
+}
+
 std::vector<Value> RuleSet::PatternConstants() const {
   std::set<Value> seen;
   for (const auto& r : rules_) {

@@ -35,6 +35,10 @@ class RuleSet {
   AttrSet PatternUnion() const;
   /// All R attributes mentioned anywhere in Sigma (Z_Sigma of Prop 15).
   AttrSet MentionedAttrs() const;
+  /// Schema-level closure of `z`: z plus every rhs(phi) whose premise
+  /// X + Xp is (transitively) inside it. Master data is ignored, so this
+  /// over-approximates what a concrete tuple can get fixed.
+  AttrSet Closure(AttrSet z) const;
 
   /// Constants appearing in rule patterns.
   std::vector<Value> PatternConstants() const;

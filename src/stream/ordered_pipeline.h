@@ -73,6 +73,10 @@ inline size_t DefaultParallelism() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
+/// Slots per shard ring in every engine: the window, shards x this, bounds
+/// the jobs in flight and the reorder ring.
+constexpr size_t kRingCapacity = 256;
+
 /// Shard count for a requested one: 0 = one per hardware thread, capped
 /// at max(16, 2x hardware) so an absurd request cannot exhaust OS
 /// threads. The cap never changes output, only routing.

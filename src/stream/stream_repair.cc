@@ -1,8 +1,6 @@
 #include "stream/stream_repair.h"
 
-#include <stdexcept>
-
-#include "analysis/analyzer.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace certfix {
@@ -10,32 +8,12 @@ namespace certfix {
 StreamRepairEngine::StreamRepairEngine(const Saturator& sat, AttrSet trusted,
                                        StreamSink* sink,
                                        StreamOptions options)
-    : sat_(&sat),
-      schema_(sat.rules().r_schema()),
+    : schema_(sat.rules().r_schema()),
       trusted_(trusted),
       trusted_attrs_(trusted.ToVector()),
       sink_(sink),
-      options_(options),
-      counts_({{"stream.tuples_in", &StreamSnapshot::tuples_in},
-               {"stream.tuples_out", &StreamSnapshot::tuples_out},
-               {"stream.fully_covered", &StreamSnapshot::fully_covered},
-               {"stream.partial", &StreamSnapshot::partial},
-               {"stream.untouched", &StreamSnapshot::untouched},
-               {"stream.conflicting", &StreamSnapshot::conflicting},
-               {"stream.cells_changed", &StreamSnapshot::cells_changed},
-               {"stream.backpressure_waits",
-                &StreamSnapshot::backpressure_waits},
-               {"stream.pool_recycles", &StreamSnapshot::pool_recycles},
-               {"stream.memo_hits", &StreamSnapshot::memo_hits},
-               {"stream.memo_misses", &StreamSnapshot::memo_misses}}),
-      // The analyze_first gate runs before any worker exists: a strict
-      // rejection leaves the engine inert (no workers) with the verdict
-      // in precheck_status_ — Push refuses, Finish throws it.
-      precheck_status_(GateRuleset(sat, trusted_, options_.analyze_first,
-                                   "StreamRepairEngine")),
-      shards_(MakeShards(ResolveShards(options_.num_shards), sat, trusted_)),
-      pipeline_(precheck_status_.ok() ? shards_.size() : 0,
-                options_.queue_capacity,
+      shards_(MakeShards(ResolveShards(options.num_shards), sat, trusted_)),
+      pipeline_(shards_.size(), kRingCapacity,
                 [this](size_t ring, std::vector<Pipeline::Ticket>& block,
                        const Pipeline::Emit& emit) {
                   RepairShardBlock(ring, block, emit);
@@ -45,7 +23,6 @@ StreamRepairEngine::StreamRepairEngine(const Saturator& sat, AttrSet trusted,
 
 bool StreamRepairEngine::Submit(std::vector<Value> values) {
   CERTFIX_SPAN("stream.ingest");
-  if (!precheck_status_.ok()) return false;
   // FNV-1a over the master-key (trusted) cell hashes: tuples of one
   // entity land on one shard, so its repeats meet that shard's memo.
   // Routing never affects output — the merge stage orders by seq — so
@@ -61,7 +38,7 @@ bool StreamRepairEngine::Submit(std::vector<Value> values) {
     return h;
   };
   if (!pipeline_.Submit(std::move(values), route)) return false;
-  CERTFIX_TL_COUNTER("stream.tuples_in")->Increment();
+  tuples_in_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -90,7 +67,6 @@ Status StreamRepairEngine::PushStrings(
         Value::Parse(fields[a], schema_->attr_type(static_cast<AttrId>(a))));
   }
   if (!Submit(std::move(values))) {
-    if (!precheck_status_.ok()) return precheck_status_;
     return Status::Internal("stream engine is finished or failed");
   }
   return Status::OK();
@@ -103,9 +79,7 @@ void StreamRepairEngine::RepairShardBlock(
   ShardRepairer& shard = shards_[ring];
   // Once per block, before any row is staged: the budget may overshoot
   // by at most one block of values.
-  if (shard.RecycleIfOver(options_.pool_recycle_values)) {
-    CERTFIX_TL_COUNTER("stream.pool_recycles")->Increment();
-  }
+  shard.RecycleIfOver(kShardPoolLimit);
   shard.RepairBlock(
       block.size(),
       [&block](size_t j) -> std::vector<Value>& { return block[j].job; },
@@ -121,47 +95,52 @@ void StreamRepairEngine::EmitRecord(uint64_t seq, RepairedRow& row) {
     CERTFIX_SPAN("stream.sink");
     sink_->Emit(record);
   }
-  CERTFIX_TL_COUNTER("stream.tuples_out")->Increment();
-  CERTFIX_TL_COUNTER("stream.cells_changed")->Add(row.report.cells_changed);
+  ++counts_.tuples_out;
+  counts_.cells_changed += row.report.cells_changed;
   switch (row.report.kind) {
     case FixClass::kFullyCovered:
-      CERTFIX_TL_COUNTER("stream.fully_covered")->Increment();
+      ++counts_.fully_covered;
       break;
     case FixClass::kPartial:
-      CERTFIX_TL_COUNTER("stream.partial")->Increment();
+      ++counts_.partial;
       break;
     case FixClass::kUntouched:
-      CERTFIX_TL_COUNTER("stream.untouched")->Increment();
+      ++counts_.untouched;
       break;
     case FixClass::kConflicting:
-      CERTFIX_TL_COUNTER("stream.conflicting")->Increment();
+      ++counts_.conflicting;
       break;
   }
-  if (row.memo_hit) {
-    CERTFIX_TL_COUNTER("stream.memo_hits")->Increment();
-  } else {
-    CERTFIX_TL_COUNTER("stream.memo_misses")->Increment();
-  }
+  ++(row.memo_hit ? counts_.memo_hits : counts_.memo_misses);
 }
 
 StreamSnapshot StreamRepairEngine::Finish() {
-  if (!precheck_status_.ok()) {
-    throw std::runtime_error(precheck_status_.ToString());
-  }
   if (!finished_) {
     finished_ = true;
-    pipeline_.Close();
-    CERTFIX_TL_COUNTER("stream.backpressure_waits")
-        ->Add(pipeline_.backpressure_waits());
+    pipeline_.Close();  // joins the workers: counts_ is final
+    StreamSnapshot& s = counts_;
+    s.tuples_in = tuples_in_.load(std::memory_order_relaxed);
+    s.backpressure_waits = pipeline_.backpressure_waits();
+    s.max_reorder = pipeline_.max_reorder();
+    for (const ShardRepairer& shard : shards_) {
+      s.pool_recycles += shard.recycles();
+    }
+    telemetry::Registry* reg = telemetry::Registry::Global();
+    reg->GetCounter("stream.tuples_in")->Add(s.tuples_in);
+    reg->GetCounter("stream.tuples_out")->Add(s.tuples_out);
+    reg->GetCounter("stream.fully_covered")->Add(s.fully_covered);
+    reg->GetCounter("stream.partial")->Add(s.partial);
+    reg->GetCounter("stream.untouched")->Add(s.untouched);
+    reg->GetCounter("stream.conflicting")->Add(s.conflicting);
+    reg->GetCounter("stream.cells_changed")->Add(s.cells_changed);
+    reg->GetCounter("stream.backpressure_waits")->Add(s.backpressure_waits);
+    reg->GetCounter("stream.pool_recycles")->Add(s.pool_recycles);
+    reg->GetCounter("stream.memo_hits")->Add(s.memo_hits);
+    reg->GetCounter("stream.memo_misses")->Add(s.memo_misses);
+    reg->GetMaxGauge("stream.max_reorder")->Note(s.max_reorder);
   }
   pipeline_.Drain();  // rethrows the first worker exception, once
-  StreamSnapshot s;
-  counts_.Fill(&s);
-  s.max_reorder = pipeline_.max_reorder();
-  telemetry::Registry::Global()
-      ->GetMaxGauge("stream.max_reorder")
-      ->Note(s.max_reorder);
-  return s;
+  return counts_;
 }
 
 }  // namespace certfix

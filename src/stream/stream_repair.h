@@ -15,12 +15,13 @@
 /// to BatchRepair over the same rows, because both engines run the same
 /// RepairOneTuple (core/repair_tuple.h).
 ///
-/// Bounded memory: the per-shard rings are fixed-capacity, admission is
-/// gated by an in-flight window of `num_shards * queue_capacity` tuples
-/// (Push blocks — backpressure — until the merge stage catches up), so
-/// the reorder buffer can never exceed the window; and each shard's
-/// ValuePool is recycled once it outgrows `pool_recycle_values`, so an
-/// unbounded stream of distinct values cannot grow a dictionary forever.
+/// Bounded memory: the per-shard rings hold kRingCapacity tuples each,
+/// admission is gated by an in-flight window of `num_shards *
+/// kRingCapacity` tuples (Push blocks — backpressure — until the merge
+/// stage catches up), so the reorder buffer can never exceed the window;
+/// and each shard's ValuePool is recycled once it outgrows
+/// kShardPoolLimit values, so an unbounded stream of distinct values
+/// cannot grow a dictionary forever.
 ///
 /// Single-writer pool contract (value_pool.h): the master pool is shared
 /// read-only; each shard worker interns into its own pool, probing the
@@ -31,20 +32,20 @@
 ///
 /// Threading contract for callers: Push/PushStrings may be called from
 /// multiple producer threads, but Finish must not run concurrently with
-/// any Push. Sinks are called serialized, in order (sink.h). The engine
-/// reports to the telemetry registry that is Global() while it lives.
+/// any Push. Sinks are called serialized, in order (sink.h). The first
+/// Finish() adds the engine's counters to the telemetry registry that is
+/// Global() then.
 
 #ifndef CERTFIX_STREAM_STREAM_REPAIR_H_
 #define CERTFIX_STREAM_STREAM_REPAIR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
-#include "analysis/analyze_mode.h"
 #include "core/shard_repair.h"
 #include "stream/ordered_pipeline.h"
 #include "stream/sink.h"
-#include "telemetry/metrics.h"
 #include "util/status.h"
 
 namespace certfix {
@@ -72,19 +73,6 @@ struct StreamOptions {
   /// max(16, 2x hardware) (ResolveShards) — the cap never changes output,
   /// only routing.
   size_t num_shards = 1;
-  /// Slots per shard ring; also sizes the in-flight window
-  /// (num_shards * queue_capacity). At least 1.
-  size_t queue_capacity = 256;
-  /// Recycle a shard's ValuePool once it holds more than this many
-  /// interned values. 0 recycles after every tuple (pathological but
-  /// legal); the default keeps a shard's dictionary around a few MB on
-  /// string-heavy streams.
-  size_t pool_recycle_values = 1u << 16;
-  /// Ruleset analysis at construction (analysis/analyzer.h): warn logs
-  /// every diagnostic and proceeds; strict refuses the session — no
-  /// workers are spawned, Push returns false, PushStrings and Finish
-  /// surface the Inconsistent status with the conflict witness.
-  AnalyzeMode analyze_first = AnalyzeMode::kOff;
 };
 
 /// \brief Long-lived online repair engine.
@@ -116,15 +104,10 @@ class StreamRepairEngine {
   Status PushStrings(const std::vector<std::string>& fields);
 
   /// Closes ingress, drains every ring, joins the workers, and returns
-  /// the final counters. Rethrows the first worker exception, once; on an
-  /// engine the strict analysis refused, throws the refusal every time.
-  /// Idempotent otherwise; must not race with Push.
+  /// this engine's counters; the first call also adds them to the
+  /// registry. Rethrows the first worker exception, once. Idempotent
+  /// otherwise; must not race with Push.
   StreamSnapshot Finish();
-
-  /// The analyze_first verdict from construction. OK unless the options
-  /// asked for strict analysis and the ruleset was rejected, in which
-  /// case the engine accepts no tuples and this carries the witness.
-  const Status& precheck_status() const { return precheck_status_; }
 
   size_t num_shards() const { return pipeline_.num_workers(); }
   const SchemaPtr& schema() const { return schema_; }
@@ -138,14 +121,14 @@ class StreamRepairEngine {
                         const Pipeline::Emit& emit);
   void EmitRecord(uint64_t seq, RepairedRow& row);  ///< in-order apply
 
-  const Saturator* sat_;
   SchemaPtr schema_;
   AttrSet trusted_;
   std::vector<AttrId> trusted_attrs_;   ///< routing key, ascending
   StreamSink* sink_;
-  StreamOptions options_;
-  telemetry::RegistryDiff<StreamSnapshot> counts_;
-  Status precheck_status_;              ///< strict analyze_first verdict
+  std::atomic<uint64_t> tuples_in_{0};  ///< producers may push concurrently
+  /// Written by EmitRecord under the merge lock; the rest is filled in
+  /// once the first Finish() has joined the workers.
+  StreamSnapshot counts_;
   bool finished_ = false;
   std::vector<ShardRepairer> shards_;   ///< one per ring
   Pipeline pipeline_;                   ///< last: its workers use the above

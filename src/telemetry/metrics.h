@@ -37,12 +37,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "telemetry/clock.h"
 
@@ -224,47 +222,9 @@ class ScopedRegistry {
   Registry* prev_;
 };
 
-/// \brief One engine instance's view of registry instruments as a plain
-/// snapshot struct S. A table names the counter or gauge behind each
-/// uint64_t field of S; construction resolves those instruments in the
-/// registry that is Global() then and records their values, and Fill()
-/// writes what each gained since. So an engine reports only its own
-/// activity while the same instruments aggregate across every engine in
-/// the process. The engine must record into that same registry.
-template <typename S>
-class RegistryDiff {
- public:
-  struct Field {
-    const char* name;
-    uint64_t S::*field;
-    bool gauge = false;  ///< a signed Gauge (a level that also falls)
-  };
-
-  explicit RegistryDiff(std::initializer_list<Field> table)
-      : registry_(Registry::Global()), table_(table) {
-    for (const Field& f : table_) base_.*f.field = Read(f);
-  }
-
-  /// Sets every field the table names to its instrument's gain.
-  void Fill(S* out) const {
-    for (const Field& f : table_) out->*f.field = Read(f) - base_.*f.field;
-  }
-
- private:
-  uint64_t Read(const Field& f) const {
-    return f.gauge ? static_cast<uint64_t>(registry_->GetGauge(f.name)->Value())
-                   : registry_->GetCounter(f.name)->Value();
-  }
-
-  Registry* registry_;
-  std::vector<Field> table_;
-  S base_;  ///< instrument values at construction
-};
-
 /// Master switch for clock-touching instrumentation (ScopedLatency,
-/// spans). Counters and gauges are NOT gated: CLI summaries and engine
-/// snapshots are built on them and must stay exact either way. Default
-/// on; `--no-telemetry` turns it off.
+/// spans). Counters and gauges are NOT gated: `--metrics-json` must
+/// stay exact either way. Default on; `--no-telemetry` turns it off.
 bool Enabled();
 void SetEnabled(bool on);
 

@@ -1,7 +1,5 @@
 #include "tools/cli.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -104,13 +102,12 @@ void Usage(std::ostream& err) {
       << "  repair-stream\n"
       << "          --master M.csv --rules R.rules --input D.csv\n"
       << "          --trusted a,b [--output OUT.csv] [--threads N]\n"
-      << "          [--queue-capacity N] [--analyze off|warn|strict]\n"
-      << "          [telemetry flags]\n"
+      << "          [--analyze off|warn|strict] [telemetry flags]\n"
       << "  repair-deltas\n"
       << "          --master M.csv --rules R.rules --input D.csv\n"
       << "          --deltas D.deltas --trusted a,b [--output OUT.csv]\n"
-      << "          [--threads N] [--queue-capacity N]\n"
-      << "          [--analyze off|warn|strict] [telemetry flags]\n"
+      << "          [--threads N] [--analyze off|warn|strict]\n"
+      << "          [telemetry flags]\n"
       << "          [--wal DIR] [--snapshot-every N] [--no-compress]\n"
       << "          [--no-sync] [--mmap-budget BYTES]\n"
       << "          (--wal persists state durably; with an existing DIR\n"
@@ -123,8 +120,7 @@ void Usage(std::ostream& err) {
       << "          (rotates a durable session to a fresh snapshot\n"
       << "           generation, emptying its WAL)\n"
       << "  recover --dir DIR [--output OUT.csv] [--threads N]\n"
-      << "          [--queue-capacity N] [--mmap-budget BYTES]\n"
-      << "          [telemetry flags]\n"
+      << "          [--mmap-budget BYTES] [telemetry flags]\n"
       << "          (snapshot load + WAL replay; prints what recovery\n"
       << "           found and optionally writes the repaired relation)\n"
       << "  workload gen\n"
@@ -171,33 +167,6 @@ Result<std::vector<AttrId>> ResolveList(const SchemaPtr& schema,
   return schema->Resolve(names);
 }
 
-int CmdMine(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  Result<Relation> master = LoadMaster(args);
-  if (!master.ok()) {
-    err << master.status() << "\n";
-    return 2;
-  }
-  RuleMinerOptions options;
-  auto it = args.flags.find("max-lhs");
-  if (it != args.flags.end()) {
-    options.max_lhs = std::strtoul(it->second.c_str(), nullptr, 10);
-  }
-  if (args.flags.count("no-conditional") > 0) {
-    options.mine_conditional = false;
-  }
-  RuleMiner miner(*master, options);
-  Result<RuleSet> rules =
-      miner.MineRules(master->schema(), master->schema());
-  if (!rules.ok()) {
-    err << rules.status() << "\n";
-    return 2;
-  }
-  out << "# " << rules->size() << " rules mined from "
-      << master->size() << " master rows\n";
-  for (const EditingRule& rule : *rules) out << RuleToDsl(rule) << "\n";
-  return 0;
-}
-
 /// Parses an optional non-negative integer flag. 0 is a meaningful value
 /// for size knobs (--threads 0 = all hardware threads), so a typo must
 /// not silently parse to it.
@@ -219,14 +188,42 @@ bool ParseSizeFlag(const ParsedArgs& args, const char* flag, size_t* out,
 bool ParseAnalyzeFlag(const ParsedArgs& args, AnalyzeMode* mode,
                       std::ostream& err) {
   auto it = args.flags.find("analyze");
-  if (it == args.flags.end()) return true;
-  Result<AnalyzeMode> parsed = ParseAnalyzeMode(it->second);
-  if (!parsed.ok()) {
-    err << parsed.status() << "\n";
+  if (it == args.flags.end() || it->second == "off") return true;
+  if (it->second == "warn") {
+    *mode = AnalyzeMode::kWarn;
+  } else if (it->second == "strict") {
+    *mode = AnalyzeMode::kStrict;
+  } else {
+    err << Status::InvalidArgument("unknown analyze mode '" + it->second +
+                                   "' (expected off|warn|strict)")
+        << "\n";
     return false;
   }
-  *mode = *parsed;
   return true;
+}
+
+int CmdMine(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
+  Result<Relation> master = LoadMaster(args);
+  if (!master.ok()) {
+    err << master.status() << "\n";
+    return 2;
+  }
+  RuleMinerOptions options;
+  if (!ParseSizeFlag(args, "max-lhs", &options.max_lhs, err)) return 1;
+  if (args.flags.count("no-conditional") > 0) {
+    options.mine_conditional = false;
+  }
+  RuleMiner miner(*master, options);
+  Result<RuleSet> rules =
+      miner.MineRules(master->schema(), master->schema());
+  if (!rules.ok()) {
+    err << rules.status() << "\n";
+    return 2;
+  }
+  out << "# " << rules->size() << " rules mined from "
+      << master->size() << " master rows\n";
+  for (const EditingRule& rule : *rules) out << RuleToDsl(rule) << "\n";
+  return 0;
 }
 
 int CmdAnalyze(const ParsedArgs& args, std::ostream& out,
@@ -412,11 +409,21 @@ struct RepairSetup {
   AttrSet trusted;
 };
 
+/// Runs the --analyze gate on (rules, master, trusted) before any engine
+/// is built. Returns 0 to proceed, else 2 (after printing the refusal).
+int GateRepair(const RuleSet& rules, const Relation& master, AttrSet trusted,
+               AnalyzeMode mode, std::ostream& err) {
+  Status gate = GateRuleset(rules, master, trusted, mode);
+  if (gate.ok()) return 0;
+  err << gate << "\n";
+  return 2;
+}
+
 /// Loads the common repair inputs (--master, --rules, --input,
-/// --trusted). Returns 0 on success, else the command's exit code
-/// (after printing to `err`).
-int LoadRepairSetup(const ParsedArgs& args, std::ostream& err,
-                    RepairSetup* setup) {
+/// --trusted) and passes them through the --analyze gate. Returns 0 on
+/// success, else the command's exit code (after printing to `err`).
+int LoadRepairSetup(const ParsedArgs& args, AnalyzeMode mode,
+                    std::ostream& err, RepairSetup* setup) {
   Result<Relation> master = LoadMaster(args);
   if (!master.ok()) {
     err << master.status() << "\n";
@@ -443,14 +450,20 @@ int LoadRepairSetup(const ParsedArgs& args, std::ostream& err,
   setup->rules = std::move(rules).ValueOrDie();
   setup->input_path = input_it->second;
   setup->trusted = AttrSet::FromVector(*trusted);
-  return 0;
+  return GateRepair(setup->rules, setup->master, setup->trusted, mode, err);
 }
 
 int CmdRepair(const ParsedArgs& args, std::ostream& out,
               std::ostream& err) {
   TelemetryScope telemetry_scope(args);
+  RepairOptions options;
+  AnalyzeMode mode = AnalyzeMode::kOff;
+  if (!ParseSizeFlag(args, "threads", &options.num_threads, err) ||
+      !ParseAnalyzeFlag(args, &mode, err)) {
+    return 1;
+  }
   RepairSetup setup;
-  if (int code = LoadRepairSetup(args, err, &setup); code != 0) {
+  if (int code = LoadRepairSetup(args, mode, err, &setup); code != 0) {
     return code;
   }
   Result<Relation> input = [&] {
@@ -461,21 +474,10 @@ int CmdRepair(const ParsedArgs& args, std::ostream& out,
     err << input.status() << "\n";
     return 2;
   }
-  RepairOptions options;
-  if (!ParseSizeFlag(args, "threads", &options.num_threads, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
-    return 1;
-  }
   MasterIndex index(setup.rules, setup.master);
   Saturator sat(setup.rules, setup.master, index);
-  BatchRepair repair(sat, options);
-  Result<BatchRepairResult> checked =
-      repair.RepairChecked(*input, setup.trusted);
-  if (!checked.ok()) {
-    err << checked.status() << "\n";
-    return 2;
-  }
-  BatchRepairResult result = std::move(checked).ValueOrDie();
+  BatchRepairResult result =
+      BatchRepair(sat, options).Repair(*input, setup.trusted);
   out << "rows: " << input->size()
       << "  fully covered: " << result.tuples_fully_covered
       << "  partial: " << result.tuples_partial
@@ -501,15 +503,15 @@ int CmdRepair(const ParsedArgs& args, std::ostream& out,
 int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
                     std::ostream& err) {
   TelemetryScope telemetry_scope(args);
-  RepairSetup setup;
-  if (int code = LoadRepairSetup(args, err, &setup); code != 0) {
-    return code;
-  }
   StreamOptions options;
+  AnalyzeMode mode = AnalyzeMode::kOff;
   if (!ParseSizeFlag(args, "threads", &options.num_shards, err) ||
-      !ParseSizeFlag(args, "queue-capacity", &options.queue_capacity, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
+      !ParseAnalyzeFlag(args, &mode, err)) {
     return 1;
+  }
+  RepairSetup setup;
+  if (int code = LoadRepairSetup(args, mode, err, &setup); code != 0) {
+    return code;
   }
   std::ifstream in(setup.input_path);
   if (!in) {
@@ -538,10 +540,6 @@ int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
   }
 
   StreamRepairEngine engine(sat, setup.trusted, sink.get(), options);
-  if (!engine.precheck_status().ok()) {
-    err << engine.precheck_status() << "\n";
-    return 2;
-  }
   std::vector<std::string> fields;
   for (;;) {
     Result<bool> got = source.Next(&fields);
@@ -593,9 +591,9 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
                     std::ostream& err) {
   TelemetryScope telemetry_scope(args);
   DeltaRepairOptions options;
+  AnalyzeMode mode = AnalyzeMode::kOff;
   if (!ParseSizeFlag(args, "threads", &options.num_shards, err) ||
-      !ParseSizeFlag(args, "queue-capacity", &options.queue_capacity, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
+      !ParseAnalyzeFlag(args, &mode, err)) {
     return 1;
   }
 
@@ -630,13 +628,18 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
         return 2;
       }
       session = std::move(opened).ValueOrDie();
+      if (int code = GateRepair(session->rules(), session->engine().master(),
+                                session->trusted(), mode, err);
+          code != 0) {
+        return code;
+      }
       const RecoveryInfo& rec = session->recovery();
       out << "recovered " << wal_it->second << ": snapshot "
           << rec.snapshot_id << "  replayed: " << rec.replayed_records
           << "  discarded bytes: " << rec.discarded_bytes
           << "  mapped columns: " << rec.mapped_columns << "\n";
     } else {
-      if (int code = LoadRepairSetup(args, err, &setup); code != 0) {
+      if (int code = LoadRepairSetup(args, mode, err, &setup); code != 0) {
         return code;
       }
       Result<Relation> input =
@@ -657,10 +660,6 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
       } else {
         owned_engine = std::make_unique<DeltaRepairEngine>(
             setup.rules, setup.master, setup.trusted, options);
-        if (!owned_engine->precheck_status().ok()) {
-          err << owned_engine->precheck_status() << "\n";
-          return 2;
-        }
         if (Status st = owned_engine->Load(*input); !st.ok()) {
           err << st << "\n";
           return 2;
@@ -669,10 +668,6 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
     }
     DeltaRepairEngine& engine =
         session != nullptr ? session->engine() : *owned_engine;
-    if (!engine.precheck_status().ok()) {
-      err << engine.precheck_status() << "\n";
-      return 2;
-    }
     if (deltas_it != args.flags.end()) {
       const RuleSet& rules = session != nullptr ? session->rules()
                                                 : setup.rules;
@@ -772,8 +767,6 @@ int CmdRecover(const ParsedArgs& args, std::ostream& out,
   }
   DurableOptions durable;
   if (!ParseSizeFlag(args, "threads", &durable.engine.num_shards, err) ||
-      !ParseSizeFlag(args, "queue-capacity", &durable.engine.queue_capacity,
-                     err) ||
       !ParseSizeFlag(args, "mmap-budget", &durable.mmap_budget_bytes, err)) {
     return 1;
   }
@@ -917,19 +910,18 @@ const std::vector<Command>& Commands() {
          CmdRepair},
         {"repair-stream",
          with_telemetry({"master", "rules", "input", "trusted", "output",
-                         "threads", "queue-capacity", "analyze"}),
+                         "threads", "analyze"}),
          CmdRepairStream},
         {"repair-deltas",
          with_telemetry({"master", "rules", "input", "trusted", "output",
-                         "deltas", "threads", "queue-capacity", "analyze",
-                         "wal", "snapshot-every", "no-compress", "no-sync",
+                         "deltas", "threads", "analyze", "wal",
+                         "snapshot-every", "no-compress", "no-sync",
                          "mmap-budget"}),
          CmdRepairDeltas},
         {"snapshot", {"dir", "threads", "no-compress", "mmap-budget"},
          CmdSnapshot},
         {"recover",
-         with_telemetry(
-             {"dir", "output", "threads", "queue-capacity", "mmap-budget"}),
+         with_telemetry({"dir", "output", "threads", "mmap-budget"}),
          CmdRecover},
         {"workload gen", {"spec", "out-dir", "prefix"}, CmdWorkloadGen},
     };

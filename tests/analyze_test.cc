@@ -1,6 +1,6 @@
 /// \file analyze_test.cc
 /// \brief Ruleset static analyzer: golden diagnostic fixtures
-/// (tests/golden/analyze/), the analyze_first gate on all three engines,
+/// (tests/golden/analyze/), the --analyze gate the repair commands run,
 /// and the soundness property "analyze-clean rulesets never conflict
 /// mid-repair".
 
@@ -11,9 +11,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/batch_repair.h"
 #include "incremental/delta_repair.h"
-#include "stream/stream_repair.h"
 #include "test_util.h"
 #include "tools/cli.h"
 #include "util/random.h"
@@ -211,9 +209,9 @@ TEST(AnalyzerTypeTest, PositionalTypeMismatchFlagged) {
 }
 
 // ---------------------------------------------------------------------------
-// analyze_first gate on the three engines. The conflicting fixture: two
-// key attributes each backed by a rule targeting AC, with master rows
-// that disagree on AC.
+// The --analyze gate (GateRuleset) the repair commands run before any
+// engine exists. The conflicting fixture: two key attributes each backed
+// by a rule targeting AC, with master rows that disagree on AC.
 
 class StrictGateTest : public ::testing::Test {
  protected:
@@ -230,101 +228,31 @@ class StrictGateTest : public ::testing::Test {
     ASSERT_TRUE(rules.ok());
     rules_ = std::move(*rules);
     trusted_ = Attrs(schema_, {"zip", "city", "name"});
-    index_ = std::make_unique<MasterIndex>(rules_, master_);
-    sat_ = std::make_unique<Saturator>(rules_, master_, *index_);
   }
 
   SchemaPtr schema_;
   Relation master_;
   RuleSet rules_;
   AttrSet trusted_;
-  std::unique_ptr<MasterIndex> index_;
-  std::unique_ptr<Saturator> sat_;
 };
 
-TEST_F(StrictGateTest, BatchRejectsWithWitness) {
-  RepairOptions options;
-  options.analyze_first = AnalyzeMode::kStrict;
-  BatchRepair repair(*sat_, options);
-  Relation data(schema_);
-  ASSERT_TRUE(data.AppendStrings({"EH7", "000", "Edi", "Eve"}).ok());
-  Result<BatchRepairResult> result = repair.RepairChecked(data, trusted_);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInconsistent);
-  EXPECT_NE(result.status().message().find("analyze_first=strict"),
-            std::string::npos);
-  EXPECT_NE(result.status().message().find("conflicting fixes"),
-            std::string::npos)
-      << result.status();
-  EXPECT_NE(result.status().message().find("zip="), std::string::npos)
+TEST_F(StrictGateTest, StrictRefusesWithTheWitness) {
+  Status gate =
+      GateRuleset(rules_, master_, trusted_, AnalyzeMode::kStrict);
+  ASSERT_FALSE(gate.ok());
+  EXPECT_EQ(gate.code(), StatusCode::kInconsistent);
+  EXPECT_NE(gate.message().find("conflicting fixes"), std::string::npos)
+      << gate;
+  EXPECT_NE(gate.message().find("'r1'"), std::string::npos) << gate;
+  EXPECT_NE(gate.message().find("'r2'"), std::string::npos) << gate;
+  EXPECT_NE(gate.message().find("zip="), std::string::npos)
       << "witness tuple must be in the error";
 }
 
-TEST_F(StrictGateTest, BatchWarnAndOffProceed) {
+TEST_F(StrictGateTest, WarnAndOffReturnOk) {
   for (AnalyzeMode mode : {AnalyzeMode::kOff, AnalyzeMode::kWarn}) {
-    RepairOptions options;
-    options.analyze_first = mode;
-    BatchRepair repair(*sat_, options);
-    Relation data(schema_);
-    ASSERT_TRUE(data.AppendStrings({"EH7", "000", "Edi", "Eve"}).ok());
-    Result<BatchRepairResult> result = repair.RepairChecked(data, trusted_);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->repaired.at(0).at(1).as_string(), "131");
+    EXPECT_TRUE(GateRuleset(rules_, master_, trusted_, mode).ok());
   }
-}
-
-TEST_F(StrictGateTest, StreamEngineIsInertAfterRejection) {
-  StreamOptions options;
-  options.analyze_first = AnalyzeMode::kStrict;
-  CollectingSink sink(schema_);
-  StreamRepairEngine engine(*sat_, trusted_, &sink, options);
-  ASSERT_FALSE(engine.precheck_status().ok());
-  EXPECT_EQ(engine.precheck_status().code(), StatusCode::kInconsistent);
-  EXPECT_NE(engine.precheck_status().message().find("conflicting fixes"),
-            std::string::npos);
-
-  EXPECT_FALSE(engine.Push(master_.at(0)));
-  Status push = engine.PushStrings({"EH7", "000", "Edi", "Eve"});
-  EXPECT_EQ(push.code(), StatusCode::kInconsistent);
-  EXPECT_THROW(engine.Finish(), std::runtime_error);
-  EXPECT_EQ(sink.repaired().size(), 0u);
-}
-
-TEST_F(StrictGateTest, DeltaEngineRefusesEveryMutator) {
-  DeltaRepairOptions options;
-  options.analyze_first = AnalyzeMode::kStrict;
-  DeltaRepairEngine engine(rules_, master_, trusted_, options);
-  ASSERT_FALSE(engine.precheck_status().ok());
-  EXPECT_NE(engine.precheck_status().message().find("conflicting fixes"),
-            std::string::npos);
-
-  Relation input(schema_);
-  ASSERT_TRUE(input.AppendStrings({"EH7", "000", "Edi", "Eve"}).ok());
-  Status load = engine.Load(input);
-  EXPECT_EQ(load.code(), StatusCode::kInconsistent);
-  EXPECT_EQ(engine.Insert(input.at(0)).code(), StatusCode::kInconsistent);
-  EXPECT_EQ(engine.Delete(0).code(), StatusCode::kInconsistent);
-  EXPECT_EQ(engine.size(), 0u);
-}
-
-TEST_F(StrictGateTest, WarnModeEnginesStillRepair) {
-  StreamOptions soptions;
-  soptions.analyze_first = AnalyzeMode::kWarn;
-  CollectingSink sink(schema_);
-  StreamRepairEngine stream(*sat_, trusted_, &sink, soptions);
-  ASSERT_TRUE(stream.precheck_status().ok());
-  ASSERT_TRUE(stream.PushStrings({"EH7", "000", "Edi", "Eve"}).ok());
-  stream.Finish();
-  ASSERT_EQ(sink.repaired().size(), 1u);
-
-  DeltaRepairOptions doptions;
-  doptions.analyze_first = AnalyzeMode::kWarn;
-  DeltaRepairEngine delta(rules_, master_, trusted_, doptions);
-  ASSERT_TRUE(delta.precheck_status().ok());
-  Relation input(schema_);
-  ASSERT_TRUE(input.AppendStrings({"EH7", "000", "Edi", "Eve"}).ok());
-  ASSERT_TRUE(delta.Load(input).ok());
-  EXPECT_EQ(delta.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -364,10 +292,8 @@ TEST(AnalyzeSoundnessTest, CleanVerdictImpliesNoMidRepairConflicts) {
     }
 
     DeltaRepairOptions options;
-    options.analyze_first = AnalyzeMode::kStrict;  // must pass the gate
     options.num_shards = 1 + seed % 3;
     DeltaRepairEngine engine(rules, master, trusted, options);
-    ASSERT_TRUE(engine.precheck_status().ok()) << engine.precheck_status();
 
     // Seeded delta sequence: inserts, updates, deletes, and master
     // inserts from a third disjoint entity pool (master stays

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "relational/csv.h"
@@ -62,6 +63,18 @@ TEST_F(CliTest, UnknownCommandFails) {
 
 TEST_F(CliTest, MissingFlagValueFails) {
   EXPECT_EQ(Run({"mine", "--master"}), 1);
+}
+
+TEST_F(CliTest, MineRejectsNonNumericMaxLhs) {
+  for (const char* bad : {"oops", "-1", "2x", ""}) {
+    EXPECT_EQ(Run({"mine", "--master", master_path_, "--max-lhs", bad}), 1)
+        << "value '" << bad << "'";
+    EXPECT_NE(err_.str().find("--max-lhs needs a non-negative integer"),
+              std::string::npos)
+        << err_.str();
+  }
+  EXPECT_EQ(Run({"mine", "--master", master_path_, "--max-lhs", "1"}), 0)
+      << err_.str();
 }
 
 TEST_F(CliTest, MineEmitsParseableRules) {
@@ -166,7 +179,7 @@ TEST_F(CliTest, RepairStreamMatchesBatchRepairByteForByte) {
     ASSERT_EQ(Run({"repair-stream", "--master", master_path_, "--rules",
                    rules_path_, "--input", input_path_, "--trusted",
                    "zip,name", "--output", stream_path, "--threads",
-                   threads, "--queue-capacity", "2"}),
+                   threads}),
               0)
         << err_.str();
     EXPECT_NE(out_.str().find("cells changed: 2"), std::string::npos);
@@ -227,7 +240,7 @@ TEST_F(GoldenTest, RepairDeltasMatchesGoldenOutput) {
                    "--rules", Golden("rules.rules"), "--input",
                    Golden("input.csv"), "--deltas", Golden("deltas.log"),
                    "--trusted", "zip,name", "--output", output_path_,
-                   "--threads", threads, "--queue-capacity", "2"}),
+                   "--threads", threads}),
               0)
         << err_.str();
     EXPECT_NE(out_.str().find("invalidated: 2"), std::string::npos)
@@ -372,7 +385,8 @@ TEST_F(CliTest, UnknownFlagsAreRejectedPerCommand) {
   // a value must not leave that value behind as a stray argument.
   const std::vector<std::vector<std::string>> bad = {
       {"--index", "map"}, {"--no-memo"}, {"--chunk-size", "1"},
-      {"--thread", "4"}, {"--no-memo", "--threads", "1"}};
+      {"--queue-capacity", "2"}, {"--thread", "4"},
+      {"--no-memo", "--threads", "1"}};
   for (const Case& c : cases) {
     for (const std::vector<std::string>& extra : bad) {
       std::vector<std::string> argv = {c.command};
@@ -548,6 +562,149 @@ TEST_F(CliTest, RecoverSurvivesTornWalTail) {
   ASSERT_EQ(Run({"recover", "--dir", wal_dir}), 0) << err_.str();
   EXPECT_NE(out_.str().find("replayed: 1"), std::string::npos);
   EXPECT_NE(out_.str().find("discarded bytes:"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// --analyze on the repair commands, over a conflicting ruleset: zip and
+// city each fix AC and the master rows disagree on AC, so a tuple with
+// zip EH7 and city Lnd gets two fixes. The input never meets that
+// conflict, so off and warn repair it as if the flag were absent.
+
+class AnalyzeFlagTest : public CliTest {
+ protected:
+  void SetUp() override {
+    CliTest::SetUp();
+    base_ = dir_ + "/analyze_flag";
+    std::filesystem::remove_all(base_);
+    std::filesystem::create_directories(base_);
+    master_path_ = base_ + "/master.csv";
+    rules_path_ = base_ + "/rules.txt";
+    input_path_ = base_ + "/input.csv";
+    deltas_path_ = base_ + "/in.deltas";
+    std::ofstream(master_path_) << "zip,AC,city,name\n"
+                                   "EH7,131,Edi,Ann\n"
+                                   "NW1,020,Lnd,Cid\n";
+    std::ofstream(rules_path_) << "rule r1: (zip | zip) -> (AC | AC)\n"
+                                  "rule r2: (city | city) -> (AC | AC)\n";
+    std::ofstream(input_path_) << "zip,AC,city,name\n"
+                                  "EH7,000,Edi,Eve\n"
+                                  "NW1,999,Lnd,Fay\n";
+    std::ofstream(deltas_path_) << "I,,EH7,1,Edi,Gus\n";
+  }
+
+  /// `command` over the fixture; "repair-deltas --wal" adds --wal `wal`.
+  std::vector<std::string> Args(const std::string& command,
+                                const std::string& wal = "") const {
+    std::vector<std::string> args = {
+        command.substr(0, command.find(' ')), "--master", master_path_,
+        "--rules", rules_path_, "--input", input_path_, "--trusted",
+        "zip,city,name"};
+    if (command == "repair-deltas") {
+      args.insert(args.end(), {"--deltas", deltas_path_});
+    }
+    if (command == "repair-deltas --wal") {
+      args.insert(args.end(), {"--wal", wal});
+    }
+    return args;
+  }
+
+  /// Runs `args` with `extra` appended.
+  int RunWith(std::vector<std::string> args,
+              const std::vector<std::string>& extra) {
+    args.insert(args.end(), extra.begin(), extra.end());
+    return Run(args);
+  }
+
+  /// No repaired row reached `path`: the file is absent or holds at most
+  /// the CSV header.
+  static bool NoRows(const std::string& path) {
+    if (!std::filesystem::exists(path)) return true;
+    const std::string bytes = ReadAll(path);
+    return bytes.find('\n') + 1 >= bytes.size();
+  }
+
+  void ExpectRefusalWithWitness() {
+    const std::string err = err_.str();
+    EXPECT_NE(err.find("conflicting fixes"), std::string::npos) << err;
+    EXPECT_NE(err.find("'r1'"), std::string::npos) << err;
+    EXPECT_NE(err.find("'r2'"), std::string::npos) << err;
+    EXPECT_NE(err.find("zip="), std::string::npos) << err;
+    EXPECT_NE(err.find("city="), std::string::npos) << err;
+  }
+
+  /// Every file of `dir`, name -> bytes.
+  static std::map<std::string, std::string> Files(const std::string& dir) {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      files[entry.path().filename().string()] =
+          ReadAll(entry.path().string());
+    }
+    return files;
+  }
+
+  const std::vector<std::string> commands_ = {
+      "repair", "repair-stream", "repair-deltas", "repair-deltas --wal"};
+  std::string base_, deltas_path_;
+};
+
+TEST_F(AnalyzeFlagTest, StrictRefusesWithTheWitnessAndWritesNothing) {
+  for (const std::string& command : commands_) {
+    SCOPED_TRACE(command);
+    const std::string wal = base_ + "/strict_wal";
+    const std::string out = base_ + "/strict.csv";
+    std::filesystem::remove(out);
+    EXPECT_EQ(RunWith(Args(command, wal),
+                      {"--analyze", "strict", "--output", out}),
+              2);
+    ExpectRefusalWithWitness();
+    EXPECT_TRUE(NoRows(out));
+    EXPECT_FALSE(std::filesystem::exists(wal + "/MANIFEST"));
+  }
+}
+
+TEST_F(AnalyzeFlagTest, StrictLeavesAnExistingWalUntouched) {
+  const std::string wal = base_ + "/existing_wal";
+  ASSERT_EQ(Run(Args("repair-deltas --wal", wal)), 0) << err_.str();
+  const std::map<std::string, std::string> before = Files(wal);
+  const std::string out = base_ + "/strict_existing.csv";
+  EXPECT_EQ(Run({"repair-deltas", "--wal", wal, "--deltas", deltas_path_,
+                 "--analyze", "strict", "--output", out}),
+            2);
+  ExpectRefusalWithWitness();
+  EXPECT_TRUE(NoRows(out));
+  EXPECT_EQ(Files(wal), before);
+}
+
+TEST_F(AnalyzeFlagTest, WarnAndOffRepairAsWithoutTheFlag) {
+  const std::string resumed = base_ + "/resumed_wal";
+  ASSERT_EQ(Run(Args("repair-deltas --wal", resumed)), 0) << err_.str();
+  std::vector<std::string> runs = commands_;
+  runs.push_back("resume");
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const std::string& run = runs[i];
+    SCOPED_TRACE(run);
+    int want_code = -1;
+    std::string want_bytes;
+    for (const std::string mode : {"", "warn", "off"}) {
+      const std::string out =
+          base_ + "/run" + std::to_string(i) + "_" + mode;
+      std::vector<std::string> args =
+          run == "resume"
+              ? std::vector<std::string>{"repair-deltas", "--wal", resumed}
+              : Args(run, out + "_wal");
+      std::vector<std::string> extra = {"--output", out + ".csv"};
+      if (!mode.empty()) extra.insert(extra.end(), {"--analyze", mode});
+      const int code = RunWith(args, extra);
+      if (mode.empty()) {
+        EXPECT_EQ(code, 0) << err_.str();
+        want_code = code;
+        want_bytes = ReadAll(out + ".csv");
+        continue;
+      }
+      EXPECT_EQ(code, want_code) << mode << ": " << err_.str();
+      EXPECT_EQ(ReadAll(out + ".csv"), want_bytes) << mode;
+    }
+  }
 }
 
 TEST_F(CliTest, SnapshotAndRecoverRequireDir) {

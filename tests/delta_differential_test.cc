@@ -395,7 +395,6 @@ TEST(DeltaPropertyTest, RandomDeltaSequencesMatchScratchAtEveryShardCount) {
   for (size_t shards : shard_counts) {
     DeltaRepairOptions options;
     options.num_shards = shards;
-    options.queue_capacity = 16;
     DeltaRepairEngine engine(w.rules, w.master, w.trusted, options);
 
     // Same per-shard-count RNG so all three runs see one sequence.

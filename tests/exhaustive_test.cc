@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/consistency.h"
+#include "core/coverage.h"
 #include "test_util.h"
 
 namespace certfix {
@@ -100,16 +102,16 @@ TEST_F(ExhaustiveTest, BudgetEnforced) {
   EXPECT_EQ(probes.status().code(), StatusCode::kOutOfRange);
 }
 
-TEST_F(ExhaustiveTest, ExhaustiveConsistentMatchesConcrete) {
+TEST_F(ExhaustiveTest, ConsistencyCheckerEnumeratesWildcardZip) {
   // Wildcard-zip region: all instantiations give unique fixes.
   Region region = Region::Of(r_, Attrs(r_, {"zip"}).ToVector());
   ASSERT_TRUE(region.AddRow(PatternTuple(r_)).ok());
-  Result<bool> ok = ExhaustiveConsistent(*sat_, region);
+  Result<bool> ok = ConsistencyChecker(*sat_).IsConsistent(region);
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
 }
 
-TEST_F(ExhaustiveTest, ExhaustiveCertainRegionOnZzmi) {
+TEST_F(ExhaustiveTest, CoverageCheckerEnumeratesZzmi) {
   // The wildcard generalization of Example 9's region: for every zip/phn
   // pair *from the active domain* the region is not certain (most
   // combinations match no master tuple, leaving attributes uncovered), so
@@ -119,7 +121,8 @@ TEST_F(ExhaustiveTest, ExhaustiveCertainRegionOnZzmi) {
   PatternTuple row(r_);
   row.SetConst(A(r_, "type"), Value::Str("2"));
   ASSERT_TRUE(wild.AddRow(row).ok());
-  Result<bool> wild_ok = ExhaustiveCertainRegion(*sat_, wild);
+  CoverageChecker coverage(*sat_);
+  Result<bool> wild_ok = coverage.IsCertainRegion(wild);
   ASSERT_TRUE(wild_ok.ok()) << wild_ok.status();
   EXPECT_FALSE(*wild_ok);
 
@@ -133,7 +136,7 @@ TEST_F(ExhaustiveTest, ExhaustiveCertainRegionOnZzmi) {
     r2.SetConst(A(r_, "type"), Value::Str("2"));
     ASSERT_TRUE(anchored.AddRow(r2).ok());
   }
-  Result<bool> anchored_ok = ExhaustiveCertainRegion(*sat_, anchored);
+  Result<bool> anchored_ok = coverage.IsCertainRegion(anchored);
   ASSERT_TRUE(anchored_ok.ok()) << anchored_ok.status();
   EXPECT_TRUE(*anchored_ok);
 }

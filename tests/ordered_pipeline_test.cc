@@ -276,7 +276,6 @@ class EngineViewTest : public ::testing::Test {
     CollectingSink sink(r_);
     StreamOptions options;
     options.num_shards = shards;
-    options.queue_capacity = 2;
     StreamRepairEngine engine(*sat_, trusted_, &sink, options);
     for (size_t i = 0; i < rows; ++i) EXPECT_TRUE(engine.Push(data_.at(i)));
     return engine.Finish();
@@ -285,7 +284,6 @@ class EngineViewTest : public ::testing::Test {
   DeltaRepairStats RunDelta(size_t shards, size_t rows) {
     DeltaRepairOptions options;
     options.num_shards = shards;
-    options.queue_capacity = 2;
     DeltaRepairEngine engine(rules_, dm_, trusted_, options);
     for (size_t i = 0; i < rows; ++i) {
       EXPECT_TRUE(engine.Insert(data_.at(i)).ok());
@@ -316,7 +314,7 @@ TEST_F(EngineViewTest, StreamEnginesReportOnlyTheirOwnCounts) {
   EXPECT_EQ(a.tuples_in, 60u);
   EXPECT_EQ(a.tuples_out, 60u);
   EXPECT_EQ(a.fully_covered + a.partial + a.untouched + a.conflicting, 60u);
-  EXPECT_LE(a.max_reorder, 8u * 2u);
+  EXPECT_LE(a.max_reorder, 8u * kRingCapacity);
   // B sees none of A's traffic: exactly what B reports run alone.
   EXPECT_EQ(b.tuples_in, alone_b.tuples_in);
   EXPECT_EQ(b.tuples_out, alone_b.tuples_out);
@@ -353,7 +351,7 @@ TEST_F(EngineViewTest, DeltaEnginesReportOnlyTheirOwnCounts) {
   EXPECT_EQ(a.deltas_applied, 61u);
   EXPECT_EQ(a.tuples_repaired, 60u);
   EXPECT_EQ(a.fully_covered + a.partial + a.untouched + a.conflicting, 59u);
-  EXPECT_LE(a.max_reorder, 3u * 2u);
+  EXPECT_LE(a.max_reorder, 3u * kRingCapacity);
   EXPECT_EQ(b.rows, alone_b.rows);
   EXPECT_EQ(b.deltas_applied, alone_b.deltas_applied);
   EXPECT_EQ(b.tuples_repaired, alone_b.tuples_repaired);
@@ -374,6 +372,67 @@ TEST_F(EngineViewTest, DeltaEnginesReportOnlyTheirOwnCounts) {
   EXPECT_EQ(reg.GetGauge("delta.fully_covered")->Value(),
             static_cast<int64_t>(a.fully_covered + b.fully_covered));
   EXPECT_EQ(reg.GetMaxGauge("delta.max_reorder")->Value(), a.max_reorder);
+}
+
+TEST_F(EngineViewTest, EnginesAliveAtOnceReportOnlyTheirOwnCounts) {
+  // Two engines of each kind live side by side and take turns, so every
+  // one of them runs while the others record into the same registry.
+  telemetry::ScopedRegistry shared;
+  CollectingSink sink_a(r_);
+  CollectingSink sink_b(r_);
+  StreamOptions stream_options;
+  stream_options.num_shards = 2;
+  StreamRepairEngine stream_a(*sat_, trusted_, &sink_a, stream_options);
+  StreamRepairEngine stream_b(*sat_, trusted_, &sink_b, stream_options);
+  DeltaRepairOptions delta_options;
+  delta_options.num_shards = 1;
+  DeltaRepairEngine delta_a(rules_, dm_, trusted_, delta_options);
+  delta_options.num_shards = 2;
+  DeltaRepairEngine delta_b(rules_, dm_, trusted_, delta_options);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(stream_a.Push(data_.at(i)));
+    ASSERT_TRUE(delta_b.Insert(data_.at(i)).ok());
+    if (i < 2) {
+      EXPECT_TRUE(stream_b.Push(data_.at(i)));
+      ASSERT_TRUE(delta_a.Insert(data_.at(i)).ok());
+    }
+  }
+  ASSERT_TRUE(delta_b.Delete(0).ok());
+
+  const StreamSnapshot a = stream_a.Finish();
+  const StreamSnapshot b = stream_b.Finish();
+  EXPECT_EQ(a.tuples_in, 3u);
+  EXPECT_EQ(a.tuples_out, 3u);
+  EXPECT_EQ(a.fully_covered + a.partial + a.untouched + a.conflicting, 3u);
+  EXPECT_EQ(a.memo_hits + a.memo_misses, 3u);
+  EXPECT_EQ(b.tuples_in, 2u);
+  EXPECT_EQ(b.tuples_out, 2u);
+  EXPECT_EQ(b.fully_covered + b.partial + b.untouched + b.conflicting, 2u);
+  EXPECT_EQ(b.memo_hits + b.memo_misses, 2u);
+
+  const DeltaRepairStats da = delta_a.stats();
+  const DeltaRepairStats db = delta_b.stats();
+  EXPECT_EQ(da.rows, 2u);
+  EXPECT_EQ(da.deltas_applied, 2u);
+  EXPECT_EQ(da.tuples_repaired, 2u);
+  EXPECT_EQ(da.fully_covered + da.partial + da.untouched + da.conflicting,
+            2u);
+  EXPECT_EQ(da.memo_hits + da.memo_misses, 2u);
+  EXPECT_EQ(db.rows, 2u);
+  EXPECT_EQ(db.deltas_applied, 4u);
+  EXPECT_EQ(db.tuples_repaired, 3u);
+  EXPECT_EQ(db.fully_covered + db.partial + db.untouched + db.conflicting,
+            2u);
+  EXPECT_EQ(db.memo_hits + db.memo_misses, 3u);
+
+  // The registry still sums every engine.
+  telemetry::Registry& reg = shared.registry();
+  EXPECT_EQ(reg.GetCounter("stream.tuples_in")->Value(), 5u);
+  EXPECT_EQ(reg.GetCounter("stream.tuples_out")->Value(), 5u);
+  EXPECT_EQ(reg.GetCounter("delta.deltas_applied")->Value(), 6u);
+  EXPECT_EQ(reg.GetCounter("delta.tuples_repaired")->Value(), 5u);
+  EXPECT_EQ(reg.GetGauge("delta.cells_changed")->Value(),
+            static_cast<int64_t>(da.cells_changed + db.cells_changed));
 }
 
 }  // namespace

@@ -106,33 +106,60 @@ TEST_F(StreamSupplierTest, MatchesBatchAcrossThreadCounts) {
   }
 }
 
-TEST_F(StreamSupplierTest, TinyQueueForcesBackpressure) {
+TEST_F(StreamSupplierTest, MoreTuplesThanTheWindowMatchBatch) {
+  // Three windows' worth at two shards: every reorder-ring slot is
+  // reused, and the producer may block on a full window or ring.
   Relation data(r_);
-  for (size_t i = 0; i < 40; ++i) {
+  for (size_t i = 0; i < 3 * 2 * kRingCapacity; ++i) {
     ASSERT_TRUE(data.Append(i % 2 == 0 ? T1(r_) : T4(r_)).ok());
   }
   AttrSet trusted = Attrs(r_, {"zip", "phn", "type", "item"});
   BatchRepairResult batch = BatchRepair(*sat_).Repair(data, trusted);
   StreamOptions options;
   options.num_shards = 2;
-  options.queue_capacity = 1;  // window of 2: producer must block
   StreamRun run = RunStream(*sat_, data, trusted, options);
-  ExpectMatchesBatch(batch, run, "capacity=1");
+  ExpectMatchesBatch(batch, run, "3 windows");
 }
 
 TEST_F(StreamSupplierTest, PoolRecyclingKeepsOutputIdentical) {
+  // Four fresh strings per row (fn, ln, str and city, all of which the
+  // rules fix) push the one shard's pool past kShardPoolLimit.
   Relation data(r_);
-  for (size_t i = 0; i < 30; ++i) {
-    ASSERT_TRUE(data.Append(T1(r_)).ok());
+  const size_t rows = kShardPoolLimit / 3;
+  for (size_t i = 0; i < rows; ++i) {
+    Tuple t = T1(r_);
+    const std::string n = std::to_string(i);
+    for (const char* attr : {"fn", "ln", "str", "city"}) {
+      t.Set(A(r_, attr), Value::Str(attr + n));
+    }
+    ASSERT_TRUE(data.Append(t).ok());
   }
   AttrSet trusted = Attrs(r_, {"zip", "phn", "type", "item"});
   BatchRepairResult batch = BatchRepair(*sat_).Repair(data, trusted);
+  ASSERT_EQ(batch.tuples_fully_covered, rows);
   StreamOptions options;
-  options.num_shards = 2;
-  options.pool_recycle_values = 0;  // recycle after every tuple
+  options.num_shards = 1;
   StreamRun run = RunStream(*sat_, data, trusted, options);
-  ExpectMatchesBatch(batch, run, "recycle=0");
+  ExpectMatchesBatch(batch, run, "recycled");
   EXPECT_GT(run.stats.pool_recycles, 0u);
+}
+
+TEST_F(StreamSupplierTest, RepeatedFinishReturnsTheSameSnapshot) {
+  CollectingSink sink(r_);
+  StreamRepairEngine engine(*sat_, Attrs(r_, {"zip", "phn", "type", "item"}),
+                            &sink);
+  ASSERT_TRUE(engine.Push(T1(r_)));
+  ASSERT_TRUE(engine.Push(T4(r_)));
+  StreamSnapshot finish = engine.Finish();
+  StreamSnapshot after = engine.Finish();
+  EXPECT_EQ(finish.tuples_in, 2u);
+  EXPECT_EQ(finish.tuples_out, 2u);
+  EXPECT_EQ(after.tuples_in, finish.tuples_in);
+  EXPECT_EQ(after.tuples_out, finish.tuples_out);
+  EXPECT_EQ(after.cells_changed, finish.cells_changed);
+  EXPECT_EQ(after.backpressure_waits, finish.backpressure_waits);
+  EXPECT_EQ(after.max_reorder, finish.max_reorder);
+  EXPECT_EQ(sink.repaired().size(), 2u);
 }
 
 TEST_F(StreamSupplierTest, EmptyStream) {
@@ -219,13 +246,9 @@ TEST(StreamHospTest, MatchesBatchAtScaleAcrossThreadCounts) {
     MasterIndex index(b.rules, b.master);
     Saturator sat(b.rules, b.master, index);
     BatchRepairResult batch = BatchRepair(sat).Repair(b.dirty, b.trusted);
-    // 16-slot rings keep the small batch under backpressure; the
-    // 2,000-row batch runs through 64-slot rings.
-    const size_t ring = b.dirty.size() < 1000 ? 16 : 64;
     for (size_t threads : {1, 2, 4, 8}) {
       StreamOptions options;
       options.num_shards = threads;
-      options.queue_capacity = ring;
       StreamRun run = RunStream(sat, b.dirty, b.trusted, options);
       ExpectMatchesBatch(batch, run,
                          label + " threads=" + std::to_string(threads));

@@ -31,7 +31,7 @@ class ZProblemsTest : public ::testing::Test {
 };
 
 TEST_F(ZProblemsTest, ClosureOfZipCoversGeo) {
-  AttrSet closure = z_->Closure(Attrs(r_, {"zip"}));
+  AttrSet closure = rules_.Closure(Attrs(r_, {"zip"}));
   EXPECT_TRUE(closure.Contains(A(r_, "AC")));
   EXPECT_TRUE(closure.Contains(A(r_, "str")));
   EXPECT_TRUE(closure.Contains(A(r_, "city")));
@@ -41,7 +41,7 @@ TEST_F(ZProblemsTest, ClosureOfZipCoversGeo) {
 
 TEST_F(ZProblemsTest, ClosureChainsThroughRules) {
   // {type, AC, phn} -> phi6-8 give str/city/zip -> phi1-3 redundant.
-  AttrSet closure = z_->Closure(Attrs(r_, {"type", "AC", "phn"}));
+  AttrSet closure = rules_.Closure(Attrs(r_, {"type", "AC", "phn"}));
   EXPECT_TRUE(closure.Contains(A(r_, "zip")));
   EXPECT_TRUE(closure.Contains(A(r_, "str")));
   // fn needs phi4 whose pattern (type) is available and lhs phn too: yes!
@@ -141,7 +141,7 @@ TEST_F(ZProblemsTest, BudgetEnforced) {
 
 TEST_F(ZProblemsTest, MinimumGreedyCoversR) {
   std::vector<AttrId> z = z_->MinimumGreedy();
-  EXPECT_EQ(z_->Closure(AttrSet::FromVector(z)), r_->AllAttrs());
+  EXPECT_EQ(rules_.Closure(AttrSet::FromVector(z)), r_->AllAttrs());
   // Forced attrs must be present.
   AttrSet z_set = AttrSet::FromVector(z);
   EXPECT_TRUE(z_->ForcedAttrs().SubsetOf(z_set));
