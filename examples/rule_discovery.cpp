@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
             << "  cells changed       : " << result.cells_changed << "\n"
             << "  rows fully restored : " << restored << "/" << dirty_rows
             << "\n"
-            << "  conflicts           : " << result.tuples_conflicting
+            << "  conflicts           : " << result.conflicting
             << "\n";
   return restored == dirty_rows ? 0 : 1;
 }

@@ -52,24 +52,10 @@ BatchRepairResult BatchRepair::Repair(const Relation& data,
         },
         // Rows are submitted in order from 0, so a result's seq is its row.
         [&](uint64_t row, RepairedRow& r) {
-          ++(r.memo_hit ? result.memo_hits : result.memo_misses);
-          switch (r.report.kind) {
-            case FixClass::kConflicting:
-              ++result.tuples_conflicting;
-              result.conflict_rows.push_back(row);
-              return;
-            case FixClass::kFullyCovered:
-              ++result.tuples_fully_covered;
-              break;
-            case FixClass::kPartial:
-              ++result.tuples_partial;
-              break;
-            case FixClass::kUntouched:
-              ++result.tuples_untouched;
-              break;
-          }
-          result.cells_changed += r.report.cells_changed;
-          if (r.report.cells_changed > 0) {
+          result.Add(r.report, r.memo_hit);
+          if (r.report.conflicting()) {
+            result.conflict_rows.push_back(row);
+          } else if (r.report.cells_changed > 0) {
             changed.emplace_back(row, std::move(r.fixed));
           }
         },
@@ -98,13 +84,7 @@ BatchRepairResult BatchRepair::Repair(const Relation& data,
   // result struct.
   telemetry::Registry* reg = telemetry::Registry::Global();
   reg->GetCounter("batch.rows")->Add(data.size());
-  reg->GetCounter("batch.fully_covered")->Add(result.tuples_fully_covered);
-  reg->GetCounter("batch.partial")->Add(result.tuples_partial);
-  reg->GetCounter("batch.untouched")->Add(result.tuples_untouched);
-  reg->GetCounter("batch.conflicting")->Add(result.tuples_conflicting);
-  reg->GetCounter("batch.cells_changed")->Add(result.cells_changed);
-  reg->GetCounter("batch.memo_hits")->Add(result.memo_hits);
-  reg->GetCounter("batch.memo_misses")->Add(result.memo_misses);
+  result.AddTo(*reg, "batch");
   return result;
 }
 

@@ -36,7 +36,7 @@
 #ifndef CERTFIX_CORE_BATCH_REPAIR_H_
 #define CERTFIX_CORE_BATCH_REPAIR_H_
 
-#include "core/saturation.h"
+#include "core/repair_tuple.h"
 
 namespace certfix {
 
@@ -47,16 +47,10 @@ struct RepairOptions {
   size_t num_threads = 1;
 };
 
-/// \brief Outcome of repairing one relation.
-struct BatchRepairResult {
+/// \brief Outcome of repairing one relation: the repaired copy, and the
+/// tally of every row.
+struct BatchRepairResult : RepairTally {
   Relation repaired;
-  size_t tuples_fully_covered = 0;  ///< certain fix reached (covered = R)
-  size_t tuples_partial = 0;        ///< some but not all attrs covered
-  size_t tuples_untouched = 0;      ///< nothing beyond Z derivable
-  size_t tuples_conflicting = 0;    ///< unique-fix check failed
-  size_t cells_changed = 0;
-  size_t memo_hits = 0;    ///< repairs replayed from a shard memo
-  size_t memo_misses = 0;  ///< repairs computed (and memoized)
   /// Row positions with conflicts (left unmodified), ascending.
   std::vector<size_t> conflict_rows;
 };

@@ -39,13 +39,6 @@ class ConsistencyChecker {
                                      const PatternTuple& row,
                                      size_t max_instances = 100000) const;
 
-  /// Runtime check used by the interactive framework: does the concrete
-  /// tuple `t`, with `z0` validated, have a unique fix? (The "t[Z' + S]
-  /// leads to a unique fix" test of Fig. 3, line 6.)
-  SaturationResult CheckTuple(const Tuple& t, AttrSet z0) const {
-    return sat_->CheckUniqueFix(t, z0);
-  }
-
   const Saturator& saturator() const { return *sat_; }
 
  private:

@@ -24,12 +24,7 @@ const RepairMemo::Entry* RepairMemo::Find(const Tuple& row) {
   thread_local IdKey key;
   ProjectKey(row, &key);
   const uint32_t slot = table_.Find(key.data());
-  if (slot == FlatIdTable::kNotFound) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return &entries_[slot];
+  return slot == FlatIdTable::kNotFound ? nullptr : &entries_[slot];
 }
 
 void RepairMemo::Prefetch(const Tuple& row) const {
@@ -78,6 +73,7 @@ void RepairMemo::Insert(const Tuple& row, const TupleRepair& repair,
 TupleRepair RepairMemo::Replay(const Entry& entry, const Tuple& row) const {
   TupleRepair out;
   out.report = entry.report;
+  out.memo_hit = true;
   if (entry.report.conflicting()) return out;  // fixed stays empty
   Tuple fixed = row;
   for (const std::pair<AttrId, Value>& cell : entry.changed) {
@@ -100,7 +96,6 @@ void RepairMemo::EraseEntry(uint32_t slot) {
   entry = Entry();
   free_slots_.push_back(slot);
   --live_entries_;
-  ++flushed_;
 }
 
 void RepairMemo::FlushProbes(const std::vector<uint64_t>& hashes) {

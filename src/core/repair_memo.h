@@ -58,7 +58,6 @@ class RepairMemo {
   RepairMemo(const RuleSet& rules, AttrSet trusted);
 
   /// The cached entry for `row`'s relevant projection, or nullptr.
-  /// Counts a hit or a miss.
   const Entry* Find(const Tuple& row);
 
   /// Prefetches the table bucket `row` will probe (stage half of the
@@ -70,7 +69,7 @@ class RepairMemo {
   void Insert(const Tuple& row, const TupleRepair& repair,
               const ProbeLog& probes);
 
-  /// Rebuilds `repair` for `row` from a cached entry.
+  /// Rebuilds `repair` for `row` from a cached entry (`memo_hit` set).
   TupleRepair Replay(const Entry& entry, const Tuple& row) const;
 
   /// Drops every entry whose recorded probes intersect `hashes`.
@@ -79,9 +78,6 @@ class RepairMemo {
   /// Drops everything (pool recycle, missed invalidation window).
   void Clear();
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t flushed() const { return flushed_; }
   size_t entries() const { return live_entries_; }
   const std::vector<AttrId>& relevant_attrs() const { return relevant_; }
 
@@ -100,9 +96,6 @@ class RepairMemo {
   std::vector<uint32_t> free_slots_;
   std::unordered_map<uint64_t, std::vector<uint32_t>> probe_to_entries_;
   size_t live_entries_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t flushed_ = 0;
 };
 
 }  // namespace certfix

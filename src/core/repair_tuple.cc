@@ -1,9 +1,47 @@
 #include "core/repair_tuple.h"
 
+#include <utility>
+
 #include "core/repair_memo.h"
 #include "telemetry/metrics.h"
 
 namespace certfix {
+
+uint64_t& RepairTally::ClassCount(FixClass kind) {
+  switch (kind) {
+    case FixClass::kFullyCovered:
+      return fully_covered;
+    case FixClass::kPartial:
+      return partial;
+    case FixClass::kUntouched:
+      return untouched;
+    case FixClass::kConflicting:
+      break;
+  }
+  return conflicting;
+}
+
+void RepairTally::Add(const FixReport& report, bool memo_hit) {
+  ++ClassCount(report.kind);
+  cells_changed += report.cells_changed;
+  ++(memo_hit ? memo_hits : memo_misses);
+}
+
+void RepairTally::AddTo(telemetry::Registry& registry,
+                        const std::string& prefix) const {
+  const std::pair<const char*, uint64_t RepairTally::*> kFields[] = {
+      {"fully_covered", &RepairTally::fully_covered},
+      {"partial", &RepairTally::partial},
+      {"untouched", &RepairTally::untouched},
+      {"conflicting", &RepairTally::conflicting},
+      {"cells_changed", &RepairTally::cells_changed},
+      {"memo_hits", &RepairTally::memo_hits},
+      {"memo_misses", &RepairTally::memo_misses},
+  };
+  for (const auto& [name, count] : kFields) {
+    registry.GetCounter(prefix + "." + name)->Add(this->*count);
+  }
+}
 
 TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
                            AttrSet trusted, AttrSet all, RepairMemo& memo,

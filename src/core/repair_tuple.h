@@ -20,13 +20,20 @@
 #ifndef CERTFIX_CORE_REPAIR_TUPLE_H_
 #define CERTFIX_CORE_REPAIR_TUPLE_H_
 
+#include <cstdint>
+#include <string>
+
 #include "core/saturation.h"
 
 namespace certfix {
 
+namespace telemetry {
+class Registry;
+}  // namespace telemetry
+
 class RepairMemo;
 
-/// How one tuple fared under repair (the four BatchRepair counters).
+/// How one tuple fared under repair: the four outcome classes of Sect. 3.
 enum class FixClass {
   kFullyCovered,  ///< certain fix reached (covered = R)
   kPartial,       ///< some but not all attributes covered
@@ -44,6 +51,27 @@ struct FixReport {
   bool conflicting() const { return kind == FixClass::kConflicting; }
 };
 
+/// \brief The counts every engine reports over the tuples it repaired:
+/// one per FixClass, the changed cells, and the memo's hits and misses.
+/// BatchRepairResult, StreamSnapshot and DeltaRepairStats derive from it.
+struct RepairTally {
+  uint64_t fully_covered = 0;  ///< certain fix reached (covered = R)
+  uint64_t partial = 0;        ///< some but not all attrs covered
+  uint64_t untouched = 0;      ///< nothing beyond Z derivable
+  uint64_t conflicting = 0;    ///< unique-fix check failed
+  uint64_t cells_changed = 0;  ///< attributes rewritten
+  uint64_t memo_hits = 0;      ///< repairs replayed from a shard memo
+  uint64_t memo_misses = 0;    ///< repairs computed (and memoized)
+
+  /// The count of tuples in class `kind`.
+  uint64_t& ClassCount(FixClass kind);
+  /// Counts one repair: its class, its changed cells and whether the
+  /// memo replayed it.
+  void Add(const FixReport& report, bool memo_hit);
+  /// Adds each count to the registry counter `<prefix>.<field>`.
+  void AddTo(telemetry::Registry& registry, const std::string& prefix) const;
+};
+
 /// Rows every engine stages per probe block before repairing any of them:
 /// enough independent master-index probes in flight to cover DRAM
 /// latency, few enough to stay within L1 and the prefetch queues.
@@ -56,21 +84,23 @@ constexpr size_t kProbeBlock = 32;
 struct TupleRepair {
   Tuple fixed;
   FixReport report;
+  bool memo_hit = false;  ///< replayed from the memo, not recomputed
 };
 
 /// Repairs one tuple, trusting t[Z]: the unique-fix check plus the
-/// classification both engines tally. `all` is the schema's full attribute
+/// classification every engine tallies. `all` is the schema's full attribute
 /// set (hoisted by callers out of their per-tuple loop). `memo`
 /// short-circuits the whole check for a previously seen relevant
 /// projection (core/repair_memo.h): on a hit the recorded outcome is
-/// replayed and the entry's probe hashes are appended to `probes`; on a
-/// miss the fresh outcome is memoized. The memo must be keyed on `row`'s
-/// pool (one memo per shard pool generation) and have been built with the
-/// same `trusted` set. `bridge`, when given, must translate `row`'s pool
-/// into the master pool and may be reused across many rows of the same
-/// pool. `probes`, when given, records the repair's master-index
-/// dependency set (fix_state.h) — the incremental engine re-repairs a
-/// tuple only when a master delta hits one of its recorded probes.
+/// replayed (`memo_hit` set) and the entry's probe hashes are appended to
+/// `probes`; on a miss the fresh outcome is memoized. The memo must be
+/// keyed on `row`'s pool (one memo per shard pool generation) and have
+/// been built with the same `trusted` set. `bridge`, when given, must
+/// translate `row`'s pool into the master pool and may be reused across
+/// many rows of the same pool. `probes`, when given, records the repair's
+/// master-index dependency set (fix_state.h) — the incremental engine
+/// re-repairs a tuple only when a master delta hits one of its recorded
+/// probes.
 TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
                            AttrSet trusted, AttrSet all, RepairMemo& memo,
                            PoolBridge* bridge = nullptr,

@@ -48,14 +48,13 @@ void ShardRepairer::StageRow(Tuple row) {
 RepairedRow ShardRepairer::Repair(size_t j, ShardOutput output) {
   const Tuple& row = rows_[j];
   ProbeLog probes;
-  const uint64_t hits_before = memo_.hits();
   TupleRepair r = RepairOneTuple(
       *sat_, row, trusted_, all_, memo_, &bridge_,
       output == ShardOutput::kRowsAndProbes ? &probes : nullptr);
   RepairedRow out;
   out.report = r.report;
   out.probes = std::move(probes.hashes);
-  out.memo_hit = memo_.hits() > hits_before;
+  out.memo_hit = r.memo_hit;
   if (output == ShardOutput::kChangedRows && r.report.cells_changed == 0) {
     return out;  // a conflict changes no cell either
   }

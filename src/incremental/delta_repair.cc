@@ -51,22 +51,11 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
                   RepairShardBlock(ring, block, emit);
                 },
                 [this](uint64_t, Done& done) { ApplyResult(done); },
-                "delta.merge") {
-  // Every instrument stats() mirrors exists from construction, so the
-  // registry lists the ones still at zero too.
-  telemetry::Registry* reg = telemetry::Registry::Global();
-  for (const char* name :
-       {"delta.deltas_applied", "delta.tuples_repaired",
-        "delta.tuples_invalidated", "delta.master_rebuilds",
-        "delta.noop_updates", "delta.memo_hits", "delta.memo_misses",
-        "delta.pool_recycles"}) {
-    reg->GetCounter(name);
-  }
-  for (const char* name : {"delta.fully_covered", "delta.partial",
-                           "delta.untouched", "delta.conflicting",
-                           "delta.cells_changed"}) {
-    reg->GetGauge(name);
-  }
+                "delta.merge") {}
+
+DeltaRepairEngine::~DeltaRepairEngine() {
+  pipeline_.Close();
+  Publish();
 }
 
 Status DeltaRepairEngine::CheckLive() {
@@ -83,7 +72,6 @@ Status DeltaRepairEngine::CheckLive() {
 Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   CERTFIX_SPAN("delta.ingest");
   ++counts_.tuples_repaired;
-  CERTFIX_TL_COUNTER("delta.tuples_repaired")->Increment();
   Job job;
   job.slot = slot;
   job.values.reserve(schema_->num_attrs());
@@ -102,9 +90,7 @@ void DeltaRepairEngine::RepairShardBlock(
     const Pipeline::Emit& emit) {
   CERTFIX_SPAN("delta.shard_repair");
   ShardRepairer& shard = shards_[ring];
-  if (shard.RecycleIfOver(kShardPoolLimit)) {
-    CERTFIX_TL_COUNTER("delta.pool_recycles")->Increment();
-  }
+  shard.RecycleIfOver(kShardPoolLimit);
   shard.RepairBlock(
       block.size(),
       [&block](size_t j) -> std::vector<Value>& {
@@ -115,27 +101,12 @@ void DeltaRepairEngine::RepairShardBlock(
       });
 }
 
-void DeltaRepairEngine::AddClass(uint8_t cls, int64_t delta) {
-  live_class_[cls] += delta;
-  switch (static_cast<FixClass>(cls)) {
-    case FixClass::kFullyCovered:
-      CERTFIX_TL_GAUGE("delta.fully_covered")->Add(delta);
-      break;
-    case FixClass::kPartial:
-      CERTFIX_TL_GAUGE("delta.partial")->Add(delta);
-      break;
-    case FixClass::kUntouched:
-      CERTFIX_TL_GAUGE("delta.untouched")->Add(delta);
-      break;
-    case FixClass::kConflicting:
-      CERTFIX_TL_GAUGE("delta.conflicting")->Add(delta);
-      break;
+void DeltaRepairEngine::Untally(uint32_t slot) {
+  if (slot_class_[slot] != kPendingClass) {
+    --counts_.ClassCount(static_cast<FixClass>(slot_class_[slot]));
   }
-}
-
-void DeltaRepairEngine::AddCells(int64_t delta) {
-  live_cells_ += delta;
-  CERTFIX_TL_GAUGE("delta.cells_changed")->Add(delta);
+  counts_.cells_changed -= slot_cells_[slot];
+  slot_cells_[slot] = 0;
 }
 
 void DeltaRepairEngine::UnregisterProbes(uint32_t slot) {
@@ -152,16 +123,11 @@ void DeltaRepairEngine::UnregisterProbes(uint32_t slot) {
 void DeltaRepairEngine::ApplyResult(Done& done) {
   const uint32_t slot = done.slot;
   RepairedRow& r = done.row;
-  // Memo tallies count every finished repair, even one whose slot died
-  // in flight — they measure saturation work saved, not live state.
-  ++(r.memo_hit ? counts_.memo_hits : counts_.memo_misses);
-  if (r.memo_hit) {
-    CERTFIX_TL_COUNTER("delta.memo_hits")->Increment();
-  } else {
-    CERTFIX_TL_COUNTER("delta.memo_misses")->Increment();
-  }
   if (slot_class_[slot] == kDeadClass) {
-    return;  // deleted while the repair was in flight
+    // Deleted while the repair was in flight. The memo tallies still
+    // count it: they measure saturation work saved, not live state.
+    ++(r.memo_hit ? counts_.memo_hits : counts_.memo_misses);
+    return;
   }
   UnregisterProbes(slot);
   std::sort(r.probes.begin(), r.probes.end());
@@ -177,16 +143,16 @@ void DeltaRepairEngine::ApplyResult(Done& done) {
     }
   }
 
-  if (slot_class_[slot] != kPendingClass) AddClass(slot_class_[slot], -1);
+  Untally(slot);
+  counts_.Add(r.report, r.memo_hit);
   slot_class_[slot] = static_cast<uint8_t>(r.report.kind);
-  AddClass(slot_class_[slot], +1);
-  AddCells(static_cast<int64_t>(r.report.cells_changed) - slot_cells_[slot]);
   slot_cells_[slot] = static_cast<uint32_t>(r.report.cells_changed);
 }
 
 void DeltaRepairEngine::Flush() {
   Status st = EnsureIndexFresh();  // may enqueue invalidated re-repairs
   pipeline_.Drain();
+  Publish();
   if (!st.ok()) {
     throw std::runtime_error(st.ToString());
   }
@@ -206,7 +172,6 @@ Status DeltaRepairEngine::EnsureIndexFresh() {
   index_ = std::make_unique<MasterIndex>(*rules_, master_);
   sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
   ++counts_.master_rebuilds;
-  CERTFIX_TL_COUNTER("delta.master_rebuilds")->Increment();
   index_stale_ = false;
   for (ShardRepairer& shard : shards_) {
     shard.Bind(*sat_);
@@ -216,7 +181,6 @@ Status DeltaRepairEngine::EnsureIndexFresh() {
   std::vector<uint32_t> dirty(dirty_slots_.begin(), dirty_slots_.end());
   dirty_slots_.clear();
   counts_.tuples_invalidated += dirty.size();
-  CERTFIX_TL_COUNTER("delta.tuples_invalidated")->Add(dirty.size());
   for (uint32_t slot : dirty) {
     CERTFIX_RETURN_IF_ERROR(EnqueueRepair(slot));
   }
@@ -238,7 +202,6 @@ Status DeltaRepairEngine::Insert(const Tuple& t) {
   }
   order_.push_back(slot);
   ++counts_.deltas_applied;
-  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return EnqueueRepair(slot);
 }
 
@@ -256,12 +219,10 @@ Status DeltaRepairEngine::Update(size_t pos, const Tuple& t) {
   uint32_t slot = order_[pos];
   AttrSet changed = input_.UpdateRow(slot, t);
   ++counts_.deltas_applied;
-  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   if (changed.Empty()) {
     // Cell-level dirty tracking: the row is byte-identical, its repair is
     // still exact — nothing to invalidate.
     ++counts_.noop_updates;
-    CERTFIX_TL_COUNTER("delta.noop_updates")->Increment();
     return Status::OK();
   }
   return EnqueueRepair(slot);
@@ -280,13 +241,10 @@ Status DeltaRepairEngine::Delete(size_t pos) {
   {
     std::lock_guard<std::mutex> lock(pipeline_.merge_mutex());
     UnregisterProbes(slot);
-    if (slot_class_[slot] != kPendingClass) AddClass(slot_class_[slot], -1);
-    AddCells(-static_cast<int64_t>(slot_cells_[slot]));
-    slot_cells_[slot] = 0;
+    Untally(slot);
     slot_class_[slot] = kDeadClass;
   }
   ++counts_.deltas_applied;
-  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
 
@@ -330,7 +288,6 @@ Status DeltaRepairEngine::MasterInsert(const Tuple& t) {
   }
   index_stale_ = true;
   ++counts_.deltas_applied;
-  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
 
@@ -352,10 +309,8 @@ Status DeltaRepairEngine::MasterUpdate(size_t pos, const Tuple& t) {
     if (master_.Cell(pos, attr) != t.at(attr)) changed.Add(attr);
   }
   ++counts_.deltas_applied;
-  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   if (changed.Empty()) {
     ++counts_.noop_updates;
-    CERTFIX_TL_COUNTER("delta.noop_updates")->Increment();
     return Status::OK();
   }
   pipeline_.Drain();
@@ -402,7 +357,6 @@ Status DeltaRepairEngine::MasterDelete(size_t pos) {
   master_ = std::move(next);
   index_stale_ = true;
   ++counts_.deltas_applied;
-  CERTFIX_TL_COUNTER("delta.deltas_applied")->Increment();
   return Status::OK();
 }
 
@@ -481,25 +435,48 @@ std::vector<size_t> DeltaRepairEngine::ConflictPositions() {
 }
 
 DeltaRepairStats DeltaRepairEngine::stats() {
-  Flush();  // drained: no worker touches a shard or applies a result
-  DeltaRepairStats s = counts_;
-  auto live = [this](FixClass cls) {
-    return static_cast<uint64_t>(live_class_[static_cast<size_t>(cls)]);
-  };
-  s.rows = order_.size();
-  s.fully_covered = live(FixClass::kFullyCovered);
-  s.partial = live(FixClass::kPartial);
-  s.untouched = live(FixClass::kUntouched);
-  s.conflicting = live(FixClass::kConflicting);
-  s.cells_changed = static_cast<uint64_t>(live_cells_);
+  Flush();  // publishes the drained counts
+  return published_;
+}
+
+void DeltaRepairEngine::Publish() {
+  DeltaRepairStats now = counts_;
+  now.rows = order_.size();
   for (const ShardRepairer& shard : shards_) {
-    s.pool_recycles += shard.recycles();
+    now.pool_recycles += shard.recycles();
   }
-  s.max_reorder = pipeline_.max_reorder();
-  telemetry::Registry::Global()
-      ->GetMaxGauge("delta.max_reorder")
-      ->Note(s.max_reorder);
-  return s;
+  now.max_reorder = pipeline_.max_reorder();
+  telemetry::Registry& reg = *telemetry::Registry::Global();
+  using Field = uint64_t DeltaRepairStats::*;
+  // The classes and changed cells are live populations that also shrink
+  // (re-repairs and deletes): their gauges move by the change, which may
+  // be negative.
+  const std::pair<const char*, Field> kLive[] = {
+      {"delta.fully_covered", &DeltaRepairStats::fully_covered},
+      {"delta.partial", &DeltaRepairStats::partial},
+      {"delta.untouched", &DeltaRepairStats::untouched},
+      {"delta.conflicting", &DeltaRepairStats::conflicting},
+      {"delta.cells_changed", &DeltaRepairStats::cells_changed},
+  };
+  for (const auto& [name, count] : kLive) {
+    reg.GetGauge(name)->Add(static_cast<int64_t>(now.*count) -
+                            static_cast<int64_t>(published_.*count));
+  }
+  const std::pair<const char*, Field> kActivity[] = {
+      {"delta.memo_hits", &DeltaRepairStats::memo_hits},
+      {"delta.memo_misses", &DeltaRepairStats::memo_misses},
+      {"delta.deltas_applied", &DeltaRepairStats::deltas_applied},
+      {"delta.tuples_repaired", &DeltaRepairStats::tuples_repaired},
+      {"delta.tuples_invalidated", &DeltaRepairStats::tuples_invalidated},
+      {"delta.master_rebuilds", &DeltaRepairStats::master_rebuilds},
+      {"delta.noop_updates", &DeltaRepairStats::noop_updates},
+      {"delta.pool_recycles", &DeltaRepairStats::pool_recycles},
+  };
+  for (const auto& [name, count] : kActivity) {
+    reg.GetCounter(name)->Add(now.*count - published_.*count);
+  }
+  reg.GetMaxGauge("delta.max_reorder")->Note(now.max_reorder);
+  published_ = now;
 }
 
 }  // namespace certfix

@@ -60,7 +60,6 @@
 #define CERTFIX_INCREMENTAL_DELTA_REPAIR_H_
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -82,25 +81,20 @@ struct DeltaRepairOptions {
   size_t num_shards = 1;
 };
 
-/// \brief Counters. The live-state fields (rows..cells_changed) mirror
-/// BatchRepairResult over the currently maintained relation; the activity
-/// fields measure how much work the mutation stream actually caused this
-/// engine. The same counts also go to the `delta.*` instruments of the
-/// telemetry registry that is Global(), summed over every engine.
-struct DeltaRepairStats {
+/// \brief Counters. The tally's four classes and changed cells, and
+/// `rows`, are live state: they mirror BatchRepairResult over the
+/// currently maintained relation. The memo tallies and the activity
+/// fields below measure how much work the mutation stream caused this
+/// engine. The engine adds the same counts, summed over every engine, to
+/// the `delta.*` instruments of the registry that is Global() whenever it
+/// publishes: at each Flush() and when it is destroyed.
+struct DeltaRepairStats : RepairTally {
   uint64_t deltas_applied = 0;     ///< mutations accepted
   uint64_t tuples_repaired = 0;    ///< RepairOneTuple runs (incl. loads)
   uint64_t tuples_invalidated = 0; ///< re-repairs forced by master deltas
   uint64_t master_rebuilds = 0;    ///< MasterIndex/Saturator rebuilds
   uint64_t noop_updates = 0;       ///< updates/upserts changing no cell
   uint64_t rows = 0;               ///< live rows
-  uint64_t fully_covered = 0;
-  uint64_t partial = 0;
-  uint64_t untouched = 0;
-  uint64_t conflicting = 0;
-  uint64_t cells_changed = 0;      ///< live input-vs-repaired cell diffs
-  uint64_t memo_hits = 0;          ///< repairs replayed from a shard memo
-  uint64_t memo_misses = 0;        ///< repairs computed (and memoized)
   uint64_t max_reorder = 0;        ///< high-water mark of the reorder buffer
   uint64_t pool_recycles = 0;      ///< shard pools reset (bounded memory)
 };
@@ -123,6 +117,9 @@ class DeltaRepairEngine {
   DeltaRepairEngine(const RuleSet& rules, Relation&& master, AttrSet trusted,
                     DeltaRepairOptions options = {});
 
+  /// Lets the shard workers finish every queued repair, then publishes.
+  ~DeltaRepairEngine();
+
   DeltaRepairEngine(const DeltaRepairEngine&) = delete;
   DeltaRepairEngine& operator=(const DeltaRepairEngine&) = delete;
 
@@ -144,7 +141,8 @@ class DeltaRepairEngine {
   Status MasterDelete(size_t pos);
 
   /// Drains the pipeline and applies any pending invalidation, so reads
-  /// below observe every mutation. Rethrows the first worker error.
+  /// below observe every mutation, then publishes to the registry.
+  /// Rethrows the first worker error.
   void Flush();
 
   /// Live row count (cheap; no flush).
@@ -206,10 +204,12 @@ class DeltaRepairEngine {
   /// Marks every live slot that probed `row`'s key under one of
   /// `rule_idxs` dirty. Caller holds the merge lock.
   void InvalidateMasterRow(size_t row, const std::vector<size_t>& rule_idxs);
-  /// Moves the live tallies of class `cls` or of changed cells by
-  /// `delta`, here and in the registry gauge. Caller holds the merge lock.
-  void AddClass(uint8_t cls, int64_t delta);
-  void AddCells(int64_t delta);
+  /// Takes `slot`'s class and changed cells out of the live tally. Caller
+  /// holds the merge lock.
+  void Untally(uint32_t slot);
+  /// Adds what the engine counted since the last publish to the registry.
+  /// The pipeline must be drained or closed.
+  void Publish();
 
   const RuleSet* rules_;
   SchemaPtr schema_;
@@ -240,13 +240,12 @@ class DeltaRepairEngine {
   /// shard memo at the next rebuild. Caller thread only.
   std::vector<uint64_t> pending_memo_flush_;
 
-  /// This engine's activity counters (deltas_applied..master_rebuilds
-  /// and noop_updates on the caller thread, memo tallies under the merge
-  /// lock) and its live tallies per FixClass and of changed cells (under
-  /// the merge lock).
+  /// This engine's counts: the tally under the merge lock, the activity
+  /// fields on the caller thread (rows, max_reorder and pool_recycles are
+  /// filled in as it publishes). `published_` is what the last publish
+  /// added to the registry.
   DeltaRepairStats counts_;
-  std::array<int64_t, 4> live_class_{};
-  int64_t live_cells_ = 0;
+  DeltaRepairStats published_;
   /// One per ring. Workers use shard r only inside step(r, ...); the
   /// caller touches them only at the rebuild, with the pipeline drained.
   std::vector<ShardRepairer> shards_;

@@ -5,6 +5,7 @@
 
 #include "relational/csv_stream.h"
 #include "telemetry/metrics.h"
+#include "util/output_file.h"
 #include "util/string_util.h"
 
 namespace certfix {
@@ -145,13 +146,14 @@ Status WriteCsv(const Relation& rel, std::ostream& out) {
     }
     out << FormatCsvLine(fields) << "\n";
   }
+  if (!out) return Status::Internal("CSV write failed");
   return Status::OK();
 }
 
 Status WriteCsvFile(const Relation& rel, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::InvalidArgument("cannot open for write: " + path);
-  return WriteCsv(rel, out);
+  OutputFile file(path);
+  (void)WriteCsv(rel, file.stream());  // a failed write fails the commit
+  return file.Commit();
 }
 
 }  // namespace certfix

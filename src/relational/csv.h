@@ -35,8 +35,9 @@ Result<Relation> ReadCsvInferSchema(const std::string& name,
 Result<Relation> ReadCsvFileInferSchema(const std::string& name,
                                         const std::string& path);
 
-/// Writes the relation with a header line.
+/// Writes the relation with a header line; fails if `out` fails.
 Status WriteCsv(const Relation& rel, std::ostream& out);
+/// Writes the relation to `path` whole or not at all (util/output_file.h).
 Status WriteCsvFile(const Relation& rel, const std::string& path);
 
 }  // namespace certfix

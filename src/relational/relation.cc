@@ -14,10 +14,7 @@ Tuple Relation::at(size_t i) const {
 
 void Relation::SetCell(size_t row, AttrId attr, Value v) {
   ValueId id = pool_->Intern(std::move(v));
-  if (cols_[attr][row] != id) {
-    cols_[attr].Set(row, id);
-    BumpVersion(row);
-  }
+  if (cols_[attr][row] != id) cols_[attr].Set(row, id);
 }
 
 void Relation::SetRow(size_t row, const Tuple& t) {
@@ -43,14 +40,7 @@ AttrSet Relation::UpdateRow(size_t row, const Tuple& t) {
       }
     }
   }
-  if (!changed.Empty()) BumpVersion(row);
   return changed;
-}
-
-void Relation::TrackRowVersions() {
-  if (track_versions_) return;
-  track_versions_ = true;
-  versions_.assign(num_rows_, 1);
 }
 
 Status Relation::Append(const Tuple& t) {
@@ -64,7 +54,6 @@ Status Relation::Append(const Tuple& t) {
       cols_[a].PushBack(pool_->Intern(t.at(static_cast<AttrId>(a))));
     }
   }
-  if (track_versions_) versions_.push_back(1);
   ++num_rows_;
   return Status::OK();
 }
@@ -81,7 +70,6 @@ Status Relation::AppendStrings(const std::vector<std::string>& fields) {
     cols_[a].PushBack(
         pool_->Intern(Value::Parse(fields[a], schema_->attr_type(attr))));
   }
-  if (track_versions_) versions_.push_back(1);
   ++num_rows_;
   return Status::OK();
 }
@@ -106,13 +94,6 @@ std::vector<Value> Relation::ActiveDomain() const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-void Relation::ClearAndReleasePool() {
-  Clear();
-  if (pool_ != nullptr && pool_.use_count() == 1) {
-    pool_ = std::make_shared<ValuePool>();
-  }
 }
 
 std::string ProjectKey(const Relation& rel, size_t row,

@@ -87,11 +87,6 @@ class IdColumn {
     owned_.reserve(n);
     Sync();
   }
-  void Clear() {
-    owned_.clear();
-    backing_.reset();
-    Sync();
-  }
 
  private:
   void Promote() {
@@ -167,21 +162,8 @@ class Relation {
   /// returns the set of attributes whose value actually changed. Unchanged
   /// cells keep their interned ids untouched (columns are reused), so an
   /// upsert that repeats the current row is a guaranteed no-op — the
-  /// incremental engine skips re-repair on an empty mask. Bumps the row
-  /// version iff the mask is non-empty.
+  /// incremental engine skips re-repair on an empty mask.
   AttrSet UpdateRow(size_t row, const Tuple& t);
-
-  /// Versioned rows (opt-in): after TrackRowVersions(), every row carries
-  /// a version counter starting at 1, bumped by any mutation that changes
-  /// one of its cells (SetCell, SetRow, UpdateRow). row_version returns 0
-  /// while tracking is off. Gives snapshot caches and diagnostics a cheap
-  /// changed-since check without diffing cells; off by default so
-  /// relations that never ask pay nothing.
-  void TrackRowVersions();
-  bool tracking_row_versions() const { return track_versions_; }
-  uint64_t row_version(size_t row) const {
-    return track_versions_ ? versions_[row] : 0;
-  }
 
   /// Appends a tuple; fails if the tuple's schema differs.
   Status Append(const Tuple& t);
@@ -194,15 +176,6 @@ class Relation {
 
   void Reserve(size_t n) {
     for (auto& col : cols_) col.Reserve(n);
-  }
-  /// Drops all rows. The append-only pool keeps previously interned
-  /// values (cheap, and outstanding row views stay valid); call
-  /// ClearAndReleasePool to also reclaim the dictionary when reusing one
-  /// Relation across many batches.
-  void Clear() {
-    for (auto& col : cols_) col.Clear();
-    versions_.clear();
-    num_rows_ = 0;
   }
 
   /// The id column of one attribute (index builders scan this directly).
@@ -250,22 +223,11 @@ class Relation {
   RowIterator begin() const { return RowIterator(this, 0); }
   RowIterator end() const { return RowIterator(this, num_rows_); }
 
-  /// Clears rows; when nothing else shares the pool, the dictionary is
-  /// reset too so reuse cycles do not accumulate dead values. (A shared
-  /// pool — other relations or outstanding row views — is kept as is.)
-  void ClearAndReleasePool();
-
  private:
-  void BumpVersion(size_t row) {
-    if (track_versions_) ++versions_[row];
-  }
-
   SchemaPtr schema_;
   PoolPtr pool_;
   std::vector<IdColumn> cols_;  // cols_[attr][row]
   size_t num_rows_ = 0;
-  bool track_versions_ = false;
-  std::vector<uint64_t> versions_;  // per row, maintained when tracking
 };
 
 /// ProjectKey over a stored row without materializing a Tuple (same key

@@ -6,9 +6,9 @@
 #include <unistd.h>
 
 #include <array>
-#include <cerrno>
-#include <cstring>
 #include <fstream>
+
+#include "util/output_file.h"
 
 namespace certfix {
 namespace storage {
@@ -25,10 +25,6 @@ std::array<uint32_t, 256> BuildCrcTable() {
     table[i] = c;
   }
   return table;
-}
-
-Status Errno(const std::string& op, const std::string& path) {
-  return Status::Internal(op + " " + path + ": " + std::strerror(errno));
 }
 
 }  // namespace
@@ -98,33 +94,7 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return Errno("open", tmp);
-  size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Errno("write", tmp);
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Errno("fsync", tmp);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return Errno("close", tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Errno("rename", path);
-  }
+  CERTFIX_RETURN_IF_ERROR(WriteFile(path, bytes, /*sync=*/true));
   size_t slash = path.find_last_of('/');
   return FsyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
 }

@@ -51,9 +51,11 @@ uint64_t ReadU64(const uint8_t* p);
 /// what the filesystem enforces).
 Result<std::string> ReadFileBytes(const std::string& path);
 
-/// Durable whole-file replace: writes to `path.tmp`, fsyncs, renames over
-/// `path`, then fsyncs the parent directory so the rename itself is
-/// durable. The visible file is always either the old or the new bytes.
+/// Durable whole-file replace: an OutputFile (util/output_file.h) writes
+/// `path.tmp`, fsyncs it and renames it over `path`, then the parent
+/// directory is fsynced so the rename itself is durable. The visible file
+/// is always either the old or the new bytes (for a `path` that is missing
+/// or a regular file; OutputFile writes anything else in place).
 Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 
 /// fsync on a directory fd, making a preceding rename/creat in it durable.

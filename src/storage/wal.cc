@@ -21,10 +21,6 @@ constexpr size_t kWalHeaderSize = 16;
 /// record (deltas are rows, not blobs).
 constexpr uint32_t kMaxPayload = 1u << 30;
 
-Status Errno(const std::string& op, const std::string& path) {
-  return Status::Internal(op + " " + path + ": " + std::strerror(errno));
-}
-
 std::string EncodeDelta(const Delta& delta) {
   std::string payload;
   payload.push_back(static_cast<char>(delta.kind));

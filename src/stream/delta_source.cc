@@ -1,5 +1,9 @@
 #include "stream/delta_source.h"
 
+#include <iterator>
+#include <ostream>
+
+#include "relational/csv.h"
 #include "util/string_util.h"
 
 namespace certfix {
@@ -22,17 +26,21 @@ Status LineError(size_t line, const std::string& message) {
                             message);
 }
 
+/// Each DeltaKind's op in the log, in enumerator order.
+constexpr const char* kOpNames[] = {"I", "U", "D", "MI", "MU", "MD"};
+
 bool ParseKind(const std::string& op, DeltaKind* kind) {
-  if (op == "I") *kind = DeltaKind::kInsert;
-  else if (op == "U") *kind = DeltaKind::kUpdate;
-  else if (op == "D") *kind = DeltaKind::kDelete;
-  else if (op == "MI") *kind = DeltaKind::kMasterInsert;
-  else if (op == "MU") *kind = DeltaKind::kMasterUpdate;
-  else if (op == "MD") *kind = DeltaKind::kMasterDelete;
-  else return false;
-  return true;
+  for (size_t k = 0; k < std::size(kOpNames); ++k) {
+    if (op == kOpNames[k]) {
+      *kind = static_cast<DeltaKind>(k);
+      return true;
+    }
+  }
+  return false;
 }
 
+/// The two record shapes: whether a kind carries a row position, and
+/// whether it carries a full row of fields.
 bool NeedsRow(DeltaKind kind) {
   return kind == DeltaKind::kUpdate || kind == DeltaKind::kDelete ||
          kind == DeltaKind::kMasterUpdate || kind == DeltaKind::kMasterDelete;
@@ -88,6 +96,22 @@ Result<bool> DeltaLogSource::Next(Delta* delta) {
     return LineError(line, "op " + record[0] + " takes no fields");
   }
   return true;
+}
+
+Status WriteDeltaLog(const std::string& name, uint64_t seed,
+                     const std::vector<Delta>& deltas, std::ostream& out) {
+  out << "# scenario " << name << " seed=" << seed << "\n";
+  for (const Delta& d : deltas) {
+    std::vector<std::string> fields = {
+        kOpNames[static_cast<size_t>(d.kind)],
+        NeedsRow(d.kind) ? std::to_string(d.row) : ""};
+    if (NeedsFields(d.kind)) {
+      fields.insert(fields.end(), d.fields.begin(), d.fields.end());
+    }
+    out << FormatCsvLine(fields) << "\n";
+  }
+  if (!out) return Status::Internal("delta log write failed");
+  return Status::OK();
 }
 
 }  // namespace certfix

@@ -9,9 +9,9 @@
 /// as CSV loading apply downstream), so sources never need a ValuePool and
 /// deltas cross thread boundaries freely.
 ///
-/// Delta-log text format (read by DeltaLogSource, one logical CSV record
-/// per delta via CsvRecordReader — quoted fields, CRLF, and embedded
-/// newlines all work):
+/// Delta-log text format (written by WriteDeltaLog and read by
+/// DeltaLogSource, one logical CSV record per delta via CsvRecordReader —
+/// quoted fields, CRLF, and embedded newlines all work):
 ///
 /// ```
 /// # comment lines start with '#'
@@ -32,6 +32,7 @@
 #define CERTFIX_STREAM_DELTA_SOURCE_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,13 @@ class DeltaLogSource : public DeltaSource {
   SchemaPtr master_schema_;
   CsvRecordReader reader_;
 };
+
+/// Renders `deltas` in the delta-log text format above, one CSV record per
+/// delta, hostile values quoted. The leading comment line carries `name`
+/// and `seed` so logs are self-describing; it is part of the pinned
+/// bytes. Fails if `out` fails.
+Status WriteDeltaLog(const std::string& name, uint64_t seed,
+                     const std::vector<Delta>& deltas, std::ostream& out);
 
 /// \brief In-memory source for tests and benchmarks.
 class VectorDeltaSource : public DeltaSource {

@@ -96,22 +96,7 @@ void StreamRepairEngine::EmitRecord(uint64_t seq, RepairedRow& row) {
     sink_->Emit(record);
   }
   ++counts_.tuples_out;
-  counts_.cells_changed += row.report.cells_changed;
-  switch (row.report.kind) {
-    case FixClass::kFullyCovered:
-      ++counts_.fully_covered;
-      break;
-    case FixClass::kPartial:
-      ++counts_.partial;
-      break;
-    case FixClass::kUntouched:
-      ++counts_.untouched;
-      break;
-    case FixClass::kConflicting:
-      ++counts_.conflicting;
-      break;
-  }
-  ++(row.memo_hit ? counts_.memo_hits : counts_.memo_misses);
+  counts_.Add(row.report, row.memo_hit);
 }
 
 StreamSnapshot StreamRepairEngine::Finish() {
@@ -126,17 +111,11 @@ StreamSnapshot StreamRepairEngine::Finish() {
       s.pool_recycles += shard.recycles();
     }
     telemetry::Registry* reg = telemetry::Registry::Global();
+    s.AddTo(*reg, "stream");
     reg->GetCounter("stream.tuples_in")->Add(s.tuples_in);
     reg->GetCounter("stream.tuples_out")->Add(s.tuples_out);
-    reg->GetCounter("stream.fully_covered")->Add(s.fully_covered);
-    reg->GetCounter("stream.partial")->Add(s.partial);
-    reg->GetCounter("stream.untouched")->Add(s.untouched);
-    reg->GetCounter("stream.conflicting")->Add(s.conflicting);
-    reg->GetCounter("stream.cells_changed")->Add(s.cells_changed);
     reg->GetCounter("stream.backpressure_waits")->Add(s.backpressure_waits);
     reg->GetCounter("stream.pool_recycles")->Add(s.pool_recycles);
-    reg->GetCounter("stream.memo_hits")->Add(s.memo_hits);
-    reg->GetCounter("stream.memo_misses")->Add(s.memo_misses);
     reg->GetMaxGauge("stream.max_reorder")->Note(s.max_reorder);
   }
   pipeline_.Drain();  // rethrows the first worker exception, once

@@ -50,21 +50,15 @@
 
 namespace certfix {
 
-/// \brief Point-in-time copy of one engine's stream counters.
-struct StreamSnapshot {
+/// \brief Point-in-time copy of one engine's stream counters: the tally
+/// of every emitted tuple plus the stream's own.
+struct StreamSnapshot : RepairTally {
   uint64_t tuples_in = 0;       ///< tuples accepted by Push
   uint64_t tuples_out = 0;      ///< tuples emitted to the sink
-  uint64_t fully_covered = 0;   ///< certain fix reached (covered = R)
-  uint64_t partial = 0;         ///< some but not all attrs covered
-  uint64_t untouched = 0;       ///< nothing beyond Z derivable
-  uint64_t conflicting = 0;     ///< unique-fix check failed
-  uint64_t cells_changed = 0;   ///< total attributes rewritten
   uint64_t backpressure_waits = 0;  ///< Push calls that blocked on a
                                     ///< full ring or in-flight window
   uint64_t pool_recycles = 0;   ///< shard pools reset (bounded memory)
   uint64_t max_reorder = 0;     ///< high-water mark of the merge buffer
-  uint64_t memo_hits = 0;       ///< repairs replayed from a shard memo
-  uint64_t memo_misses = 0;     ///< repairs computed (and memoized)
 };
 
 /// \brief Execution knobs for the streaming engine.

@@ -25,6 +25,7 @@
 #include "telemetry/clock.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
+#include "util/output_file.h"
 #include "util/string_util.h"
 #include "workload/scenario.h"
 
@@ -379,25 +380,25 @@ struct TelemetryScope {
 /// every command exit path that ran the engine (a conflict exit still
 /// has metrics worth keeping). Returns 0, or 2 on a write failure.
 int DumpTelemetry(const ParsedArgs& args, std::ostream& err) {
+  Status st;
   if (auto it = args.flags.find("metrics-json"); it != args.flags.end()) {
-    std::ofstream out(it->second);
-    if (!out) {
-      err << Status::InvalidArgument("cannot open for write: " + it->second)
-          << "\n";
-      return 2;
-    }
-    out << telemetry::Registry::Global()->ToJson();
+    st = WriteFile(it->second, telemetry::Registry::Global()->ToJson());
   }
-  if (auto it = args.flags.find("trace-out"); it != args.flags.end()) {
-    std::ofstream out(it->second);
-    if (!out) {
-      err << Status::InvalidArgument("cannot open for write: " + it->second)
-          << "\n";
-      return 2;
-    }
-    out << telemetry::Tracer::Global().ExportJson();
+  if (auto it = args.flags.find("trace-out");
+      st.ok() && it != args.flags.end()) {
+    st = WriteFile(it->second, telemetry::Tracer::Global().ExportJson());
   }
-  return 0;
+  if (st.ok()) return 0;
+  err << st << "\n";
+  return 2;
+}
+
+/// Prints the line every repair command opens its summary with.
+void PrintTally(std::ostream& out, uint64_t rows, const RepairTally& t) {
+  out << "rows: " << rows << "  fully covered: " << t.fully_covered
+      << "  partial: " << t.partial << "  untouched: " << t.untouched
+      << "  conflicts: " << t.conflicting
+      << "  cells changed: " << t.cells_changed << "\n";
 }
 
 /// Setup both repair commands share: master data, rules, the input
@@ -478,12 +479,7 @@ int CmdRepair(const ParsedArgs& args, std::ostream& out,
   Saturator sat(setup.rules, setup.master, index);
   BatchRepairResult result =
       BatchRepair(sat, options).Repair(*input, setup.trusted);
-  out << "rows: " << input->size()
-      << "  fully covered: " << result.tuples_fully_covered
-      << "  partial: " << result.tuples_partial
-      << "  untouched: " << result.tuples_untouched
-      << "  conflicts: " << result.tuples_conflicting
-      << "  cells changed: " << result.cells_changed << "\n";
+  PrintTally(out, input->size(), result);
   out << "memo hits: " << result.memo_hits
       << "  memo misses: " << result.memo_misses << "\n";
   auto output_it = args.flags.find("output");
@@ -497,7 +493,7 @@ int CmdRepair(const ParsedArgs& args, std::ostream& out,
     out << "repaired relation written to " << output_it->second << "\n";
   }
   if (int code = DumpTelemetry(args, err); code != 0) return code;
-  return result.tuples_conflicting == 0 ? 0 : 2;
+  return result.conflicting == 0 ? 0 : 2;
 }
 
 int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
@@ -523,18 +519,19 @@ int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
   Saturator sat(setup.rules, setup.master, index);
   CsvTupleSource source(setup.master.schema(), in);
 
-  std::ofstream file_out;
+  // Rows stream into the output's temporary as they are repaired; it
+  // replaces the output only once the whole stream made it out.
+  std::unique_ptr<OutputFile> file;
   std::unique_ptr<StreamSink> sink;
   auto output_it = args.flags.find("output");
   if (output_it != args.flags.end()) {
-    file_out.open(output_it->second);
-    if (!file_out) {
-      err << Status::InvalidArgument("cannot open for write: " +
-                                     output_it->second)
-          << "\n";
+    file = std::make_unique<OutputFile>(output_it->second);
+    if (!file->stream()) {
+      err << file->Commit() << "\n";  // the open error
       return 2;
     }
-    sink = std::make_unique<CsvStreamSink>(setup.master.schema(), file_out);
+    sink = std::make_unique<CsvStreamSink>(setup.master.schema(),
+                                           file->stream());
   } else {
     sink = std::make_unique<NullSink>();
   }
@@ -569,12 +566,13 @@ int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
     err << "stream worker failed: " << e.what() << "\n";
     return 2;
   }
-  out << "rows: " << s.tuples_out
-      << "  fully covered: " << s.fully_covered
-      << "  partial: " << s.partial
-      << "  untouched: " << s.untouched
-      << "  conflicts: " << s.conflicting
-      << "  cells changed: " << s.cells_changed << "\n";
+  if (file != nullptr) {
+    if (Status st = file->Commit(); !st.ok()) {
+      err << st << "\n";
+      return 2;
+    }
+  }
+  PrintTally(out, s.tuples_out, s);
   out << "shards: " << engine.num_shards()
       << "  backpressure waits: " << s.backpressure_waits
       << "  pool recycles: " << s.pool_recycles
@@ -696,12 +694,7 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
         << session->snapshot_id() << "  pending deltas: "
         << session->records_since_snapshot() << "\n";
   }
-  out << "rows: " << stats.rows
-      << "  fully covered: " << stats.fully_covered
-      << "  partial: " << stats.partial
-      << "  untouched: " << stats.untouched
-      << "  conflicts: " << stats.conflicting
-      << "  cells changed: " << stats.cells_changed << "\n";
+  PrintTally(out, stats.rows, stats);
   out << "deltas: " << stats.deltas_applied
       << "  repairs: " << stats.tuples_repaired
       << "  invalidated: " << stats.tuples_invalidated
@@ -790,12 +783,7 @@ int CmdRecover(const ParsedArgs& args, std::ostream& out,
       << "  replayed: " << rec.replayed_records
       << "  discarded bytes: " << rec.discarded_bytes
       << "  mapped columns: " << rec.mapped_columns << "\n";
-  out << "rows: " << stats.rows
-      << "  fully covered: " << stats.fully_covered
-      << "  partial: " << stats.partial
-      << "  untouched: " << stats.untouched
-      << "  conflicts: " << stats.conflicting
-      << "  cells changed: " << stats.cells_changed << "\n";
+  PrintTally(out, stats.rows, stats);
   if (auto output_it = args.flags.find("output");
       output_it != args.flags.end()) {
     Status st =
@@ -849,30 +837,22 @@ int CmdWorkloadGen(const ParsedArgs& args, std::ostream& out,
     err << st << "\n";
     return 2;
   }
-  std::ofstream deltas_out(base + ".deltas", std::ios::binary);
-  if (!deltas_out) {
-    err << "cannot open for write: " << base << ".deltas\n";
-    return 2;
+  // The ruleset the scenario was generated against, in the DSL
+  // rule_parser.h reads back — so a generated scenario is runnable with
+  // the CLI repair commands without hand-writing rules.
+  std::string rules_text;
+  for (const EditingRule& rule : scenario->rules) {
+    rules_text += RuleToDsl(rule) + "\n";
   }
-  if (Status st = WriteDeltaLog(scenario->spec.name, scenario->spec.seed,
-                                scenario->deltas, deltas_out);
+  if (Status st = WriteFile(base + ".deltas", DeltaLogToString(*scenario));
       !st.ok()) {
     err << st << "\n";
     return 2;
   }
-  deltas_out.close();
-  // The ruleset the scenario was generated against, in the DSL
-  // rule_parser.h reads back — so a generated scenario is runnable with
-  // the CLI repair commands without hand-writing rules.
-  std::ofstream rules_out(base + ".rules");
-  if (!rules_out) {
-    err << "cannot open for write: " << base << ".rules\n";
+  if (Status st = WriteFile(base + ".rules", rules_text); !st.ok()) {
+    err << st << "\n";
     return 2;
   }
-  for (const EditingRule& rule : scenario->rules) {
-    rules_out << RuleToDsl(rule) << "\n";
-  }
-  rules_out.close();
   std::string trusted_csv;
   for (const std::string& name : scenario->trusted_names) {
     if (!trusted_csv.empty()) trusted_csv += ",";

@@ -5,6 +5,8 @@
 #ifndef CERTFIX_UTIL_STATUS_H_
 #define CERTFIX_UTIL_STATUS_H_
 
+#include <cerrno>
+#include <cstring>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -97,6 +99,13 @@ class Status {
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {
   return os << s.ToString();
+}
+
+/// The error of system call `op` failing on `path`, with the cause `err`
+/// names: e.g. "Internal: write out.csv.tmp: No space left on device".
+inline Status Errno(const std::string& op, const std::string& path,
+                    int err = errno) {
+  return Status::Internal(op + " " + path + ": " + std::strerror(err));
 }
 
 /// Propagate a non-OK Status to the caller.

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "relational/csv.h"
 #include "workload/dblp.h"
 #include "workload/dirty_gen.h"
 #include "workload/hosp.h"
@@ -235,18 +234,6 @@ std::vector<std::string> RenderRow(const Relation& rel, size_t row) {
     if (!v.is_null()) fields[a] = v.ToString();
   }
   return fields;
-}
-
-const char* OpName(DeltaKind kind) {
-  switch (kind) {
-    case DeltaKind::kInsert: return "I";
-    case DeltaKind::kUpdate: return "U";
-    case DeltaKind::kDelete: return "D";
-    case DeltaKind::kMasterInsert: return "MI";
-    case DeltaKind::kMasterUpdate: return "MU";
-    case DeltaKind::kMasterDelete: return "MD";
-  }
-  return "?";
 }
 
 }  // namespace
@@ -501,29 +488,6 @@ Result<Scenario> GenerateScenario(const ScenarioSpec& spec) {
     sc.deltas.push_back(std::move(d));
   }
   return sc;
-}
-
-Status WriteDeltaLog(const std::string& name, uint64_t seed,
-                     const std::vector<Delta>& deltas, std::ostream& out) {
-  out << "# scenario " << name << " seed=" << seed << "\n";
-  for (const Delta& d : deltas) {
-    std::vector<std::string> fields;
-    fields.reserve(2 + d.fields.size());
-    fields.push_back(OpName(d.kind));
-    bool has_row =
-        d.kind != DeltaKind::kInsert && d.kind != DeltaKind::kMasterInsert;
-    fields.push_back(has_row ? std::to_string(d.row) : "");
-    bool has_payload =
-        d.kind != DeltaKind::kDelete && d.kind != DeltaKind::kMasterDelete;
-    if (has_payload) {
-      fields.insert(fields.end(), d.fields.begin(), d.fields.end());
-    } else {
-      fields.resize(2);  // D/MD records carry op and row only
-    }
-    out << FormatCsvLine(fields) << "\n";
-  }
-  if (!out) return Status::Internal("delta log write failed");
-  return Status::OK();
 }
 
 std::string DeltaLogToString(const Scenario& scenario) {

@@ -122,12 +122,8 @@ struct Scenario {
 /// Generates the scenario. Fails on invalid specs or unknown workloads.
 Result<Scenario> GenerateScenario(const ScenarioSpec& spec);
 
-/// Renders `deltas` in the delta-log text format DeltaLogSource reads
-/// (stream/delta_source.h), one CSV record per delta, hostile values
-/// quoted. The leading comment line carries `name` and `seed` so logs are
-/// self-describing; it is part of the pinned bytes.
-Status WriteDeltaLog(const std::string& name, uint64_t seed,
-                     const std::vector<Delta>& deltas, std::ostream& out);
+/// The scenario's deltas as WriteDeltaLog (stream/delta_source.h)
+/// renders them, under the scenario's name and seed.
 std::string DeltaLogToString(const Scenario& scenario);
 
 /// Applies `deltas` positionally to string-rendered rows — the oracle

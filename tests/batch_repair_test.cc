@@ -50,9 +50,9 @@ TEST_F(BatchRepairSupplierTest, RepairsTrustedKeyTuples) {
   BatchRepair repair(*sat_);
   BatchRepairResult result =
       repair.Repair(data, Attrs(r_, {"zip", "phn", "type", "item"}));
-  EXPECT_EQ(result.tuples_fully_covered, 1u);
-  EXPECT_EQ(result.tuples_untouched, 1u);
-  EXPECT_EQ(result.tuples_conflicting, 0u);
+  EXPECT_EQ(result.fully_covered, 1u);
+  EXPECT_EQ(result.untouched, 1u);
+  EXPECT_EQ(result.conflicting, 0u);
   EXPECT_EQ(result.repaired.at(0), T1Truth(r_));
   EXPECT_EQ(result.repaired.at(1), T4(r_));
   EXPECT_EQ(result.cells_changed, 3u);  // fn, AC, str of t1
@@ -64,7 +64,7 @@ TEST_F(BatchRepairSupplierTest, ConflictingTupleLeftAlone) {
   BatchRepair repair(*sat_);
   BatchRepairResult result =
       repair.Repair(data, Attrs(r_, {"AC", "phn", "type", "zip"}));
-  EXPECT_EQ(result.tuples_conflicting, 1u);
+  EXPECT_EQ(result.conflicting, 1u);
   EXPECT_EQ(result.conflict_rows, std::vector<size_t>{0});
   EXPECT_EQ(result.repaired.at(0), T3(r_));
   EXPECT_EQ(result.cells_changed, 0u);
@@ -76,7 +76,7 @@ TEST_F(BatchRepairSupplierTest, PartialCoverageCounted) {
   BatchRepair repair(*sat_);
   // Only zip trusted: AC/str/city get fixed, fn/ln/phn/type/item do not.
   BatchRepairResult result = repair.Repair(data, Attrs(r_, {"zip"}));
-  EXPECT_EQ(result.tuples_partial, 1u);
+  EXPECT_EQ(result.partial, 1u);
   EXPECT_EQ(result.repaired.at(0).at(A(r_, "AC")).as_string(), "131");
   EXPECT_EQ(result.repaired.at(0).at(A(r_, "fn")).as_string(), "Bob");
 }
@@ -101,7 +101,7 @@ TEST_F(BatchRepairSupplierTest, RefusesRelationOfAnotherSchema) {
   ASSERT_TRUE(copy.Append(T1(r_copy)).ok());
   BatchRepairResult repaired = BatchRepair(*sat_).Repair(
       copy, Attrs(r_, {"zip", "phn", "type", "item"}));
-  EXPECT_EQ(repaired.tuples_fully_covered, 1u);
+  EXPECT_EQ(repaired.fully_covered, 1u);
 }
 
 TEST(BatchRepairHospTest, RestoresDuplicatesAtScale) {
@@ -132,8 +132,8 @@ TEST(BatchRepairHospTest, RestoresDuplicatesAtScale) {
 
   BatchRepair repair(sat);
   BatchRepairResult result = repair.Repair(dirty, trusted);
-  EXPECT_EQ(result.tuples_conflicting, 0u);
-  EXPECT_EQ(result.tuples_fully_covered, 100u);
+  EXPECT_EQ(result.conflicting, 0u);
+  EXPECT_EQ(result.fully_covered, 100u);
   for (size_t i = 0; i < truths.size(); ++i) {
     EXPECT_EQ(result.repaired.at(i), truths[i]) << "row " << i;
   }
@@ -145,11 +145,11 @@ TEST(BatchRepairHospTest, RestoresDuplicatesAtScale) {
 void ExpectSameRepair(const BatchRepairResult& expected,
                       const BatchRepairResult& actual,
                       const std::string& label) {
-  EXPECT_EQ(actual.tuples_fully_covered, expected.tuples_fully_covered)
+  EXPECT_EQ(actual.fully_covered, expected.fully_covered)
       << label;
-  EXPECT_EQ(actual.tuples_partial, expected.tuples_partial) << label;
-  EXPECT_EQ(actual.tuples_untouched, expected.tuples_untouched) << label;
-  EXPECT_EQ(actual.tuples_conflicting, expected.tuples_conflicting) << label;
+  EXPECT_EQ(actual.partial, expected.partial) << label;
+  EXPECT_EQ(actual.untouched, expected.untouched) << label;
+  EXPECT_EQ(actual.conflicting, expected.conflicting) << label;
   EXPECT_EQ(actual.cells_changed, expected.cells_changed) << label;
   EXPECT_EQ(actual.conflict_rows, expected.conflict_rows) << label;
   ASSERT_EQ(actual.repaired.size(), expected.repaired.size()) << label;
@@ -179,7 +179,7 @@ TEST_F(BatchRepairSupplierTest, ParallelMatchesSequentialWithConflicts) {
   }
   AttrSet trusted = Attrs(r_, {"AC", "phn", "type", "zip"});
   BatchRepairResult sequential = BatchRepair(*sat_).Repair(data, trusted);
-  EXPECT_GT(sequential.tuples_conflicting, 0u);
+  EXPECT_GT(sequential.conflicting, 0u);
   for (size_t shards : {1, 2, 3, 8}) {
     RepairOptions options;
     options.num_threads = shards;
@@ -210,7 +210,7 @@ TEST(BatchRepairHospTest, ParallelMatchesSequentialAtScale) {
     MasterIndex index(b.rules, b.master);
     Saturator sat(b.rules, b.master, index);
     BatchRepairResult sequential = BatchRepair(sat).Repair(b.dirty, b.trusted);
-    EXPECT_GT(sequential.tuples_fully_covered, 0u) << label;
+    EXPECT_GT(sequential.fully_covered, 0u) << label;
     EXPECT_GT(sequential.cells_changed, 0u) << label;
     // Precision 1: every cell the repair changes gets its clean value.
     for (size_t i = 0; i < b.pairs.size(); ++i) {
@@ -263,8 +263,8 @@ TEST(BatchRepairHospTest, MoreRowsThanTheAdmissionWindow) {
   EXPECT_EQ(ToCsv(result.repaired),
             ToCsv(reference::BatchRepair(rules, master, dirty, trusted)));
   EXPECT_GT(result.cells_changed, 0u);
-  EXPECT_EQ(result.tuples_fully_covered + result.tuples_partial +
-                result.tuples_untouched + result.tuples_conflicting,
+  EXPECT_EQ(result.fully_covered + result.partial +
+                result.untouched + result.conflicting,
             dirty.size());
   EXPECT_EQ(result.memo_hits + result.memo_misses, dirty.size());
   ExpectSameRepair(BatchRepair(sat).Repair(dirty, trusted), result,

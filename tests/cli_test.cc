@@ -1,14 +1,20 @@
 #include "tools/cli.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "relational/csv.h"
+#include "test_util.h"
 
 namespace certfix {
 namespace {
@@ -434,6 +440,19 @@ TEST_F(GoldenTest, RepairMetricsJsonMatchesGoldenFixture) {
   EXPECT_EQ(Slurp(metrics_path), Slurp(Golden("metrics/repair_metrics.json")));
 }
 
+TEST_F(GoldenTest, RepairDeltasMetricsJsonMatchesGoldenFixture) {
+  std::string metrics_path = dir_ + "/deltas_metrics.json";
+  ASSERT_EQ(Run({"repair-deltas", "--master", Golden("master.csv"),
+                 "--rules", Golden("rules.rules"), "--input",
+                 Golden("input.csv"), "--deltas", Golden("deltas.log"),
+                 "--trusted", "zip,name", "--metrics-deterministic",
+                 "--metrics-json", metrics_path}),
+            0)
+      << err_.str();
+  EXPECT_EQ(Slurp(metrics_path),
+            Slurp(Golden("metrics/repair_deltas_metrics.json")));
+}
+
 TEST_F(GoldenTest, RepairStreamTraceOutIsBalanced) {
   std::string trace_path = dir_ + "/trace.json";
   std::string metrics_path = dir_ + "/stream_metrics.json";
@@ -705,6 +724,101 @@ TEST_F(AnalyzeFlagTest, WarnAndOffRepairAsWithoutTheFlag) {
       EXPECT_EQ(ReadAll(out + ".csv"), want_bytes) << mode;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Output files are written whole or not at all: a command that fails
+// leaves neither the output nor its temporary, and keeps an existing
+// output as it was.
+
+TEST_F(CliTest, RepairStreamFailingMidStreamLeavesNoOutput) {
+  std::string input = dir_ + "/short_row.csv";
+  std::ofstream(input) << "zip,AC,city,name\n"
+                          "EH7,999,WRONG,Eve\n"
+                          "NW1,000,Nope\n";
+  std::string path = dir_ + "/partial.csv";
+  std::filesystem::remove(path);
+  EXPECT_EQ(Run({"repair-stream", "--master", master_path_, "--rules",
+                 rules_path_, "--input", input, "--trusted", "zip,name",
+                 "--output", path}),
+            2);
+  EXPECT_NE(err_.str().find("line 3"), std::string::npos) << err_.str();
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST_F(CliTest, FailedOutputWriteKeepsTheOldFile) {
+  std::string deltas = dir_ + "/one.deltas";
+  std::ofstream(deltas) << "I,,EH7,1,x,Hal\n";
+  const std::string path = dir_ + "/capped.out";
+  const std::string old_bytes = "bytes of an earlier run\n";
+  const std::vector<std::vector<std::string>> commands = {
+      {"repair", "--output", path},
+      {"repair-stream", "--output", path},
+      {"repair-deltas", "--deltas", deltas, "--output", path},
+      {"repair", "--metrics-json", path},
+  };
+  for (const std::vector<std::string>& command : commands) {
+    const std::string label = command[0] + " " + command[command.size() - 2];
+    std::vector<std::string> args = {command[0], "--master", master_path_,
+                                     "--rules", rules_path_, "--input",
+                                     input_path_, "--trusted", "zip,name"};
+    args.insert(args.end(), command.begin() + 1, command.end());
+    std::ofstream(path) << old_bytes;
+    int code = 0;
+    {
+      // Every file write past 8 bytes fails, as on a full disk.
+      testing_fixtures::FileSizeCap cap(8);
+      ASSERT_TRUE(cap.ok());
+      code = Run(args);
+    }
+    EXPECT_EQ(code, 2) << label << ": " << err_.str();
+    // The error names its cause, as the storage writes always did.
+    EXPECT_NE(err_.str().find(std::strerror(EFBIG)), std::string::npos)
+        << label << ": " << err_.str();
+    EXPECT_EQ(out_.str().find("written to"), std::string::npos) << label;
+    EXPECT_EQ(ReadAll(path), old_bytes) << label;
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << label;
+  }
+}
+
+// A PATH that is neither missing nor a regular file is written through in
+// place: a rename would replace the symlink or FIFO instead.
+TEST_F(CliTest, OutputThroughSymlinkOrFifoWritesInPlace) {
+  auto repair_to = [this](const std::string& path) {
+    return Run({"repair", "--master", master_path_, "--rules", rules_path_,
+                "--input", input_path_, "--trusted", "zip,name", "--output",
+                path});
+  };
+  ASSERT_EQ(repair_to(output_path_), 0) << err_.str();
+  const std::string expected = ReadAll(output_path_);
+
+  const std::string target = dir_ + "/link_target.csv";
+  const std::string link = dir_ + "/link.csv";
+  std::ofstream(target) << "bytes of an earlier run\n";
+  std::filesystem::remove(link);
+  std::filesystem::create_symlink(target, link);
+  EXPECT_EQ(repair_to(link), 0) << err_.str();
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  EXPECT_EQ(ReadAll(target), expected);
+  EXPECT_FALSE(std::filesystem::exists(link + ".tmp"));
+
+  const std::string fifo = dir_ + "/out.fifo";
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // The read end is open before the command runs, so its blocking open
+  // for write returns at once; the few dozen bytes fit the pipe buffer.
+  const int fd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(fd, 0);
+  const int code = repair_to(fifo);
+  std::string piped;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) > 0;) piped.append(buf, n);
+  ::close(fd);
+  EXPECT_EQ(code, 0) << err_.str();
+  EXPECT_EQ(piped, expected);
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  EXPECT_FALSE(std::filesystem::exists(fifo + ".tmp"));
 }
 
 TEST_F(CliTest, SnapshotAndRecoverRequireDir) {

@@ -17,10 +17,10 @@
 #include "incremental/durable_session.h"
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
-#include <csignal>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -191,35 +191,6 @@ void ExpectMatchesScratch(DurableSession* session, const RuleSet& rules,
             ScratchCsv(session->engine(), rules, trusted))
       << label;
 }
-
-/// Caps the size of every file the process writes at `limit` bytes, with
-/// SIGXFSZ ignored: a write crossing the cap is cut short at it and the
-/// next one fails with EFBIG ("File too large"), a disk-full stand-in.
-/// The destructor restores the old limit and handler, so an assertion
-/// failing under the cap cannot leak it into later tests.
-class FileSizeCap {
- public:
-  explicit FileSizeCap(uint64_t limit)
-      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
-    if (::getrlimit(RLIMIT_FSIZE, &old_limit_) != 0) return;
-    rlimit capped = old_limit_;
-    capped.rlim_cur = static_cast<rlim_t>(limit);
-    ok_ = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
-  }
-  ~FileSizeCap() {
-    if (ok_) ::setrlimit(RLIMIT_FSIZE, &old_limit_);
-    std::signal(SIGXFSZ, old_handler_);
-  }
-  FileSizeCap(const FileSizeCap&) = delete;
-  FileSizeCap& operator=(const FileSizeCap&) = delete;
-
-  bool ok() const { return ok_; }
-
- private:
-  void (*old_handler_)(int);
-  rlimit old_limit_{};
-  bool ok_ = false;
-};
 
 /// Expected repaired bytes after exactly `prefix` of `w.deltas`: a fresh
 /// in-memory engine replays them, and BatchRepair repairs its final input
@@ -467,7 +438,7 @@ TEST(CrashRecoveryTest, FailedWalAppendStopsTheSession) {
   const uint64_t wal_end = FileSize(wal_path);
   Status failed;
   {
-    FileSizeCap cap(wal_end + 5);
+    testing_fixtures::FileSizeCap cap(wal_end + 5);
     ASSERT_TRUE(cap.ok());
     failed = session->Apply(w.deltas[1]);
   }
@@ -512,11 +483,14 @@ TEST(CrashRecoveryTest, FailedRotationStopsTheSession) {
   // No snapshot of the next generation fits under the cap.
   Status failed;
   {
-    FileSizeCap cap(64);
+    testing_fixtures::FileSizeCap cap(64);
     ASSERT_TRUE(cap.ok());
     failed = session->WriteSnapshot();
   }
   ASSERT_FALSE(failed.ok());
+  // The error keeps its cause, so a full disk reads as one.
+  EXPECT_NE(failed.message().find(std::strerror(EFBIG)), std::string::npos)
+      << failed;
   EXPECT_EQ(session->Apply(w.deltas[1]).ToString(), failed.ToString());
   EXPECT_EQ(session->snapshot_id(), 0u);
   session.reset();

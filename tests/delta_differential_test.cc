@@ -58,10 +58,10 @@ void ExpectMatchesScratch(DeltaRepairEngine* engine, const RuleSet& rules,
   EXPECT_EQ(engine->ConflictPositions(), batch.conflict_rows) << label;
   DeltaRepairStats stats = engine->stats();
   EXPECT_EQ(stats.rows, final_input.size()) << label;
-  EXPECT_EQ(stats.fully_covered, batch.tuples_fully_covered) << label;
-  EXPECT_EQ(stats.partial, batch.tuples_partial) << label;
-  EXPECT_EQ(stats.untouched, batch.tuples_untouched) << label;
-  EXPECT_EQ(stats.conflicting, batch.tuples_conflicting) << label;
+  EXPECT_EQ(stats.fully_covered, batch.fully_covered) << label;
+  EXPECT_EQ(stats.partial, batch.partial) << label;
+  EXPECT_EQ(stats.untouched, batch.untouched) << label;
+  EXPECT_EQ(stats.conflicting, batch.conflicting) << label;
   EXPECT_EQ(stats.cells_changed, batch.cells_changed) << label;
 }
 

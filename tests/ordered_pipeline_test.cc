@@ -4,7 +4,8 @@
 /// index handed to the step, the reorder ring bounded by the window,
 /// first-error surfacing, zero-worker mode —
 /// plus the engines' registry views: two engines built one after another
-/// under one registry each report only their own counts and max_reorder.
+/// under one registry each report only their own counts and max_reorder,
+/// and a delta engine publishes its counts whether or not it was read.
 
 #include "stream/ordered_pipeline.h"
 
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -372,6 +374,49 @@ TEST_F(EngineViewTest, DeltaEnginesReportOnlyTheirOwnCounts) {
   EXPECT_EQ(reg.GetGauge("delta.fully_covered")->Value(),
             static_cast<int64_t>(a.fully_covered + b.fully_covered));
   EXPECT_EQ(reg.GetMaxGauge("delta.max_reorder")->Value(), a.max_reorder);
+}
+
+/// The registry's delta.* lines, but max_reorder (thread timing moves it).
+std::string DeltaTotals(const telemetry::Registry& registry) {
+  std::istringstream json(registry.ToJson());
+  std::string line, out;
+  while (std::getline(json, line)) {
+    if (line.find("\"delta.") != std::string::npos &&
+        line.find("max_reorder") == std::string::npos) {
+      out += line + "\n";
+    }
+  }
+  return out;
+}
+
+TEST_F(EngineViewTest, DeltaEngineDestroyedUnreadPublishesTheSameTotals) {
+  auto run = [this](bool read_stats) {
+    telemetry::ScopedRegistry registry;
+    {
+      DeltaRepairOptions options;
+      options.num_shards = 3;
+      DeltaRepairEngine engine(rules_, dm_, trusted_, options);
+      for (size_t i = 0; i < 30; ++i) {
+        EXPECT_TRUE(engine.Insert(data_.at(i)).ok());
+      }
+      EXPECT_TRUE(engine.MasterUpdate(0, dm_.at(1)).ok());
+      for (size_t i = 30; i < 45; ++i) {
+        EXPECT_TRUE(engine.Insert(data_.at(i)).ok());
+      }
+      EXPECT_TRUE(engine.Delete(0).ok());
+      if (read_stats) {
+        EXPECT_EQ(engine.stats().deltas_applied, 47u);
+      }
+    }
+    return DeltaTotals(registry.registry());
+  };
+  const std::string read = run(true);
+  EXPECT_NE(read.find("\"delta.deltas_applied\": 47"), std::string::npos)
+      << read;
+  EXPECT_NE(read.find("\"delta.master_rebuilds\": 1"), std::string::npos)
+      << read;
+  // Destruction publishes what no read did: the same totals.
+  EXPECT_EQ(run(false), read);
 }
 
 TEST_F(EngineViewTest, EnginesAliveAtOnceReportOnlyTheirOwnCounts) {

@@ -51,29 +51,6 @@ TEST(RelationTest, UpdateRowReportsChangedCells) {
   EXPECT_TRUE(rel.UpdateRow(0, *t).Empty());
 }
 
-TEST(RelationTest, RowVersionsTrackCellChanges) {
-  Relation rel(S());
-  ASSERT_TRUE(rel.AppendStrings({"x", "y"}).ok());
-  EXPECT_EQ(rel.row_version(0), 0u);  // off until opted in
-  rel.TrackRowVersions();
-  EXPECT_EQ(rel.row_version(0), 1u);
-  ASSERT_TRUE(rel.AppendStrings({"z", "w"}).ok());
-  EXPECT_EQ(rel.row_version(1), 1u);
-
-  rel.SetCell(0, 0, Value::Str("x"));  // no-op write
-  EXPECT_EQ(rel.row_version(0), 1u);
-  rel.SetCell(0, 0, Value::Str("q"));
-  EXPECT_EQ(rel.row_version(0), 2u);
-
-  Result<Tuple> t = Tuple::FromStrings(S(), {"q", "better"});
-  ASSERT_TRUE(t.ok());
-  rel.SetRow(0, *t);
-  EXPECT_EQ(rel.row_version(0), 3u);  // one bump per changed mutation
-  rel.SetRow(0, *t);
-  EXPECT_EQ(rel.row_version(0), 3u);  // identical row: untouched
-  EXPECT_EQ(rel.row_version(1), 1u);  // other rows unaffected
-}
-
 TEST(RelationTest, DistinctValues) {
   Relation rel(S());
   ASSERT_TRUE(rel.AppendStrings({"x", "1"}).ok());

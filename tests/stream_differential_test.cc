@@ -48,10 +48,10 @@ StreamRun RunStream(const Saturator& sat, const Relation& data,
 
 void ExpectMatchesBatch(const BatchRepairResult& batch,
                         const StreamRun& stream, const std::string& label) {
-  EXPECT_EQ(stream.stats.fully_covered, batch.tuples_fully_covered) << label;
-  EXPECT_EQ(stream.stats.partial, batch.tuples_partial) << label;
-  EXPECT_EQ(stream.stats.untouched, batch.tuples_untouched) << label;
-  EXPECT_EQ(stream.stats.conflicting, batch.tuples_conflicting) << label;
+  EXPECT_EQ(stream.stats.fully_covered, batch.fully_covered) << label;
+  EXPECT_EQ(stream.stats.partial, batch.partial) << label;
+  EXPECT_EQ(stream.stats.untouched, batch.untouched) << label;
+  EXPECT_EQ(stream.stats.conflicting, batch.conflicting) << label;
   EXPECT_EQ(stream.stats.cells_changed, batch.cells_changed) << label;
   EXPECT_EQ(stream.conflict_rows, batch.conflict_rows) << label;
   // The headline guarantee: byte-identical CSV output.
@@ -96,7 +96,7 @@ TEST_F(StreamSupplierTest, MatchesBatchAcrossThreadCounts) {
   }
   AttrSet trusted = Attrs(r_, {"AC", "phn", "type", "zip"});
   BatchRepairResult batch = BatchRepair(*sat_).Repair(data, trusted);
-  ASSERT_GT(batch.tuples_conflicting, 0u);
+  ASSERT_GT(batch.conflicting, 0u);
   for (size_t threads : {1, 2, 8}) {
     StreamOptions options;
     options.num_shards = threads;
@@ -136,7 +136,7 @@ TEST_F(StreamSupplierTest, PoolRecyclingKeepsOutputIdentical) {
   }
   AttrSet trusted = Attrs(r_, {"zip", "phn", "type", "item"});
   BatchRepairResult batch = BatchRepair(*sat_).Repair(data, trusted);
-  ASSERT_EQ(batch.tuples_fully_covered, rows);
+  ASSERT_EQ(batch.fully_covered, rows);
   StreamOptions options;
   options.num_shards = 1;
   StreamRun run = RunStream(*sat_, data, trusted, options);

@@ -6,8 +6,10 @@
 #define CERTFIX_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cassert>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -202,6 +204,35 @@ inline uint64_t NextPropertySeed(uint64_t default_seed) {
   static uint64_t iteration = 0;
   return PropertySeed(default_seed) + 1009 * iteration++;
 }
+
+/// Caps the size of every file the process writes at `limit` bytes, with
+/// SIGXFSZ ignored: a write crossing the cap is cut short at it and the
+/// next one fails with EFBIG ("File too large"), a disk-full stand-in.
+/// The destructor restores the old limit and handler, so an assertion
+/// failing under the cap cannot leak it into later tests.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t limit)
+      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    if (::getrlimit(RLIMIT_FSIZE, &old_limit_) != 0) return;
+    rlimit capped = old_limit_;
+    capped.rlim_cur = static_cast<rlim_t>(limit);
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    if (ok_) ::setrlimit(RLIMIT_FSIZE, &old_limit_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  void (*old_handler_)(int);
+  rlimit old_limit_{};
+  bool ok_ = false;
+};
 
 }  // namespace testing_fixtures
 }  // namespace certfix

@@ -154,27 +154,6 @@ TEST(ColumnarRelationTest, SetCellAndSetRowAcrossPools) {
   EXPECT_EQ(rel.Cell(0, 0), Value::Str("p"));
 }
 
-TEST(ColumnarRelationTest, ClearAndReleasePoolReclaimsDictionary) {
-  SchemaPtr schema = Schema::Make("R", std::vector<std::string>{"a", "b"});
-  Relation rel(schema);
-  ASSERT_TRUE(rel.AppendStrings({"x", "y"}).ok());
-  ASSERT_GT(rel.pool()->size(), 1u);
-
-  {
-    // While a row view shares the pool, the dictionary must survive.
-    Tuple view = rel.at(0);
-    PoolPtr before = rel.pool();
-    rel.ClearAndReleasePool();
-    EXPECT_EQ(rel.pool(), before);
-    EXPECT_EQ(view.at(0), Value::Str("x"));
-  }
-  // Unshared now: the next clear swaps in a fresh pool.
-  rel.ClearAndReleasePool();
-  EXPECT_EQ(rel.pool()->size(), 1u);  // just the null slot
-  ASSERT_TRUE(rel.AppendStrings({"p", "q"}).ok());
-  EXPECT_EQ(rel.Cell(0, 0), Value::Str("p"));
-}
-
 TEST(ColumnarRelationTest, RebasedTuplePreservesValues) {
   SchemaPtr schema = Schema::Make("R", std::vector<std::string>{"a", "b", "c"});
   Tuple t(schema, {Value::Str("s"), Value::Int(7), Value()});

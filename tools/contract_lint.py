@@ -33,6 +33,11 @@ Checks (each line-anchored, reported as file:line):
                   CERTFIX_LOG so lines stay whole under concurrency and
                   tests can capture them via SetLogSink.
 
+  output          std::ofstream is allowed only in the checked writer,
+                  util/output_file.{h,cc}: every file the program writes
+                  goes through OutputFile, which checks each write and the
+                  close and replaces the target only on success.
+
 A line is waived with `// contract-lint: allow(<check>) <reason>`; the
 reason is mandatory. For idkey-map only, the waiver may sit on the line
 immediately before or after the declaration (multi-line template
@@ -50,6 +55,7 @@ POOL_ALLOWED = ("src/relational/",)
 IDKEY_ALLOWED = ("src/relational/flat_key_index.h",
                  "src/relational/flat_key_index.cc")
 STDERR_ALLOWED = ("src/util/logging.cc", "src/tools/")
+OUTPUT_ALLOWED = ("src/util/output_file.h", "src/util/output_file.cc")
 
 WAIVER = re.compile(r"//\s*contract-lint:\s*allow\(([\w-]+)\)\s+\S")
 LINE_COMMENT = re.compile(r"//.*$")
@@ -58,6 +64,7 @@ THREAD_USE = re.compile(r"\bstd::thread\b(?!\s*::hardware_concurrency)")
 POOL_WRITE = re.compile(r"(?:->|\.)\s*Intern\s*\(")
 IDKEY_MAP = re.compile(r"\bstd::unordered_map<\s*IdKey\b")
 STDERR_USE = re.compile(r"\bstd::cerr\b|\bfprintf\s*\(\s*stderr\b")
+OFSTREAM_USE = re.compile(r"\bstd::ofstream\b")
 
 STATUS_DECL = re.compile(
     r"^\s*(?:virtual\s+)?(?:Status|Result<[^;=]*>)\s+(\w+)\s*\(")
@@ -195,6 +202,16 @@ def main():
                      "stderr: raw std::cerr/fprintf(stderr) outside "
                      "util/logging.cc and src/tools — use CERTFIX_LOG "
                      "(util/logging.h)"))
+
+            if (OFSTREAM_USE.search(code)
+                    and relpath not in OUTPUT_ALLOWED
+                    and not waived(raw, "output")):
+                findings.append(
+                    (relpath, lineno,
+                     "output: std::ofstream outside util/output_file — "
+                     "write files through OutputFile so every write and "
+                     "the close are checked and the target is replaced "
+                     "only on success"))
 
             if (POOL_WRITE.search(code)
                     and not relpath.startswith(POOL_ALLOWED)
