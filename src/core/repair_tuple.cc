@@ -29,18 +29,13 @@ void RepairTally::Add(const FixReport& report, bool memo_hit) {
 
 void RepairTally::AddTo(telemetry::Registry& registry,
                         const std::string& prefix) const {
-  const std::pair<const char*, uint64_t RepairTally::*> kFields[] = {
-      {"fully_covered", &RepairTally::fully_covered},
-      {"partial", &RepairTally::partial},
-      {"untouched", &RepairTally::untouched},
-      {"conflicting", &RepairTally::conflicting},
-      {"cells_changed", &RepairTally::cells_changed},
-      {"memo_hits", &RepairTally::memo_hits},
-      {"memo_misses", &RepairTally::memo_misses},
+  auto add = [&](const auto& fields) {
+    for (const auto& [name, count] : fields) {
+      registry.GetCounter(prefix + "." + name)->Add(this->*count);
+    }
   };
-  for (const auto& [name, count] : kFields) {
-    registry.GetCounter(prefix + "." + name)->Add(this->*count);
-  }
+  add(kPopulations);
+  add(kMemoCounts);
 }
 
 TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,

@@ -63,6 +63,26 @@ struct RepairTally {
   uint64_t memo_hits = 0;      ///< repairs replayed from a shard memo
   uint64_t memo_misses = 0;    ///< repairs computed (and memoized)
 
+  /// One count: its registry name after the engine's prefix, its member.
+  struct Field {
+    const char* name;
+    uint64_t RepairTally::*count;
+  };
+  /// The live populations: one per FixClass, plus the changed cells. The
+  /// delta engine's re-repairs and deletes shrink them.
+  static constexpr Field kPopulations[] = {
+      {"fully_covered", &RepairTally::fully_covered},
+      {"partial", &RepairTally::partial},
+      {"untouched", &RepairTally::untouched},
+      {"conflicting", &RepairTally::conflicting},
+      {"cells_changed", &RepairTally::cells_changed},
+  };
+  /// The memo's activity, which only grows.
+  static constexpr Field kMemoCounts[] = {
+      {"memo_hits", &RepairTally::memo_hits},
+      {"memo_misses", &RepairTally::memo_misses},
+  };
+
   /// The count of tuples in class `kind`.
   uint64_t& ClassCount(FixClass kind);
   /// Counts one repair: its class, its changed cells and whether the

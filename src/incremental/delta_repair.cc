@@ -447,24 +447,18 @@ void DeltaRepairEngine::Publish() {
   }
   now.max_reorder = pipeline_.max_reorder();
   telemetry::Registry& reg = *telemetry::Registry::Global();
-  using Field = uint64_t DeltaRepairStats::*;
-  // The classes and changed cells are live populations that also shrink
-  // (re-repairs and deletes): their gauges move by the change, which may
-  // be negative.
-  const std::pair<const char*, Field> kLive[] = {
-      {"delta.fully_covered", &DeltaRepairStats::fully_covered},
-      {"delta.partial", &DeltaRepairStats::partial},
-      {"delta.untouched", &DeltaRepairStats::untouched},
-      {"delta.conflicting", &DeltaRepairStats::conflicting},
-      {"delta.cells_changed", &DeltaRepairStats::cells_changed},
-  };
-  for (const auto& [name, count] : kLive) {
-    reg.GetGauge(name)->Add(static_cast<int64_t>(now.*count) -
-                            static_cast<int64_t>(published_.*count));
+  const std::string prefix = "delta.";
+  // The populations' gauges move by the change, which may be negative.
+  for (const auto& [name, count] : RepairTally::kPopulations) {
+    reg.GetGauge(prefix + name)
+        ->Add(static_cast<int64_t>(now.*count) -
+              static_cast<int64_t>(published_.*count));
   }
+  for (const auto& [name, count] : RepairTally::kMemoCounts) {
+    reg.GetCounter(prefix + name)->Add(now.*count - published_.*count);
+  }
+  using Field = uint64_t DeltaRepairStats::*;
   const std::pair<const char*, Field> kActivity[] = {
-      {"delta.memo_hits", &DeltaRepairStats::memo_hits},
-      {"delta.memo_misses", &DeltaRepairStats::memo_misses},
       {"delta.deltas_applied", &DeltaRepairStats::deltas_applied},
       {"delta.tuples_repaired", &DeltaRepairStats::tuples_repaired},
       {"delta.tuples_invalidated", &DeltaRepairStats::tuples_invalidated},

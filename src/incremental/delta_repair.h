@@ -110,10 +110,8 @@ class DeltaRepairEngine {
                     AttrSet trusted, DeltaRepairOptions options = {});
   /// Adopting overload: takes ownership of `master` without copying it.
   /// The relation (and its pool) must be private to the engine from here
-  /// on — this is how a memory-mapped snapshot master stays out-of-core
-  /// instead of being materialized row by row (storage/columnar.h; the
-  /// copy-on-write IdColumn promotes only the columns master deltas
-  /// actually touch).
+  /// on. Recovery hands over the master it just loaded from a snapshot
+  /// this way, instead of copying it row by row into a fresh pool.
   DeltaRepairEngine(const RuleSet& rules, Relation&& master, AttrSet trusted,
                     DeltaRepairOptions options = {});
 

@@ -91,13 +91,9 @@ Result<std::unique_ptr<DurableSession>> DurableSession::Open(
   session->options_ = options;
   session->snapshot_id_ = id;
 
-  storage::ColumnarReadOptions master_opts;
-  master_opts.mmap_budget_bytes = options.mmap_budget_bytes;
-  storage::ColumnarLoadInfo info;
   CERTFIX_ASSIGN_OR_RETURN(
       Relation master,
-      storage::ReadColumnar(session->SnapshotPath(id, "master"), master_opts,
-                            &info));
+      storage::ReadColumnar(session->SnapshotPath(id, "master")));
   CERTFIX_ASSIGN_OR_RETURN(
       Relation input,
       storage::ReadColumnar(session->SnapshotPath(id, "input")));
@@ -118,8 +114,8 @@ Result<std::unique_ptr<DurableSession>> DurableSession::Open(
     session->trusted_.Add(attr);
   }
 
-  // Adopt the master by move: columns past the mmap budget stay mapped
-  // until (if ever) a master delta promotes them to owned storage.
+  // Adopt the master by move: the engine takes its columns and pool
+  // instead of copying it row by row.
   session->engine_ = std::make_unique<DeltaRepairEngine>(
       *session->rules_, std::move(master), session->trusted_, options.engine);
   CERTFIX_RETURN_IF_ERROR(session->engine_->Load(input));
@@ -137,7 +133,6 @@ Result<std::unique_ptr<DurableSession>> DurableSession::Open(
   session->recovery_.snapshot_id = id;
   session->recovery_.replayed_records = reader->records_read();
   session->recovery_.discarded_bytes = reader->discarded_bytes();
-  session->recovery_.mapped_columns = info.mapped_columns;
 
   // Reopen for append: truncates the torn tail (if any) so the next
   // accepted delta lands on a clean record boundary.
@@ -210,13 +205,10 @@ Status DurableSession::FailStop(const Status& error) {
 
 Status DurableSession::CommitGeneration(uint64_t id) {
   engine_->Flush();
-  storage::ColumnarWriteOptions write_opts;
-  write_opts.compress = options_.compress_snapshots;
-  CERTFIX_RETURN_IF_ERROR(storage::WriteColumnar(
-      engine_->master(), SnapshotPath(id, "master"), write_opts));
-  Relation input = engine_->SnapshotInput();
   CERTFIX_RETURN_IF_ERROR(
-      storage::WriteColumnar(input, SnapshotPath(id, "input"), write_opts));
+      storage::WriteColumnar(engine_->master(), SnapshotPath(id, "master")));
+  CERTFIX_RETURN_IF_ERROR(storage::WriteColumnar(engine_->SnapshotInput(),
+                                                 SnapshotPath(id, "input")));
   // Fresh empty WAL before the manifest flips: a reader at generation
   // `id` must never find the snapshot without its WAL. Replacing wal_
   // also closes the previous generation's descriptor.

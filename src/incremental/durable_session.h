@@ -27,8 +27,8 @@
 ///    complete generation. Old generation files are deleted best-effort
 ///    after the commit.
 ///  * Recovery (Open): read MANIFEST, load both snapshots, rebuild the
-///    engine (the master is adopted move-in, so columns past the RAM
-///    budget stay memory-mapped), Load() the input, replay wal-<N>.
+///    engine (adopting the loaded master without a copy), Load() the
+///    input, replay wal-<N>.
 ///  * Fail-stop: after a WAL error (a torn frame recovery stops at) or a
 ///    rotation error (wal_ may be on an uncommitted generation), a later
 ///    delta could be acknowledged yet unrecoverable. So every later
@@ -65,14 +65,6 @@ struct DurableOptions {
   /// fsync per append (see WalWriterOptions). Off trades durability of
   /// the most recent deltas for throughput.
   bool sync_every_append = true;
-  /// Per-column raw-vs-varint choice when writing snapshots. Must be off
-  /// for masters meant to load out-of-core (only raw blocks stay
-  /// mapped).
-  bool compress_snapshots = true;
-  /// RAM budget for loading the master snapshot; columns beyond it stay
-  /// memory-mapped (storage/columnar.h). The input snapshot always
-  /// materializes — the engine rebuilds its own slot store from it.
-  size_t mmap_budget_bytes = static_cast<size_t>(-1);
 };
 
 /// What recovery found (Open fills this; Create leaves it zeroed).
@@ -80,7 +72,6 @@ struct RecoveryInfo {
   uint64_t snapshot_id = 0;        ///< generation the manifest committed
   uint64_t replayed_records = 0;   ///< intact WAL records re-applied
   uint64_t discarded_bytes = 0;    ///< torn/corrupt WAL tail dropped
-  size_t mapped_columns = 0;       ///< master columns left on the mmap
 };
 
 /// \brief Owns a DeltaRepairEngine plus its durability machinery. Same

@@ -4,50 +4,10 @@
 #include <sstream>
 
 #include "relational/csv_stream.h"
-#include "telemetry/metrics.h"
 #include "util/output_file.h"
 #include "util/string_util.h"
 
 namespace certfix {
-
-Result<std::vector<std::string>> ParseCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        // Delimiters, CR, and LF are all literal inside quotes (callers
-        // passing a full logical record get RFC-4180 semantics).
-        cur += c;
-      }
-    } else if (c == '"') {
-      if (!cur.empty()) {
-        return Status::ParseError("unexpected quote mid-field at column " +
-                                  std::to_string(i));
-      }
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(cur));
-      cur.clear();
-    } else if (c == '\r') {
-      // Tolerate CRLF endings (and stray bare CR) outside quotes.
-    } else {
-      cur += c;
-    }
-  }
-  if (in_quotes) return Status::ParseError("unterminated quoted field");
-  fields.push_back(std::move(cur));
-  return fields;
-}
 
 std::string FormatCsvLine(const std::vector<std::string>& fields) {
   std::string out;
@@ -83,7 +43,6 @@ Result<Relation> ReadCsv(SchemaPtr schema, std::istream& in) {
                                 st.message());
     }
   }
-  CERTFIX_TL_COUNTER("csv.rows_read")->Add(rel.size());
   return rel;
 }
 

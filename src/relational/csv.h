@@ -3,8 +3,8 @@
 ///
 /// The batch loaders below are built on the incremental record reader of
 /// csv_stream.h, so quoted fields may contain delimiters and embedded
-/// newlines, and CRLF input is accepted. ParseCsvLine/FormatCsvLine stay
-/// as the single-record string-level primitives.
+/// newlines, and CRLF input is accepted. FormatCsvLine renders one
+/// record; CsvRecordReader (csv_stream.h) is the one parser.
 
 #ifndef CERTFIX_RELATIONAL_CSV_H_
 #define CERTFIX_RELATIONAL_CSV_H_
@@ -17,13 +17,11 @@
 
 namespace certfix {
 
-/// Parses one CSV line into fields, honoring double-quote quoting.
-Result<std::vector<std::string>> ParseCsvLine(const std::string& line);
-
 /// Renders fields as one CSV line, quoting where needed.
 std::string FormatCsvLine(const std::vector<std::string>& fields);
 
-/// Reads a relation from CSV text. The first line must be a header whose
+/// Reads a relation from CSV text through a CsvTupleSource (so its rows
+/// count in `csv.rows_read`). The first line must be a header whose
 /// column names match the schema's attribute names (order included).
 Result<Relation> ReadCsv(SchemaPtr schema, std::istream& in);
 Result<Relation> ReadCsvFile(SchemaPtr schema, const std::string& path);

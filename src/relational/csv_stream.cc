@@ -3,6 +3,7 @@
 #include <istream>
 #include <streambuf>
 
+#include "telemetry/metrics.h"
 #include "util/string_util.h"
 
 namespace certfix {
@@ -114,6 +115,7 @@ Result<bool> CsvTupleSource::Next(std::vector<std::string>* fields) {
         std::to_string(fields->size()) + " does not match schema arity " +
         std::to_string(schema_->num_attrs()));
   }
+  CERTFIX_TL_COUNTER("csv.rows_read")->Increment();
   return true;
 }
 

@@ -2,10 +2,10 @@
 /// \brief Incremental CSV reading for the streaming repair engine (and,
 /// since the batch loaders are built on it, for ReadCsv as well).
 ///
-/// Unlike the line-oriented ParseCsvLine, CsvRecordReader consumes one
-/// *logical record* at a time directly from the input stream, so RFC-4180
-/// quoted fields may contain delimiters, quotes, CR, and record
-/// separators (embedded newlines). CRLF and LF line endings are both
+/// CsvRecordReader, the one CSV parser, consumes one *logical record* at
+/// a time directly from the input stream, so RFC-4180 quoted fields may
+/// contain delimiters, quotes, CR, and record separators (embedded
+/// newlines). CRLF and LF line endings are both
 /// accepted; a CR inside a quoted field is preserved. Memory is bounded
 /// by the size of one record — the reader never materializes the input.
 
@@ -46,10 +46,12 @@ class CsvRecordReader {
   size_t record_line_ = 0;  ///< first line of the last record
 };
 
-/// \brief Schema-checked tuple source: the ingest side of the streaming
-/// engine. Validates the header against the schema on the first Next()
-/// call and then yields one field vector per record, ready for
-/// StreamRepairEngine::PushStrings.
+/// \brief Schema-checked tuple source: the reader every command's input
+/// passes through (ReadCsv is built on it; repair-stream pulls from it
+/// directly). Validates the header against the schema on the first
+/// Next() call and then yields one field vector per record, ready for
+/// StreamRepairEngine::PushStrings. Each data record it yields adds 1 to
+/// the `csv.rows_read` counter.
 class CsvTupleSource {
  public:
   /// `in` must outlive the source.

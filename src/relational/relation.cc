@@ -13,8 +13,7 @@ Tuple Relation::at(size_t i) const {
 }
 
 void Relation::SetCell(size_t row, AttrId attr, Value v) {
-  ValueId id = pool_->Intern(std::move(v));
-  if (cols_[attr][row] != id) cols_[attr].Set(row, id);
+  cols_[attr][row] = pool_->Intern(std::move(v));
 }
 
 void Relation::SetRow(size_t row, const Tuple& t) {
@@ -27,7 +26,7 @@ AttrSet Relation::UpdateRow(size_t row, const Tuple& t) {
     for (size_t a = 0; a < cols_.size(); ++a) {
       ValueId id = t.id_at(static_cast<AttrId>(a));
       if (cols_[a][row] != id) {
-        cols_[a].Set(row, id);
+        cols_[a][row] = id;
         changed.Add(static_cast<AttrId>(a));
       }
     }
@@ -35,7 +34,7 @@ AttrSet Relation::UpdateRow(size_t row, const Tuple& t) {
     for (size_t a = 0; a < cols_.size(); ++a) {
       const Value& v = t.at(static_cast<AttrId>(a));
       if (Cell(row, static_cast<AttrId>(a)) != v) {
-        cols_[a].Set(row, pool_->Intern(v));
+        cols_[a][row] = pool_->Intern(v);
         changed.Add(static_cast<AttrId>(a));
       }
     }
@@ -47,11 +46,11 @@ Status Relation::Append(const Tuple& t) {
   CERTFIX_RETURN_IF_ERROR(CheckTupleSchema(t, schema_));
   if (t.pool() == pool_) {
     for (size_t a = 0; a < cols_.size(); ++a) {
-      cols_[a].PushBack(t.id_at(static_cast<AttrId>(a)));
+      cols_[a].push_back(t.id_at(static_cast<AttrId>(a)));
     }
   } else {
     for (size_t a = 0; a < cols_.size(); ++a) {
-      cols_[a].PushBack(pool_->Intern(t.at(static_cast<AttrId>(a))));
+      cols_[a].push_back(pool_->Intern(t.at(static_cast<AttrId>(a))));
     }
   }
   ++num_rows_;
@@ -67,7 +66,7 @@ Status Relation::AppendStrings(const std::vector<std::string>& fields) {
   }
   for (size_t a = 0; a < fields.size(); ++a) {
     AttrId attr = static_cast<AttrId>(a);
-    cols_[a].PushBack(
+    cols_[a].push_back(
         pool_->Intern(Value::Parse(fields[a], schema_->attr_type(attr))));
   }
   ++num_rows_;

@@ -15,96 +15,8 @@
 
 namespace certfix {
 
-/// \brief One attribute's id column: either an owned vector or a borrowed
-/// span into a read-only backing (a memory-mapped snapshot section).
-///
-/// The storage layer loads master relations out-of-core by handing each
-/// column a pointer into the mapped file plus a shared handle that keeps
-/// the mapping alive. Reads are identical either way; the first mutation
-/// (Set / PushBack) promotes a borrowed column to an owned copy, so the
-/// Relation API keeps its value semantics and index builders never see a
-/// column change representation underneath them mid-scan (the engines
-/// mutate only from the single caller thread).
-class IdColumn {
- public:
-  IdColumn() = default;
-  /// Borrows `size` ids at `data`; `backing` keeps the bytes alive (and
-  /// must remain immutable for its lifetime).
-  IdColumn(const ValueId* data, size_t size,
-           std::shared_ptr<const void> backing)
-      : data_(data), size_(size), backing_(std::move(backing)) {}
-
-  IdColumn(const IdColumn& o) { *this = o; }
-  IdColumn& operator=(const IdColumn& o) {
-    if (this == &o) return *this;
-    owned_ = o.owned_;
-    backing_ = o.backing_;
-    if (backing_ != nullptr) {
-      data_ = o.data_;
-      size_ = o.size_;
-    } else {
-      Sync();
-    }
-    return *this;
-  }
-  IdColumn(IdColumn&& o) noexcept { *this = std::move(o); }
-  IdColumn& operator=(IdColumn&& o) noexcept {
-    if (this == &o) return *this;
-    owned_ = std::move(o.owned_);
-    backing_ = std::move(o.backing_);
-    if (backing_ != nullptr) {
-      data_ = o.data_;
-      size_ = o.size_;
-    } else {
-      Sync();
-    }
-    o.owned_.clear();
-    o.backing_.reset();
-    o.Sync();
-    return *this;
-  }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  ValueId operator[](size_t i) const { return data_[i]; }
-  const ValueId* data() const { return data_; }
-  const ValueId* begin() const { return data_; }
-  const ValueId* end() const { return data_ + size_; }
-  /// True while the column still reads from a borrowed (mapped) backing.
-  bool mapped() const { return backing_ != nullptr; }
-
-  void Set(size_t i, ValueId id) {
-    Promote();
-    owned_[i] = id;
-  }
-  void PushBack(ValueId id) {
-    Promote();
-    owned_.push_back(id);
-    Sync();
-  }
-  void Reserve(size_t n) {
-    if (backing_ != nullptr) return;  // promotion re-allocates anyway
-    owned_.reserve(n);
-    Sync();
-  }
-
- private:
-  void Promote() {
-    if (backing_ == nullptr) return;
-    owned_.assign(data_, data_ + size_);
-    backing_.reset();
-    Sync();
-  }
-  void Sync() {
-    data_ = owned_.data();
-    size_ = owned_.size();
-  }
-
-  std::vector<ValueId> owned_;
-  const ValueId* data_ = nullptr;  // always valid: owned_ or the backing
-  size_t size_ = 0;
-  std::shared_ptr<const void> backing_;
-};
+/// One attribute's id column: the row-ordered ValueIds of its cells.
+using IdColumn = std::vector<ValueId>;
 
 /// \brief A bag of tuples over one schema. Master relations Dm and input
 /// batches D are both Relation instances.
@@ -125,9 +37,9 @@ class Relation {
       : schema_(std::move(schema)),
         pool_(std::move(pool)),
         cols_(schema_->num_attrs()) {}
-  /// Adopts pre-built columns (the snapshot loader's entry point: columns
-  /// may borrow mapped spans, ids must be valid in `pool`). All columns
-  /// must have exactly `num_rows` ids.
+  /// Adopts pre-built columns (the snapshot loader's entry point: ids
+  /// must be valid in `pool`). All columns must have exactly `num_rows`
+  /// ids.
   Relation(SchemaPtr schema, PoolPtr pool, std::vector<IdColumn> cols,
            size_t num_rows)
       : schema_(std::move(schema)),
@@ -175,17 +87,11 @@ class Relation {
   Tuple NewTuple() const { return Tuple(schema_, pool_); }
 
   void Reserve(size_t n) {
-    for (auto& col : cols_) col.Reserve(n);
+    for (auto& col : cols_) col.reserve(n);
   }
 
   /// The id column of one attribute (index builders scan this directly).
   const IdColumn& Column(AttrId attr) const { return cols_[attr]; }
-  /// Number of columns still reading from a mapped backing (diagnostics).
-  size_t mapped_columns() const {
-    size_t n = 0;
-    for (const auto& col : cols_) n += col.mapped() ? 1 : 0;
-    return n;
-  }
 
   /// Distinct values of one attribute (the attribute's active domain),
   /// ascending. Deduplication is by id, one comparison word per row.

@@ -23,13 +23,6 @@ constexpr uint8_t kTagString = 3;
 constexpr uint8_t kEncodingRaw = 0;
 constexpr uint8_t kEncodingDeltaVarint = 1;
 
-bool HostIsLittleEndian() {
-  const uint32_t probe = 1;
-  uint8_t first;
-  std::memcpy(&first, &probe, 1);
-  return first == 1;
-}
-
 Status Corrupt(const std::string& path, const std::string& what) {
   return Status::ParseError("snapshot " + path + ": " + what);
 }
@@ -87,29 +80,21 @@ std::string EncodeDict(const ValuePool& pool) {
   return out;
 }
 
-/// Column block bytes given the encoding; `base` is the file offset the
-/// section will start at (raw payloads pad to 4-byte file alignment).
-std::string EncodeColumn(const IdColumn& col, uint8_t encoding,
-                         uint64_t base) {
-  std::string out;
-  out.push_back(static_cast<char>(encoding));
-  if (encoding == kEncodingRaw) {
-    while ((base + out.size()) % 4 != 0) out.push_back('\0');
-    for (ValueId id : col) PutU32(&out, id);
-  } else {
-    int64_t prev = 0;
-    for (ValueId id : col) {
-      PutVarint(&out, ZigzagEncode(static_cast<int64_t>(id) - prev));
-      prev = static_cast<int64_t>(id);
-    }
+/// Column block bytes: the delta-varint encoding byte, then one zigzag
+/// varint per id, relative to the id before it.
+std::string EncodeColumn(const IdColumn& col) {
+  std::string out(1, static_cast<char>(kEncodingDeltaVarint));
+  int64_t prev = 0;
+  for (ValueId id : col) {
+    PutVarint(&out, ZigzagEncode(static_cast<int64_t>(id) - prev));
+    prev = static_cast<int64_t>(id);
   }
   return out;
 }
 
 }  // namespace
 
-Status WriteColumnar(const Relation& rel, const std::string& path,
-                     const ColumnarWriteOptions& options) {
+Status WriteColumnar(const Relation& rel, const std::string& path) {
   CERTFIX_SPAN("snapshot.write");
   const Schema& schema = *rel.schema();
   const ValuePool& pool = *rel.pool();
@@ -128,14 +113,7 @@ Status WriteColumnar(const Relation& rel, const std::string& path,
   append_section(EncodeSchema(schema));
   append_section(EncodeDict(pool));
   for (AttrId a = 0; a < static_cast<AttrId>(schema.num_attrs()); ++a) {
-    const IdColumn& col = rel.Column(a);
-    std::string raw = EncodeColumn(col, kEncodingRaw, file.size());
-    if (options.compress) {
-      std::string packed = EncodeColumn(col, kEncodingDeltaVarint, file.size());
-      append_section(packed.size() < raw.size() ? packed : raw);
-    } else {
-      append_section(raw);
-    }
+    append_section(EncodeColumn(rel.Column(a)));
   }
 
   uint64_t footer_off = file.size();
@@ -155,7 +133,7 @@ Status WriteColumnar(const Relation& rel, const std::string& path,
   PutU32(&header, static_cast<uint32_t>(schema.num_attrs()));
   PutU64(&header, rel.size());
   PutU32(&header, static_cast<uint32_t>(pool.size()));
-  PutU32(&header, options.compress ? kFlagCompress : 0);
+  PutU32(&header, kFlagCompress);
   PutU64(&header, footer_off);
   PutU32(&header, Crc32(header.data(), header.size()));
   std::memcpy(&file[0], header.data(), kHeaderSize);
@@ -167,14 +145,11 @@ Status WriteColumnar(const Relation& rel, const std::string& path,
   return Status::OK();
 }
 
-Result<Relation> ReadColumnar(const std::string& path,
-                              const ColumnarReadOptions& options,
-                              ColumnarLoadInfo* info) {
+Result<Relation> ReadColumnar(const std::string& path) {
   CERTFIX_SPAN("snapshot.read");
-  std::shared_ptr<MappedFile> map;
-  CERTFIX_ASSIGN_OR_RETURN(map, MappedFile::Map(path));
-  const uint8_t* base = map->data();
-  const size_t file_size = map->size();
+  CERTFIX_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
+  const uint8_t* base = reinterpret_cast<const uint8_t*>(bytes.data());
+  const size_t file_size = bytes.size();
   if (file_size < kHeaderSize) return Corrupt(path, "short header");
   if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
     return Corrupt(path, "bad magic");
@@ -269,19 +244,16 @@ Result<Relation> ReadColumnar(const std::string& path,
   }
   if (p != end) return Corrupt(path, "trailing dictionary bytes");
 
-  // Column sections: materialize within the RAM budget, borrow the
-  // mapping beyond it (raw blocks only — varints have no random access).
-  ColumnarLoadInfo load;
-  load.file_bytes = file_size;
-  std::vector<IdColumn> cols;
-  cols.reserve(num_attrs);
-  const bool can_borrow = HostIsLittleEndian();
-  uint64_t materialized = 0;
+  // Column sections. A block holds its encoding byte plus at least one
+  // byte per row, which bounds num_rows before anything is reserved.
+  std::vector<IdColumn> cols(num_attrs);
   for (uint32_t a = 0; a < num_attrs; ++a) {
     const Section& s = sections[2 + a];
-    if (s.length < 1) return Corrupt(path, "empty column section");
+    if (num_rows >= s.length) return Corrupt(path, "short column section");
     const uint8_t* cp = base + s.offset;
     const uint8_t* cend = cp + s.length;
+    IdColumn& col = cols[a];
+    col.reserve(num_rows);
     uint8_t encoding = *cp++;
     if (encoding == kEncodingRaw) {
       while ((static_cast<uint64_t>(cp - base)) % 4 != 0) {
@@ -291,27 +263,14 @@ Result<Relation> ReadColumnar(const std::string& path,
       if (static_cast<uint64_t>(cend - cp) != num_rows * 4) {
         return Corrupt(path, "raw column size mismatch");
       }
-      const ValueId* ids = reinterpret_cast<const ValueId*>(cp);
-      for (uint64_t i = 0; i < num_rows; ++i) {
-        if (ReadU32(cp + i * 4) >= dict_entries) {
+      for (uint64_t i = 0; i < num_rows; ++i, cp += 4) {
+        const ValueId id = ReadU32(cp);
+        if (id >= dict_entries) {
           return Corrupt(path, "id out of dictionary range");
         }
-      }
-      bool materialize =
-          !can_borrow || materialized + num_rows * 4 <= options.mmap_budget_bytes;
-      if (materialize) {
-        IdColumn col;
-        col.Reserve(num_rows);
-        for (uint64_t i = 0; i < num_rows; ++i) col.PushBack(ReadU32(cp + i * 4));
-        materialized += num_rows * 4;
-        cols.push_back(std::move(col));
-      } else {
-        ++load.mapped_columns;
-        cols.emplace_back(ids, num_rows, map);
+        col.push_back(id);
       }
     } else if (encoding == kEncodingDeltaVarint) {
-      IdColumn col;
-      col.Reserve(num_rows);
       int64_t prev = 0;
       for (uint64_t i = 0; i < num_rows; ++i) {
         uint64_t z = 0;
@@ -322,21 +281,15 @@ Result<Relation> ReadColumnar(const std::string& path,
         if (id < 0 || id >= static_cast<int64_t>(dict_entries)) {
           return Corrupt(path, "id out of dictionary range");
         }
-        col.PushBack(static_cast<ValueId>(id));
+        col.push_back(static_cast<ValueId>(id));
         prev = id;
       }
       if (cp != cend) return Corrupt(path, "trailing column bytes");
-      materialized += num_rows * 4;
-      cols.push_back(std::move(col));
     } else {
       return Corrupt(path, "bad column encoding");
     }
   }
-  load.materialized_bytes = materialized;
-  CERTFIX_TL_GAUGE("snapshot.mapped_columns")->Add(
-      static_cast<int64_t>(load.mapped_columns));
   telemetry::Registry::Global()->GetCounter("snapshot.reads")->Increment();
-  if (info != nullptr) *info = load;
   return Relation(std::move(schema), std::move(pool), std::move(cols),
                   num_rows);
 }

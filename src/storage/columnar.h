@@ -13,7 +13,8 @@
 ///   12 num_attrs      u32
 ///   16 num_rows       u64
 ///   24 dict_entries   u32   (pool size, null slot 0 included)
-///   28 flags          u32   (bit 0: writer had compression enabled)
+///   28 flags          u32   (bit 0: columns compressed; always set by
+///                            the writer, ignored by the reader)
 ///   32 footer_off     u64
 ///   40 header_crc     u32   (CRC32 of bytes [0, 40))
 /// sections, back to back (2 + num_attrs of them):
@@ -23,9 +24,11 @@
 ///             int: zigzag varint; double: 8-byte IEEE754 LE bit pattern;
 ///             string: varint length + bytes
 ///   column*N  encoding u8 (0 raw / 1 delta-varint), then
-///             raw: zero padding to 4-byte file alignment, then
-///                  num_rows * 4 bytes of u32 ids (mmap-able in place)
 ///             delta-varint: num_rows varints of zigzag(id[i] - id[i-1])
+///             raw: zero padding to 4-byte file alignment, then
+///                  num_rows * 4 bytes of u32 ids
+///             The writer emits delta-varint only; the reader still
+///             decodes raw blocks, which earlier writers could emit.
 /// footer:
 ///   section_count u32, then per section offset u64 / length u64 / crc u32,
 ///   then footer_crc u32 over the footer bytes before it
@@ -33,15 +36,11 @@
 ///
 /// The writer replaces the file atomically (tmp + rename + dir fsync), so
 /// a crash mid-write never exposes a torn snapshot. The reader verifies
-/// every CRC before trusting a byte; raw column blocks are 4-byte aligned
-/// so loads beyond the RAM budget borrow the mapped bytes directly
-/// (IdColumn's borrowed mode) instead of materializing them.
+/// every CRC before trusting a byte.
 
 #ifndef CERTFIX_STORAGE_COLUMNAR_H_
 #define CERTFIX_STORAGE_COLUMNAR_H_
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "relational/relation.h"
@@ -50,43 +49,15 @@
 namespace certfix {
 namespace storage {
 
-struct ColumnarWriteOptions {
-  /// Per column, keep the smaller of raw u32 and zigzag-delta varint.
-  /// Off forces raw blocks everywhere — required when the file will be
-  /// read back under a tight RAM budget (only raw blocks can stay
-  /// mapped).
-  bool compress = true;
-};
-
-struct ColumnarReadOptions {
-  /// Materialization budget: columns are copied into owned vectors until
-  /// their cumulative raw size exceeds this, after which raw blocks stay
-  /// memory-mapped (out-of-core; the page cache decides residency).
-  /// Compressed blocks always materialize — varints have no random
-  /// access. Default: everything in RAM, as before this layer existed.
-  size_t mmap_budget_bytes = static_cast<size_t>(-1);
-};
-
-/// What a load actually did, for telemetry and the out-of-core tests.
-struct ColumnarLoadInfo {
-  size_t mapped_columns = 0;       ///< columns left borrowing the mmap
-  uint64_t file_bytes = 0;         ///< on-disk size
-  uint64_t materialized_bytes = 0; ///< bytes copied into owned columns
-};
-
 /// Serializes `rel` (schema, dictionary, id columns) to `path`,
 /// atomically. Records `snapshot.bytes` / `snapshot.writes` telemetry.
-Status WriteColumnar(const Relation& rel, const std::string& path,
-                     const ColumnarWriteOptions& options = {});
+Status WriteColumnar(const Relation& rel, const std::string& path);
 
-/// Loads a snapshot written by WriteColumnar. The returned Relation owns
-/// a fresh pool rebuilt from the dictionary page; raw columns past the
-/// RAM budget borrow the file mapping (kept alive by the columns
-/// themselves). Any CRC or structural mismatch fails loudly — a snapshot
-/// is never silently half-read.
-Result<Relation> ReadColumnar(const std::string& path,
-                              const ColumnarReadOptions& options = {},
-                              ColumnarLoadInfo* info = nullptr);
+/// Loads a snapshot written by WriteColumnar into RAM. The returned
+/// Relation owns a fresh pool rebuilt from the dictionary page. Any CRC
+/// or structural mismatch fails loudly — a snapshot is never silently
+/// half-read.
+Result<Relation> ReadColumnar(const std::string& path);
 
 }  // namespace storage
 }  // namespace certfix

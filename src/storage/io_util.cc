@@ -1,8 +1,6 @@
 #include "storage/io_util.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -106,34 +104,6 @@ Status FsyncDir(const std::string& dir) {
   ::close(fd);
   if (rc != 0) return Errno("fsync dir", dir);
   return Status::OK();
-}
-
-Result<std::shared_ptr<MappedFile>> MappedFile::Map(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Errno("open", path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Errno("fstat", path);
-  }
-  size_t size = static_cast<size_t>(st.st_size);
-  const uint8_t* data = nullptr;
-  if (size > 0) {
-    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (addr == MAP_FAILED) {
-      ::close(fd);
-      return Errno("mmap", path);
-    }
-    data = static_cast<const uint8_t*>(addr);
-  }
-  ::close(fd);  // the mapping survives the fd
-  return std::shared_ptr<MappedFile>(new MappedFile(data, size));
-}
-
-MappedFile::~MappedFile() {
-  if (data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
-  }
 }
 
 }  // namespace storage

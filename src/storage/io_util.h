@@ -1,7 +1,7 @@
 /// \file io_util.h
 /// \brief Byte-level primitives shared by the persistent storage layer:
-/// CRC32, varint/zigzag coding, little-endian field access, atomic file
-/// replacement, and read-only memory mapping.
+/// CRC32, varint/zigzag coding, little-endian field access, whole-file
+/// reads and atomic file replacement.
 ///
 /// Everything here is deliberately format-agnostic — the columnar
 /// snapshot (storage/columnar.h) and the write-ahead log (storage/wal.h)
@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "util/result.h"
@@ -60,28 +59,6 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 
 /// fsync on a directory fd, making a preceding rename/creat in it durable.
 Status FsyncDir(const std::string& dir);
-
-/// \brief Read-only mmap of a whole file. The mapping lives as long as
-/// the object; borrowers (mapped columns) keep it alive through the
-/// shared_ptr returned by Map, so a Relation can outlive the loader that
-/// opened the file.
-class MappedFile {
- public:
-  /// Maps `path` read-only. An empty file maps to (nullptr, 0).
-  static Result<std::shared_ptr<MappedFile>> Map(const std::string& path);
-
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile();
-
-  const uint8_t* data() const { return data_; }
-  size_t size() const { return size_; }
-
- private:
-  MappedFile(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  const uint8_t* data_;
-  size_t size_;
-};
 
 }  // namespace storage
 }  // namespace certfix

@@ -1,9 +1,13 @@
 #include "tools/cli.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -49,8 +53,7 @@ struct Command {
 bool IsBoolFlag(const std::string& key) {
   static const char* const kBoolFlags[] = {
       "no-conditional",        "json",         "strict",
-      "metrics-deterministic", "no-telemetry", "no-compress",
-      "no-sync"};
+      "metrics-deterministic", "no-telemetry", "no-sync"};
   for (const char* flag : kBoolFlags) {
     if (key == flag) return true;
   }
@@ -109,19 +112,17 @@ void Usage(std::ostream& err) {
       << "          --deltas D.deltas --trusted a,b [--output OUT.csv]\n"
       << "          [--threads N] [--analyze off|warn|strict]\n"
       << "          [telemetry flags]\n"
-      << "          [--wal DIR] [--snapshot-every N] [--no-compress]\n"
-      << "          [--no-sync] [--mmap-budget BYTES]\n"
+      << "          [--wal DIR] [--snapshot-every N] [--no-sync]\n"
       << "          (--wal persists state durably; with an existing DIR\n"
       << "           the session is recovered and --master/--rules/\n"
       << "           --input/--trusted are read from it; --deltas is\n"
       << "           then optional. --deltas accepts the CSV delta-log\n"
       << "           or binary WAL format.)\n"
-      << "  snapshot --dir DIR [--threads N] [--no-compress]\n"
-      << "          [--mmap-budget BYTES]\n"
+      << "  snapshot --dir DIR [--threads N]\n"
       << "          (rotates a durable session to a fresh snapshot\n"
       << "           generation, emptying its WAL)\n"
       << "  recover --dir DIR [--output OUT.csv] [--threads N]\n"
-      << "          [--mmap-budget BYTES] [telemetry flags]\n"
+      << "          [telemetry flags]\n"
       << "          (snapshot load + WAL replay; prints what recovery\n"
       << "           found and optionally writes the repaired relation)\n"
       << "  workload gen\n"
@@ -376,17 +377,78 @@ struct TelemetryScope {
   telemetry::ScopedEnabled enabled;
 };
 
+/// True when `path` names the file this process's stdout writes to:
+/// /dev/stdout, or the file stdout is redirected to.
+bool IsStdout(const std::string& path) {
+  struct stat file, stdout_file;
+  return ::stat(path.c_str(), &file) == 0 &&
+         ::fstat(STDOUT_FILENO, &stdout_file) == 0 &&
+         file.st_dev == stdout_file.st_dev &&
+         file.st_ino == stdout_file.st_ino;
+}
+
+/// \brief An output file a command was asked for (--output,
+/// --metrics-json, --trace-out). A path naming the command's own stdout
+/// is written through `out`, in order with the lines the command prints
+/// there. Opened again, it would be written from offset 0 through a file
+/// description of its own, and the lines flushed through stdout later
+/// would overwrite it. Any other path is an OutputFile.
+class CommandOutput {
+ public:
+  CommandOutput(const std::string& path, std::ostream& out)
+      : path_(path), out_(IsStdout(path) ? &out : nullptr) {
+    if (out_ == nullptr) file_.emplace(path);
+  }
+
+  std::ostream& stream() { return out_ != nullptr ? *out_ : file_->stream(); }
+  /// Writes `bytes` (for a file, checked at once: OutputFile::Write).
+  Status Write(const std::string& bytes) {
+    if (file_.has_value()) return file_->Write(bytes);
+    *out_ << bytes;
+    return Status::OK();
+  }
+  /// OutputFile::Commit for a file; for stdout, a checked flush of `out`.
+  Status Commit() {
+    if (file_.has_value()) return file_->Commit();
+    if (!out_->flush()) return Status::Internal("cannot write " + path_);
+    return Status::OK();
+  }
+
+ private:
+  std::string path_;
+  std::ostream* out_;  ///< the command's stdout, or null for a file
+  std::optional<OutputFile> file_;
+};
+
+/// Writes `bytes` to `path` through a CommandOutput.
+Status WriteOutput(const std::string& path, const std::string& bytes,
+                   std::ostream& out) {
+  CommandOutput file(path, out);
+  CERTFIX_RETURN_IF_ERROR(file.Write(bytes));
+  return file.Commit();
+}
+
+/// Writes `rel` as CSV to `path` through a CommandOutput.
+Status WriteCsvOutput(const Relation& rel, const std::string& path,
+                      std::ostream& out) {
+  CommandOutput file(path, out);
+  (void)WriteCsv(rel, file.stream());  // a failed write fails the commit
+  return file.Commit();
+}
+
 /// Writes --metrics-json and --trace-out files if requested. Called on
 /// every command exit path that ran the engine (a conflict exit still
 /// has metrics worth keeping). Returns 0, or 2 on a write failure.
-int DumpTelemetry(const ParsedArgs& args, std::ostream& err) {
+int DumpTelemetry(const ParsedArgs& args, std::ostream& out,
+                  std::ostream& err) {
   Status st;
   if (auto it = args.flags.find("metrics-json"); it != args.flags.end()) {
-    st = WriteFile(it->second, telemetry::Registry::Global()->ToJson());
+    st = WriteOutput(it->second, telemetry::Registry::Global()->ToJson(), out);
   }
   if (auto it = args.flags.find("trace-out");
       st.ok() && it != args.flags.end()) {
-    st = WriteFile(it->second, telemetry::Tracer::Global().ExportJson());
+    st = WriteOutput(it->second, telemetry::Tracer::Global().ExportJson(),
+                     out);
   }
   if (st.ok()) return 0;
   err << st << "\n";
@@ -485,14 +547,14 @@ int CmdRepair(const ParsedArgs& args, std::ostream& out,
   auto output_it = args.flags.find("output");
   if (output_it != args.flags.end()) {
     CERTFIX_SPAN("batch.sink");
-    Status st = WriteCsvFile(result.repaired, output_it->second);
+    Status st = WriteCsvOutput(result.repaired, output_it->second, out);
     if (!st.ok()) {
       err << st << "\n";
       return 2;
     }
     out << "repaired relation written to " << output_it->second << "\n";
   }
-  if (int code = DumpTelemetry(args, err); code != 0) return code;
+  if (int code = DumpTelemetry(args, out, err); code != 0) return code;
   return result.conflicting == 0 ? 0 : 2;
 }
 
@@ -519,13 +581,13 @@ int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
   Saturator sat(setup.rules, setup.master, index);
   CsvTupleSource source(setup.master.schema(), in);
 
-  // Rows stream into the output's temporary as they are repaired; it
-  // replaces the output only once the whole stream made it out.
-  std::unique_ptr<OutputFile> file;
+  // Rows stream into the output as they are repaired; a file output
+  // replaces its path only once the whole stream made it out.
+  std::unique_ptr<CommandOutput> file;
   std::unique_ptr<StreamSink> sink;
   auto output_it = args.flags.find("output");
   if (output_it != args.flags.end()) {
-    file = std::make_unique<OutputFile>(output_it->second);
+    file = std::make_unique<CommandOutput>(output_it->second, out);
     if (!file->stream()) {
       err << file->Commit() << "\n";  // the open error
       return 2;
@@ -581,7 +643,7 @@ int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
   if (output_it != args.flags.end()) {
     out << "repaired relation written to " << output_it->second << "\n";
   }
-  if (int code = DumpTelemetry(args, err); code != 0) return code;
+  if (int code = DumpTelemetry(args, out, err); code != 0) return code;
   return s.conflicting == 0 ? 0 : 2;
 }
 
@@ -603,11 +665,9 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
   }
   DurableOptions durable;
   durable.engine = options;
-  if (!ParseSizeFlag(args, "snapshot-every", &durable.snapshot_every, err) ||
-      !ParseSizeFlag(args, "mmap-budget", &durable.mmap_budget_bytes, err)) {
+  if (!ParseSizeFlag(args, "snapshot-every", &durable.snapshot_every, err)) {
     return 1;
   }
-  durable.compress_snapshots = args.flags.count("no-compress") == 0;
   durable.sync_every_append = args.flags.count("no-sync") == 0;
 
   // Lifetime note: a plain (non-durable) engine borrows setup.rules, so
@@ -634,8 +694,7 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
       const RecoveryInfo& rec = session->recovery();
       out << "recovered " << wal_it->second << ": snapshot "
           << rec.snapshot_id << "  replayed: " << rec.replayed_records
-          << "  discarded bytes: " << rec.discarded_bytes
-          << "  mapped columns: " << rec.mapped_columns << "\n";
+          << "  discarded bytes: " << rec.discarded_bytes << "\n";
     } else {
       if (int code = LoadRepairSetup(args, mode, err, &setup); code != 0) {
         return code;
@@ -705,14 +764,15 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
       << "  memo misses: " << stats.memo_misses << "\n";
   auto output_it = args.flags.find("output");
   if (output_it != args.flags.end()) {
-    Status st = WriteCsvFile(engine.SnapshotRepaired(), output_it->second);
+    Status st =
+        WriteCsvOutput(engine.SnapshotRepaired(), output_it->second, out);
     if (!st.ok()) {
       err << st << "\n";
       return 2;
     }
     out << "repaired relation written to " << output_it->second << "\n";
   }
-  if (int code = DumpTelemetry(args, err); code != 0) return code;
+  if (int code = DumpTelemetry(args, out, err); code != 0) return code;
   return stats.conflicting == 0 ? 0 : 2;
 }
 
@@ -724,11 +784,9 @@ int CmdSnapshot(const ParsedArgs& args, std::ostream& out,
     return 1;
   }
   DurableOptions durable;
-  if (!ParseSizeFlag(args, "threads", &durable.engine.num_shards, err) ||
-      !ParseSizeFlag(args, "mmap-budget", &durable.mmap_budget_bytes, err)) {
+  if (!ParseSizeFlag(args, "threads", &durable.engine.num_shards, err)) {
     return 1;
   }
-  durable.compress_snapshots = args.flags.count("no-compress") == 0;
   try {
     Result<std::unique_ptr<DurableSession>> opened =
         DurableSession::Open(dir_it->second, durable);
@@ -759,8 +817,7 @@ int CmdRecover(const ParsedArgs& args, std::ostream& out,
     return 1;
   }
   DurableOptions durable;
-  if (!ParseSizeFlag(args, "threads", &durable.engine.num_shards, err) ||
-      !ParseSizeFlag(args, "mmap-budget", &durable.mmap_budget_bytes, err)) {
+  if (!ParseSizeFlag(args, "threads", &durable.engine.num_shards, err)) {
     return 1;
   }
   DeltaRepairStats stats;
@@ -781,20 +838,19 @@ int CmdRecover(const ParsedArgs& args, std::ostream& out,
   const RecoveryInfo& rec = session->recovery();
   out << "recovered " << dir_it->second << ": snapshot " << rec.snapshot_id
       << "  replayed: " << rec.replayed_records
-      << "  discarded bytes: " << rec.discarded_bytes
-      << "  mapped columns: " << rec.mapped_columns << "\n";
+      << "  discarded bytes: " << rec.discarded_bytes << "\n";
   PrintTally(out, stats.rows, stats);
   if (auto output_it = args.flags.find("output");
       output_it != args.flags.end()) {
-    Status st =
-        WriteCsvFile(session->engine().SnapshotRepaired(), output_it->second);
+    Status st = WriteCsvOutput(session->engine().SnapshotRepaired(),
+                               output_it->second, out);
     if (!st.ok()) {
       err << st << "\n";
       return 2;
     }
     out << "repaired relation written to " << output_it->second << "\n";
   }
-  if (int code = DumpTelemetry(args, err); code != 0) return code;
+  if (int code = DumpTelemetry(args, out, err); code != 0) return code;
   return stats.conflicting == 0 ? 0 : 2;
 }
 
@@ -895,13 +951,10 @@ const std::vector<Command>& Commands() {
         {"repair-deltas",
          with_telemetry({"master", "rules", "input", "trusted", "output",
                          "deltas", "threads", "analyze", "wal",
-                         "snapshot-every", "no-compress", "no-sync",
-                         "mmap-budget"}),
+                         "snapshot-every", "no-sync"}),
          CmdRepairDeltas},
-        {"snapshot", {"dir", "threads", "no-compress", "mmap-budget"},
-         CmdSnapshot},
-        {"recover",
-         with_telemetry({"dir", "output", "threads", "mmap-budget"}),
+        {"snapshot", {"dir", "threads"}, CmdSnapshot},
+        {"recover", with_telemetry({"dir", "output", "threads"}),
          CmdRecover},
         {"workload gen", {"spec", "out-dir", "prefix"}, CmdWorkloadGen},
     };

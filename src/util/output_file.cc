@@ -60,15 +60,18 @@ Status OutputFile::Commit(bool sync) {
   return Status::OK();
 }
 
+Status OutputFile::Write(const std::string& bytes) {
+  if (out_.is_open() &&
+      !out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    return Errno("write", tmp_);
+  }
+  return Status::OK();
+}
+
 Status WriteFile(const std::string& path, const std::string& bytes,
                  bool sync) {
   OutputFile file(path);
-  // One write, checked at once while errno still holds its cause.
-  if (file.out_.is_open() &&
-      !file.out_.write(bytes.data(),
-                       static_cast<std::streamsize>(bytes.size()))) {
-    return Errno("write", file.tmp_);
-  }
+  CERTFIX_RETURN_NOT_OK(file.Write(bytes));
   return file.Commit(sync);
 }
 

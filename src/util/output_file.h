@@ -32,15 +32,17 @@ class OutputFile {
   /// Where the bytes go; failed once the open or a write failed.
   std::ostream& stream() { return out_; }
 
+  /// Writes `bytes` and checks the write at once, so a failure keeps its
+  /// errno cause (a failed stream write found only by Commit has lost it).
+  /// A failed open is left for Commit to report.
+  Status Write(const std::string& bytes);
+
   /// Closes the stream and, if nothing failed, renames the temporary over
   /// the path (after an fsync of the file when `sync`); else returns the
   /// error with its errno cause. Call once.
   Status Commit(bool sync = false);
 
  private:
-  friend Status WriteFile(const std::string& path, const std::string& bytes,
-                          bool sync);
-
   std::string path_;
   std::string tmp_;  ///< equals path_ when written in place
   std::ofstream out_;

@@ -5,12 +5,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 
 #include "relational/csv.h"
@@ -385,14 +391,15 @@ TEST_F(CliTest, UnknownFlagsAreRejectedPerCommand) {
   std::vector<Case> cases = {{"repair", setup},
                              {"repair-stream", setup},
                              {"repair-deltas", setup},
-                             {"recover", {"--dir", dir_ + "/no_session"}}};
+                             {"recover", {"--dir", dir_ + "/no_session"}},
+                             {"snapshot", {"--dir", dir_ + "/no_session"}}};
   cases[2].args.insert(cases[2].args.end(), {"--deltas", deltas_path});
   // Retired flags, a typo, and a flag another command takes. A flag with
   // a value must not leave that value behind as a stray argument.
   const std::vector<std::vector<std::string>> bad = {
       {"--index", "map"}, {"--no-memo"}, {"--chunk-size", "1"},
-      {"--queue-capacity", "2"}, {"--thread", "4"},
-      {"--no-memo", "--threads", "1"}};
+      {"--queue-capacity", "2"}, {"--no-compress"}, {"--mmap-budget", "0"},
+      {"--thread", "4"}, {"--no-memo", "--threads", "1"}};
   for (const Case& c : cases) {
     for (const std::vector<std::string>& extra : bad) {
       std::vector<std::string> argv = {c.command};
@@ -477,6 +484,9 @@ TEST_F(GoldenTest, RepairStreamTraceOutIsBalanced) {
   std::string metrics = Slurp(metrics_path);
   EXPECT_NE(metrics.find("\"repair_tuple_ns\""), std::string::npos);
   EXPECT_NE(metrics.find("\"queue_push_wait_ns\""), std::string::npos);
+  // The input rows count as they do for repair and repair-deltas.
+  EXPECT_NE(metrics.find("\"csv.rows_read\": 3,"), std::string::npos)
+      << metrics;
 }
 
 TEST_F(GoldenTest, NoTelemetryFlagKeepsOutputIdentical) {
@@ -819,6 +829,111 @@ TEST_F(CliTest, OutputThroughSymlinkOrFifoWritesInPlace) {
   EXPECT_EQ(piped, expected);
   EXPECT_TRUE(std::filesystem::is_fifo(fifo));
   EXPECT_FALSE(std::filesystem::exists(fifo + ".tmp"));
+}
+
+/// Runs the CLI with std::cout as its `out` while fd 1 writes to `path`.
+int RunWithStdoutIn(const std::string& path,
+                    const std::vector<std::string>& args, std::ostream& err) {
+  std::cout.flush();
+  std::fflush(stdout);
+  const int saved = ::dup(STDOUT_FILENO);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  if (saved < 0 || fd < 0 || ::dup2(fd, STDOUT_FILENO) < 0) {
+    ADD_FAILURE() << "cannot redirect stdout to " << path;
+    return -1;
+  }
+  ::close(fd);
+  const int code = RunCli(args, std::cout, err);
+  std::cout.flush();
+  std::fflush(stdout);
+  ::dup2(saved, STDOUT_FILENO);
+  ::close(saved);
+  return code;
+}
+
+// An output that names the command's own stdout (here /dev/stdout while
+// stdout is redirected to a file) lands in that file in program order,
+// beside the summary lines, instead of being overwritten by them.
+TEST_F(CliTest, OutputToOwnStdoutKeepsRowsAndSummary) {
+  for (const std::string command : {"repair", "repair-stream"}) {
+    SCOPED_TRACE(command);
+    const std::vector<std::string> args = {
+        command,   "--master", master_path_, "--rules", rules_path_,
+        "--input", input_path_, "--trusted", "zip,name"};
+    ASSERT_EQ(Run(args), 0) << err_.str();
+    const std::string summary = out_.str();
+    std::vector<std::string> to_file = args;
+    to_file.insert(to_file.end(), {"--output", output_path_});
+    ASSERT_EQ(Run(to_file), 0) << err_.str();
+    const std::string rows = ReadAll(output_path_);
+
+    std::vector<std::string> to_stdout = args;
+    to_stdout.insert(to_stdout.end(), {"--output", "/dev/stdout"});
+    const std::string captured = dir_ + "/captured_stdout.txt";
+    std::ostringstream err;
+    ASSERT_EQ(RunWithStdoutIn(captured, to_stdout, err), 0) << err.str();
+    // The batch engine prints its summary before it writes the rows; the
+    // stream engine writes each row as it is repaired.
+    const std::string written = "repaired relation written to /dev/stdout\n";
+    EXPECT_EQ(ReadAll(captured), command == "repair"
+                                     ? summary + rows + written
+                                     : rows + summary + written);
+  }
+}
+
+// The usage text and the parser agree: each command accepts every flag
+// its usage block shows (the telemetry flags where it says so) and
+// rejects every other flag the usage text shows.
+TEST_F(CliTest, UsageListsExactlyTheFlagsEachCommandAccepts) {
+  ASSERT_EQ(Run({}), 1);
+  std::istringstream usage(err_.str());
+  const std::regex flag_re("--[a-z][a-z-]*");
+  std::map<std::string, std::set<std::string>> accepted;  // per command
+  std::set<std::string> telemetry, every_flag;
+  std::set<std::string> take_telemetry;
+  std::set<std::string>* flags = nullptr;
+  std::string command;
+  for (std::string line; std::getline(usage, line);) {
+    if (line.rfind("telemetry flags", 0) == 0) {
+      flags = &telemetry;
+      continue;
+    }
+    if (line.size() > 2 && line.compare(0, 2, "  ") == 0 &&
+        std::islower(static_cast<unsigned char>(line[2]))) {
+      const std::string rest = line.substr(2);
+      command = rest.substr(0, std::min(rest.find("  "), rest.find(" --")));
+      flags = &accepted[command];
+    }
+    if (flags == nullptr) continue;
+    if (line.find("[telemetry flags]") != std::string::npos) {
+      take_telemetry.insert(command);
+    }
+    for (std::sregex_iterator it(line.begin(), line.end(), flag_re), end;
+         it != end; ++it) {
+      flags->insert(it->str());
+      every_flag.insert(it->str());
+    }
+  }
+  ASSERT_EQ(accepted.size(), 9u) << err_.str();
+  ASSERT_EQ(telemetry.size(), 4u) << err_.str();
+  EXPECT_EQ(take_telemetry,
+            (std::set<std::string>{"repair", "repair-stream",
+                                   "repair-deltas", "recover"}));
+  for (const std::string& name : take_telemetry) {
+    accepted[name].insert(telemetry.begin(), telemetry.end());
+  }
+  for (const auto& [name, flags_of] : accepted) {
+    for (const std::string& flag : every_flag) {
+      std::vector<std::string> argv = {name.substr(0, name.find(' '))};
+      if (name == "workload gen") argv.push_back("gen");
+      argv.push_back(flag);
+      Run(argv);
+      const bool rejected = err_.str().find("unknown flag " + flag + " for " +
+                                            name) != std::string::npos;
+      EXPECT_EQ(rejected, flags_of.count(flag) == 0)
+          << name << " " << flag << ": " << err_.str();
+    }
+  }
 }
 
 TEST_F(CliTest, SnapshotAndRecoverRequireDir) {

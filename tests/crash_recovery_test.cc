@@ -346,46 +346,6 @@ TEST(CrashRecoveryTest, SnapshotRotationCommitsAndRecovers) {
                        "post-rotation");
 }
 
-TEST(CrashRecoveryTest, OutOfCoreMasterRecoversViaMmap) {
-  uint64_t seed = NextSeed();
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-  World w = MakeWorld(seed, 16);
-
-  std::string dir = FreshDir("ooc");
-  DurableOptions options;
-  options.compress_snapshots = false;  // raw blocks are the mmap-able ones
-  Result<std::unique_ptr<DurableSession>> created = DurableSession::Create(
-      dir, w.rules, w.master, w.input, w.trusted, options);
-  ASSERT_TRUE(created.ok()) << created.status();
-  std::unique_ptr<DurableSession> writer = std::move(created).ValueOrDie();
-  for (const Delta& d : w.deltas) {
-    ASSERT_TRUE(writer->Apply(d).ok());
-  }
-  std::string want = ToCsv(writer->engine().SnapshotRepaired());
-  writer.reset();
-
-  // Reopen with a zero RAM budget: the master must load out-of-core —
-  // every column borrowed from the mapping — and still repair exactly.
-  DurableOptions tight = options;
-  tight.mmap_budget_bytes = 0;
-  Result<std::unique_ptr<DurableSession>> opened =
-      DurableSession::Open(dir, tight);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  std::unique_ptr<DurableSession> session = std::move(opened).ValueOrDie();
-  EXPECT_EQ(session->recovery().mapped_columns,
-            w.schema->num_attrs());
-  EXPECT_EQ(ToCsv(session->engine().SnapshotRepaired()), want);
-
-  // Master deltas still work: the touched columns promote to owned
-  // storage copy-on-write; the oracle keeps holding.
-  Delta md;
-  md.kind = DeltaKind::kMasterDelete;
-  md.row = 0;
-  ASSERT_TRUE(session->Apply(md).ok());
-  ExpectMatchesScratch(session.get(), w.rules, w.trusted,
-                       "after mapped-master delta");
-}
-
 TEST(CrashRecoveryTest, RejectedDeltasReplayAsDeterministicNoOps) {
   uint64_t seed = NextSeed();
   SCOPED_TRACE("seed=" + std::to_string(seed));

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "relational/csv.h"
+#include "relational/csv_stream.h"
 
 namespace certfix {
 namespace {
@@ -78,35 +79,15 @@ TEST(RelationTest, RangeFor) {
   EXPECT_EQ(n, 1u);
 }
 
-TEST(CsvTest, ParseLineBasic) {
-  Result<std::vector<std::string>> f = ParseCsvLine("a,b,c");
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ(*f, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(CsvTest, ParseLineQuoted) {
-  Result<std::vector<std::string>> f = ParseCsvLine("\"a,b\",c");
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ((*f)[0], "a,b");
-  EXPECT_EQ((*f)[1], "c");
-}
-
-TEST(CsvTest, ParseLineEscapedQuote) {
-  Result<std::vector<std::string>> f = ParseCsvLine("\"he said \"\"hi\"\"\"");
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ((*f)[0], "he said \"hi\"");
-}
-
-TEST(CsvTest, ParseLineUnterminatedQuote) {
-  EXPECT_FALSE(ParseCsvLine("\"abc").ok());
-}
-
 TEST(CsvTest, FormatRoundTrip) {
   std::vector<std::string> fields{"plain", "with,comma", "with\"quote"};
-  Result<std::vector<std::string>> back =
-      ParseCsvLine(FormatCsvLine(fields));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, fields);
+  std::istringstream in(FormatCsvLine(fields) + "\n");
+  CsvRecordReader reader(in);
+  std::vector<std::string> back;
+  Result<bool> got = reader.Next(&back);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(*got);
+  EXPECT_EQ(back, fields);
 }
 
 TEST(CsvTest, ReadWriteRelation) {

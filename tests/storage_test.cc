@@ -2,7 +2,7 @@
 /// \brief Unit tests for the columnar snapshot format and its primitives
 /// (storage/io_util.h, storage/columnar.h): varint/zigzag/CRC round
 /// trips, snapshot byte-identity, exhaustive corruption detection, and
-/// the out-of-core mmap-borrow path with copy-on-write promotion.
+/// checked-in snapshot files that pin the format (tests/golden/snapshot/).
 
 #include "storage/columnar.h"
 
@@ -127,18 +127,12 @@ TEST(IoUtilTest, AtomicWriteReadBack) {
   EXPECT_FALSE(storage::ReadFileBytes(path + ".tmp").ok());
 }
 
-class ColumnarTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ColumnarTest, RoundTripIsByteIdentical) {
+TEST(ColumnarTest, RoundTripIsByteIdentical) {
   Relation rel = HostileRelation();
   std::string path = ::testing::TempDir() + "/roundtrip.col";
-  storage::ColumnarWriteOptions wopts;
-  wopts.compress = GetParam();
-  ASSERT_TRUE(storage::WriteColumnar(rel, path, wopts).ok());
+  ASSERT_TRUE(storage::WriteColumnar(rel, path).ok());
 
-  storage::ColumnarLoadInfo info;
-  Result<Relation> back =
-      storage::ReadColumnar(path, storage::ColumnarReadOptions{}, &info);
+  Result<Relation> back = storage::ReadColumnar(path);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->schema()->name(), rel.schema()->name());
   EXPECT_EQ(back->schema()->num_attrs(), rel.schema()->num_attrs());
@@ -154,115 +148,110 @@ TEST_P(ColumnarTest, RoundTripIsByteIdentical) {
   EXPECT_TRUE(back->Cell(5, 1).is_null());
   EXPECT_TRUE(back->Cell(5, 2).is_null());
   EXPECT_EQ(back->Cell(5, 0).as_string(), "has-nulls");
-  EXPECT_GT(info.file_bytes, 0u);
 }
 
-TEST_P(ColumnarTest, EmptyRelationRoundTrips) {
+TEST(ColumnarTest, EmptyRelationRoundTrips) {
   SchemaPtr schema = Schema::Make("E", std::vector<std::string>{"a", "b"});
   Relation rel(schema);
   std::string path = ::testing::TempDir() + "/empty.col";
-  storage::ColumnarWriteOptions wopts;
-  wopts.compress = GetParam();
-  ASSERT_TRUE(storage::WriteColumnar(rel, path, wopts).ok());
+  ASSERT_TRUE(storage::WriteColumnar(rel, path).ok());
   Result<Relation> back = storage::ReadColumnar(path);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->size(), 0u);
   EXPECT_EQ(ToCsv(*back), ToCsv(rel));
 }
 
-TEST_P(ColumnarTest, EveryCorruptedByteIsDetected) {
-  Relation rel = HostileRelation();
-  std::string path = ::testing::TempDir() + "/corrupt.col";
-  storage::ColumnarWriteOptions wopts;
-  wopts.compress = GetParam();
-  ASSERT_TRUE(storage::WriteColumnar(rel, path, wopts).ok());
+/// A snapshot file checked in under tests/golden/snapshot/.
+std::string GoldenSnapshot(const std::string& name) {
+  return std::string(CERTFIX_GOLDEN_DIR) + "/snapshot/" + name;
+}
+
+std::string FileBytes(const std::string& path) {
   Result<std::string> bytes = storage::ReadFileBytes(path);
-  ASSERT_TRUE(bytes.ok());
-  std::string reference = ToCsv(rel);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? *bytes : std::string();
+}
 
-  // Flip one byte at a time: the read must either fail with a parse
-  // error or (for padding bytes whose corruption is caught by the zero
-  // check) — never succeed with different data. Stride keeps it fast
-  // while still probing header, schema, dict, columns, and footer.
-  for (size_t off = 0; off < bytes->size(); off += 3) {
-    std::string mutant = *bytes;
-    mutant[off] = static_cast<char>(mutant[off] ^ 0x5A);
-    {
-      std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      f.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
-    }
-    Result<Relation> back = storage::ReadColumnar(path);
-    ASSERT_FALSE(back.ok()) << "flip at offset " << off << " undetected";
-    EXPECT_EQ(back.status().code(), StatusCode::kParseError) << off;
-  }
+/// Writes `bytes` to `path` as they are (a corrupted snapshot).
+void PutFile(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
-  // Truncations at any length must fail too, not crash.
-  for (size_t len : {0ul, 7ul, 43ul, 44ul, bytes->size() / 2,
-                     bytes->size() - 1}) {
-    std::string mutant = bytes->substr(0, len);
-    {
-      std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      f.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+TEST(ColumnarTest, EveryCorruptedByteIsDetected) {
+  std::string path = ::testing::TempDir() + "/corrupt.col";
+  ASSERT_TRUE(storage::WriteColumnar(HostileRelation(), path).ok());
+  // The writer's own file, and a file of raw (u32) column blocks, which
+  // the writer no longer emits but the reader still decodes.
+  const std::string files[] = {FileBytes(path),
+                               FileBytes(GoldenSnapshot("master.raw.col"))};
+  for (const std::string& bytes : files) {
+    ASSERT_GT(bytes.size(), 44u);
+    // Flip one byte at a time: the read must fail with a parse error,
+    // never succeed with different data. That covers the header, schema,
+    // dictionary, columns (raw padding included) and footer.
+    for (size_t off = 0; off < bytes.size(); ++off) {
+      std::string mutant = bytes;
+      mutant[off] = static_cast<char>(mutant[off] ^ 0x5A);
+      PutFile(path, mutant);
+      Result<Relation> back = storage::ReadColumnar(path);
+      ASSERT_FALSE(back.ok()) << "flip at offset " << off << " undetected";
+      EXPECT_EQ(back.status().code(), StatusCode::kParseError) << off;
     }
-    EXPECT_FALSE(storage::ReadColumnar(path).ok()) << "len " << len;
+
+    // Truncations at any length must fail too, not crash.
+    for (size_t len : {0ul, 7ul, 43ul, 44ul, bytes.size() / 2,
+                       bytes.size() - 1}) {
+      PutFile(path, bytes.substr(0, len));
+      EXPECT_FALSE(storage::ReadColumnar(path).ok()) << "len " << len;
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(CompressOnOff, ColumnarTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "compressed" : "raw";
-                         });
+// tests/golden/snapshot/ holds generation 0 of a `repair-deltas --wal`
+// session over the golden fixture (master.csv, input.csv): *.col as the
+// writer emits it, *.raw.col with every column a raw block.
 
-TEST(ColumnarOutOfCoreTest, ZeroBudgetBorrowsEveryRawColumn) {
-  Relation rel = HostileRelation();
-  std::string path = ::testing::TempDir() + "/mapped.col";
-  storage::ColumnarWriteOptions wopts;
-  wopts.compress = false;  // only raw blocks can stay mapped
-  ASSERT_TRUE(storage::WriteColumnar(rel, path, wopts).ok());
-
-  storage::ColumnarReadOptions ropts;
-  ropts.mmap_budget_bytes = 0;
-  storage::ColumnarLoadInfo info;
-  Result<Relation> loaded = storage::ReadColumnar(path, ropts, &info);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  Relation back = std::move(loaded).ValueOrDie();
-  EXPECT_EQ(info.mapped_columns, rel.schema()->num_attrs());
-  EXPECT_EQ(info.materialized_bytes, 0u);
-  EXPECT_EQ(back.mapped_columns(), rel.schema()->num_attrs());
-  // Reads go straight through the mapping.
-  EXPECT_EQ(ToCsv(back), ToCsv(rel));
-
-  // First mutation promotes only the touched column (copy-on-write).
-  back.SetCell(0, 0, Value::Str("rewritten"));
-  EXPECT_EQ(back.mapped_columns(), rel.schema()->num_attrs() - 1);
-  EXPECT_EQ(back.Cell(0, 0).as_string(), "rewritten");
-  EXPECT_EQ(back.Cell(1, 0).as_string(), "comma,inside");
-
-  // A generous budget materializes everything.
-  storage::ColumnarReadOptions all;
-  all.mmap_budget_bytes = static_cast<size_t>(-1);
-  storage::ColumnarLoadInfo info2;
-  Result<Relation> owned = storage::ReadColumnar(path, all, &info2);
-  ASSERT_TRUE(owned.ok());
-  EXPECT_EQ(info2.mapped_columns, 0u);
-  EXPECT_EQ(owned->mapped_columns(), 0u);
+/// The fixture relation `which` ("master" or "input") as WriteCsv renders
+/// it after a CSV load, the way repair-deltas loads it.
+std::string FixtureCsv(const std::string& which) {
+  const std::string dir = CERTFIX_GOLDEN_DIR;
+  Result<Relation> master =
+      ReadCsvFileInferSchema("Master", dir + "/master.csv");
+  EXPECT_TRUE(master.ok()) << master.status();
+  if (!master.ok() || which == "master") {
+    return master.ok() ? ToCsv(*master) : std::string();
+  }
+  Result<Relation> input = ReadCsvFile(master->schema(), dir + "/input.csv");
+  EXPECT_TRUE(input.ok()) << input.status();
+  return input.ok() ? ToCsv(*input) : std::string();
 }
 
-TEST(ColumnarOutOfCoreTest, PartialBudgetSplitsColumns) {
-  Relation rel = HostileRelation();
-  std::string path = ::testing::TempDir() + "/partial.col";
-  storage::ColumnarWriteOptions wopts;
-  wopts.compress = false;
-  ASSERT_TRUE(storage::WriteColumnar(rel, path, wopts).ok());
+TEST(ColumnarGoldenTest, SnapshotFilesReadBackToTheFixture) {
+  for (const std::string which : {"master", "input"}) {
+    for (const std::string suffix : {".col", ".raw.col"}) {
+      SCOPED_TRACE(which + suffix);
+      Result<Relation> back =
+          storage::ReadColumnar(GoldenSnapshot(which + suffix));
+      ASSERT_TRUE(back.ok()) << back.status();
+      EXPECT_EQ(ToCsv(*back), FixtureCsv(which));
+    }
+  }
+}
 
-  // Budget for exactly one column's ids (8 rows * 4 bytes).
-  storage::ColumnarReadOptions ropts;
-  ropts.mmap_budget_bytes = rel.size() * sizeof(ValueId);
-  storage::ColumnarLoadInfo info;
-  Result<Relation> back = storage::ReadColumnar(path, ropts, &info);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(info.mapped_columns, rel.schema()->num_attrs() - 1);
-  EXPECT_EQ(ToCsv(*back), ToCsv(rel));
+TEST(ColumnarGoldenTest, WriterReproducesTheDefaultFile) {
+  const std::string path = ::testing::TempDir() + "/rewritten.col";
+  for (const std::string which : {"master", "input"}) {
+    const std::string want = FileBytes(GoldenSnapshot(which + ".col"));
+    for (const std::string suffix : {".col", ".raw.col"}) {
+      SCOPED_TRACE(which + suffix);
+      Result<Relation> back =
+          storage::ReadColumnar(GoldenSnapshot(which + suffix));
+      ASSERT_TRUE(back.ok()) << back.status();
+      ASSERT_TRUE(storage::WriteColumnar(*back, path).ok());
+      EXPECT_EQ(FileBytes(path), want);
+    }
+  }
 }
 
 }  // namespace
