@@ -366,7 +366,6 @@ void RulesetAnalyzer::CheckConflicts(const Saturator& sat, AttrSet trusted,
   }
 
   PoolPtr probe_pool = std::make_shared<ValuePool>();
-  PoolBridge bridge(probe_pool.get(), dm.pool().get());
   const std::vector<AttrId> witness_attrs =
       trusted.Intersect(mentioned).ToVector();
   std::set<std::tuple<size_t, size_t, AttrId>> seen;
@@ -376,7 +375,7 @@ void RulesetAnalyzer::CheckConflicts(const Saturator& sat, AttrSet trusted,
   while (probes < opts.max_probes) {
     Tuple t(r, probe_pool);
     for (AttrId a = 0; a < num_attrs; ++a) t.Set(a, cand[a][odo[a]]);
-    SaturationResult res = sat.CheckUniqueFix(t, trusted, &bridge);
+    SaturationResult res = sat.CheckUniqueFix(t, trusted);
     ++probes;
     for (const FixConflict& c : res.conflicts) {
       size_t lo = std::min(c.rule_a, c.rule_b);

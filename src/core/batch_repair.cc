@@ -25,13 +25,12 @@ BatchRepairResult BatchRepair::Repair(const Relation& data,
   }
   BatchRepairResult result;
   result.repaired = data;
-  const size_t num_attrs = data.schema()->num_attrs();
   std::vector<ShardRepairer> shards =
       MakeShards(ResolveShards(options_.num_threads), *sat_, trusted);
-  // Rows whose fix differs from the input, in row order. Their cells are
-  // written after the pipeline is done: result.repaired shares data's
-  // pool, which the submitter and workers read until then.
-  std::vector<std::pair<size_t, std::vector<Value>>> changed;
+  // The changed cells of each changed row, in row order. They are written
+  // after the pipeline is done: result.repaired shares data's pool, which
+  // the workers read until then.
+  std::vector<std::pair<size_t, std::vector<FixedCell>>> changed;
   {
     Pipeline pipeline(
         shards.size() > 1 ? shards.size() : 0, kRingCapacity,
@@ -42,21 +41,14 @@ BatchRepairResult BatchRepair::Repair(const Relation& data,
               block.size(),
               [&](size_t j) { return data.at(block[j].job); },
               ShardOutput::kChangedRows, emit);
-          // Rows are dealt round-robin, so a ring whose row is within one
-          // round of the end gets no more: free the shard's pool and memo
-          // now, on its own thread and alongside the other shards, rather
-          // than on the caller after the join.
-          if (block.back().job + shards.size() >= data.size()) {
-            shards[ring].RecycleIfOver(0);
-          }
         },
         // Rows are submitted in order from 0, so a result's seq is its row.
         [&](uint64_t row, RepairedRow& r) {
           result.Add(r.report, r.memo_hit);
           if (r.report.conflicting()) {
             result.conflict_rows.push_back(row);
-          } else if (r.report.cells_changed > 0) {
-            changed.emplace_back(row, std::move(r.fixed));
+          } else if (!r.changed.empty()) {
+            changed.emplace_back(row, std::move(r.changed));
           }
         },
         "batch.merge");
@@ -71,12 +63,10 @@ BatchRepairResult BatchRepair::Repair(const Relation& data,
   }
   {
     CERTFIX_SPAN("batch.merge");
-    for (auto& [row, fixed] : changed) {
-      for (size_t a = 0; a < num_attrs; ++a) {
-        const AttrId attr = static_cast<AttrId>(a);
-        if (result.repaired.Cell(row, attr) != fixed[a]) {
-          result.repaired.SetCell(row, attr, std::move(fixed[a]));
-        }
+    const ValuePool& master = *sat_->index().pool();
+    for (const auto& [row, cells] : changed) {
+      for (const auto& [attr, id] : cells) {
+        result.repaired.SetCell(row, attr, master.value(id));
       }
     }
   }

@@ -25,13 +25,12 @@
 /// (byte-identical under WriteCsv) at any thread count. At one thread the
 /// pipeline runs in zero-worker mode, on the calling thread.
 ///
-/// Interning contract (see value_pool.h): all shards share the master
-/// relation's immutable ValuePool read-only and read the input's cells;
-/// each shard builds its rows in a shard-local pool and interns every
-/// value its saturations produce there. Changed cells are written into
-/// the output relation, which shares the input's pool, on the calling
-/// thread once every row is repaired. No pool is ever written
-/// concurrently.
+/// Interning contract (see value_pool.h): all shards read the master
+/// relation's immutable ValuePool and the input's rows in place, and map
+/// each row to master ids without interning anything; a fix is a master
+/// id. Changed cells are written into the output relation, which shares
+/// the input's pool, on the calling thread once every row is repaired. No
+/// pool is written while a shard runs.
 
 #ifndef CERTFIX_CORE_BATCH_REPAIR_H_
 #define CERTFIX_CORE_BATCH_REPAIR_H_

@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "relational/relation.h"
+#include "core/master_index.h"
 
 namespace certfix {
 
@@ -39,11 +39,11 @@ struct ProbeLog {
   void Clear() { hashes.clear(); }
 };
 
-/// Hash of one probe: rule `rule_idx` keyed by t[attrs] (input side,
+/// Hash of one probe: rule `rule_idx` keyed by row[attrs] (input side,
 /// `attrs` = lhs(phi)). Must stay consistent with MasterProbeKeyHash —
 /// equal value lists under the same rule produce equal hashes, which is
 /// what ties a recorded input-side probe to a master-side row projection.
-uint64_t ProbeKeyHash(size_t rule_idx, const Tuple& t,
+uint64_t ProbeKeyHash(size_t rule_idx, const IdRow& row,
                       const std::vector<AttrId>& attrs);
 
 /// Hash of the probe key a master row answers for rule `rule_idx`:

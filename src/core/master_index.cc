@@ -44,6 +44,17 @@ class DistinctAdder {
   std::unique_ptr<std::unordered_set<ValueId>> seen_;
 };
 
+/// Projects row[attrs]; false when the master lacks a value (no row matches).
+bool ProjectRow(const IdRow& row, const std::vector<AttrId>& attrs,
+                IdKey* key) {
+  key->resize(attrs.size());
+  for (size_t k = 0; k < attrs.size(); ++k) {
+    (*key)[k] = row.id_at(attrs[k]);
+    if ((*key)[k] == kInvalidValueId) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::shared_ptr<MasterIndex::ValueIndex> MasterIndex::BuildValueIndex(
@@ -77,6 +88,8 @@ std::shared_ptr<MasterIndex::ValueIndex> MasterIndex::BuildValueIndex(
 }
 
 void MasterIndex::Build(const RuleSet& rules, const MasterIndex* share) {
+  arity_ = rules.r_schema()->num_attrs();
+  relevant_ = rules.MentionedAttrs().ToVector();
   rule_to_value_.reserve(rules.size());
   probe_.reserve(rules.size());
   for (const EditingRule& rule : rules) {
@@ -111,33 +124,42 @@ MasterIndex::MasterIndex(const RuleSet& rules, const Relation& dm,
   Build(rules, &share_from);
 }
 
-const MasterIndex::RhsSummary& MasterIndex::RhsValues(
-    size_t rule_idx, const Tuple& t, PoolBridge* bridge) const {
+const MasterIndex::RhsSummary& MasterIndex::Lookup(size_t rule_idx,
+                                                   const IdKey& key) const {
   const ValueIndex& vi =
       *value_indexes_[static_cast<size_t>(rule_to_value_[rule_idx])];
   if (probe_[rule_idx].empty()) return vi.all_rows_summary;
-  thread_local IdKey key;  // reused across probes, no per-probe allocation
-  if (!ProjectIds(t, probe_[rule_idx], dm_->pool().get(), bridge, &key)) {
-    return kEmptySummary;
-  }
   const uint32_t slot = vi.table.Find(key.data());
   return slot == FlatIdTable::kNotFound ? kEmptySummary : vi.summaries[slot];
 }
 
-void MasterIndex::PrefetchRhsProbes(const Tuple& t,
-                                    const std::vector<size_t>& rule_idxs,
-                                    PoolBridge* bridge) const {
+const MasterIndex::RhsSummary& MasterIndex::RhsValues(size_t rule_idx,
+                                                      const IdRow& row) const {
+  thread_local IdKey key;  // reused across probes, no per-probe allocation
+  if (!ProjectRow(row, probe_[rule_idx], &key)) return kEmptySummary;
+  return Lookup(rule_idx, key);
+}
+
+const MasterIndex::RhsSummary& MasterIndex::RhsValues(
+    size_t rule_idx, const Tuple& t, PoolBridge* bridge) const {
+  thread_local IdKey key;
+  if (!ProjectIds(t, probe_[rule_idx], dm_->pool().get(), bridge, &key)) {
+    return kEmptySummary;
+  }
+  return Lookup(rule_idx, key);
+}
+
+void MasterIndex::PrefetchRhsProbes(const IdRow& row,
+                                    const std::vector<size_t>& rule_idxs) const {
   // One probe batch = all round-1 probes staged for a single tuple.
   telemetry::ScopedLatency latency(
       CERTFIX_TL_HISTOGRAM("master_probe_batch_ns"));
   thread_local IdKey key;
   for (size_t rule_idx : rule_idxs) {
     if (probe_[rule_idx].empty()) continue;
+    if (!ProjectRow(row, probe_[rule_idx], &key)) continue;
     const ValueIndex& vi =
         *value_indexes_[static_cast<size_t>(rule_to_value_[rule_idx])];
-    if (!ProjectIds(t, probe_[rule_idx], dm_->pool().get(), bridge, &key)) {
-      continue;
-    }
     vi.table.Prefetch(vi.table.Hash(key.data()));
   }
 }

@@ -5,48 +5,57 @@
 namespace certfix {
 
 RepairMemo::RepairMemo(const RuleSet& rules, AttrSet trusted)
-    : trusted_(trusted) {
-  AttrSet relevant;
-  for (const EditingRule& rule : rules) {
-    relevant = relevant.Union(rule.premise_set());
-    relevant.Add(rule.rhs());
-  }
-  relevant_ = relevant.ToVector();
+    : relevant_(rules.MentionedAttrs().ToVector()), trusted_(trusted) {
   table_.Reset(relevant_.size());
 }
 
-void RepairMemo::ProjectKey(const Tuple& row, IdKey* out) const {
-  out->clear();
-  for (AttrId a : relevant_) out->push_back(row.id_at(a));
+bool RepairMemo::FindKey(const IdRow& row, IdKey* key) const {
+  key->resize(relevant_.size());
+  for (size_t k = 0; k < relevant_.size(); ++k) {
+    ValueId id = row.id_at(relevant_[k]);
+    if (id == kInvalidValueId) {
+      auto it = local_ids_.find(row.at(relevant_[k]));
+      if (it == local_ids_.end()) return false;
+      id = it->second;
+    }
+    (*key)[k] = id;
+  }
+  return true;
 }
 
-const RepairMemo::Entry* RepairMemo::Find(const Tuple& row) {
+const RepairMemo::Entry* RepairMemo::Find(const IdRow& row) const {
   thread_local IdKey key;
-  ProjectKey(row, &key);
+  if (!FindKey(row, &key)) return nullptr;
   const uint32_t slot = table_.Find(key.data());
   return slot == FlatIdTable::kNotFound ? nullptr : &entries_[slot];
 }
 
-void RepairMemo::Prefetch(const Tuple& row) const {
+void RepairMemo::Prefetch(const IdRow& row) const {
   thread_local IdKey key;
-  ProjectKey(row, &key);
-  table_.Prefetch(table_.Hash(key.data()));
+  if (FindKey(row, &key)) table_.Prefetch(table_.Hash(key.data()));
 }
 
-void RepairMemo::Insert(const Tuple& row, const TupleRepair& repair,
+void RepairMemo::Insert(const IdRow& row, const TupleRepair& repair,
                         const ProbeLog& probes) {
-  if (live_entries_ >= kMaxEntries) Clear();
-  thread_local IdKey key;
-  ProjectKey(row, &key);
+  // Room for the entry and for each value this row may add to the
+  // dictionary.
+  size_t fresh = 0;
+  for (AttrId a : relevant_) fresh += row.id_at(a) == kInvalidValueId;
+  if (live_entries_ + local_ids_.size() + fresh + 1 > kMaxEntries) Clear();
+  IdKey key(relevant_.size());
+  for (size_t k = 0; k < relevant_.size(); ++k) {
+    key[k] = row.id_at(relevant_[k]);
+    if (key[k] == kInvalidValueId) {
+      const ValueId local =
+          kInvalidValueId - 1 - static_cast<ValueId>(local_ids_.size());
+      key[k] = local_ids_.emplace(row.at(relevant_[k]), local).first->second;
+    }
+  }
 
   Entry entry;
   entry.report = repair.report;
   entry.key = key;
-  if (!repair.report.conflicting()) {
-    for (AttrId a : row.DiffAttrs(repair.fixed)) {
-      entry.changed.emplace_back(a, repair.fixed.at(a));
-    }
-  }
+  entry.changed = repair.changed;
   entry.probes = probes.hashes;
   std::sort(entry.probes.begin(), entry.probes.end());
   entry.probes.erase(std::unique(entry.probes.begin(), entry.probes.end()),
@@ -68,19 +77,6 @@ void RepairMemo::Insert(const Tuple& row, const TupleRepair& repair,
   for (uint64_t h : entry.probes) probe_to_entries_[h].push_back(slot);
   entries_[slot] = std::move(entry);
   ++live_entries_;
-}
-
-TupleRepair RepairMemo::Replay(const Entry& entry, const Tuple& row) const {
-  TupleRepair out;
-  out.report = entry.report;
-  out.memo_hit = true;
-  if (entry.report.conflicting()) return out;  // fixed stays empty
-  Tuple fixed = row;
-  for (const std::pair<AttrId, Value>& cell : entry.changed) {
-    fixed.Set(cell.first, cell.second);
-  }
-  out.fixed = std::move(fixed);
-  return out;
 }
 
 void RepairMemo::EraseEntry(uint32_t slot) {
@@ -115,6 +111,7 @@ void RepairMemo::Clear() {
   free_slots_.clear();
   probe_to_entries_.clear();
   live_entries_ = 0;
+  local_ids_.clear();
 }
 
 }  // namespace certfix

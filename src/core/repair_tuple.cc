@@ -1,7 +1,5 @@
 #include "core/repair_tuple.h"
 
-#include <utility>
-
 #include "core/repair_memo.h"
 #include "telemetry/metrics.h"
 
@@ -38,9 +36,9 @@ void RepairTally::AddTo(telemetry::Registry& registry,
   add(kMemoCounts);
 }
 
-TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
+TupleRepair RepairOneTuple(const Saturator& sat, const IdRow& row,
                            AttrSet trusted, AttrSet all, RepairMemo& memo,
-                           PoolBridge* bridge, ProbeLog* probes) {
+                           ProbeLog* probes) {
   // Per-tuple latency across every engine, memo-hit path included.
   telemetry::ScopedLatency latency(CERTFIX_TL_HISTOGRAM("repair_tuple_ns"));
   if (const RepairMemo::Entry* entry = memo.Find(row)) {
@@ -48,24 +46,29 @@ TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
       probes->hashes.insert(probes->hashes.end(), entry->probes.begin(),
                             entry->probes.end());
     }
-    return memo.Replay(*entry, row);
+    return TupleRepair{entry->report, entry->changed, true};
   }
   // A memoized repair must carry its probe set even when the caller
   // doesn't track probes, so invalidation by probe hash stays possible.
   ProbeLog local_probes;
   ProbeLog& plog = probes != nullptr ? *probes : local_probes;
 
-  SaturationResult fix = sat.CheckUniqueFix(row, trusted, bridge, &plog);
+  IdRow fixed = row;
+  SaturationResult fix = sat.CheckUniqueFix(fixed, trusted, &plog);
   TupleRepair out;
   if (!fix.unique) {
-    // No copy of the input here: a conflicting tuple is left unchanged,
-    // and every caller still holds `row`.
     out.report.kind = FixClass::kConflicting;
     out.report.covered = trusted;
     memo.Insert(row, out, plog);
     return out;
   }
-  out.report.cells_changed = row.DiffCount(fix.fixed);
+  // Ids compare as values: a cell the master lacks differs from any fix.
+  for (AttrId a = 0; a < row.size(); ++a) {
+    if (fixed.id_at(a) != row.id_at(a)) {
+      out.changed.emplace_back(a, fixed.id_at(a));
+    }
+  }
+  out.report.cells_changed = out.changed.size();
   out.report.covered = fix.covered;
   if (fix.covered == all) {
     out.report.kind = FixClass::kFullyCovered;
@@ -74,7 +77,6 @@ TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
   } else {
     out.report.kind = FixClass::kUntouched;
   }
-  out.fixed = std::move(fix.fixed);
   memo.Insert(row, out, plog);
   return out;
 }

@@ -12,16 +12,16 @@
 /// streaming differential tests rely on both calling this one function.
 ///
 /// Thread safety: RepairOneTuple keeps all mutable state on the stack and
-/// in the caller-owned `bridge`; it inherits the Saturator storage-layer
-/// contract (saturation.h) — applying a move interns into the *input
-/// tuple's* pool, so concurrent callers must hand in tuples backed by
-/// caller-owned pools (a shard-local pool in both engines).
+/// in the caller-owned memo; it reads the row and writes no pool, so
+/// shards run it concurrently over rows of one shared relation.
 
 #ifndef CERTFIX_CORE_REPAIR_TUPLE_H_
 #define CERTFIX_CORE_REPAIR_TUPLE_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/saturation.h"
 
@@ -97,33 +97,30 @@ struct RepairTally {
 /// latency, few enough to stay within L1 and the prefetch queues.
 constexpr size_t kProbeBlock = 32;
 
-/// \brief One repaired tuple: the fixed row plus its report. On conflict
-/// the input is left unchanged and `fixed` is an empty default Tuple —
-/// callers use the row they already hold (the batch engine skips the row
-/// entirely; the stream worker re-emits its input values).
+/// One repaired cell: the attribute and the master-pool id of its fix.
+using FixedCell = std::pair<AttrId, ValueId>;
+
+/// \brief One repaired tuple: its report and the cells the fix changed.
+/// On conflict the input is left unchanged and `changed` is empty.
 struct TupleRepair {
-  Tuple fixed;
   FixReport report;
-  bool memo_hit = false;  ///< replayed from the memo, not recomputed
+  std::vector<FixedCell> changed;  ///< ascending by attribute
+  bool memo_hit = false;           ///< replayed from the memo
 };
 
-/// Repairs one tuple, trusting t[Z]: the unique-fix check plus the
+/// Repairs one row, trusting t[Z]: the unique-fix check plus the
 /// classification every engine tallies. `all` is the schema's full attribute
 /// set (hoisted by callers out of their per-tuple loop). `memo`
 /// short-circuits the whole check for a previously seen relevant
 /// projection (core/repair_memo.h): on a hit the recorded outcome is
 /// replayed (`memo_hit` set) and the entry's probe hashes are appended to
-/// `probes`; on a miss the fresh outcome is memoized. The memo must be
-/// keyed on `row`'s pool (one memo per shard pool generation) and have
-/// been built with the same `trusted` set. `bridge`, when given, must
-/// translate `row`'s pool into the master pool and may be reused across
-/// many rows of the same pool. `probes`, when given, records the repair's
-/// master-index dependency set (fix_state.h) — the incremental engine
-/// re-repairs a tuple only when a master delta hits one of its recorded
-/// probes.
-TupleRepair RepairOneTuple(const Saturator& sat, const Tuple& row,
+/// `probes`; on a miss the fresh outcome is memoized. The memo must have
+/// been built with the same `trusted` set over `sat`'s master. `probes`,
+/// when given, records the repair's master-index dependency set
+/// (fix_state.h) — the incremental engine re-repairs a tuple only when a
+/// master delta hits one of its recorded probes.
+TupleRepair RepairOneTuple(const Saturator& sat, const IdRow& row,
                            AttrSet trusted, AttrSet all, RepairMemo& memo,
-                           PoolBridge* bridge = nullptr,
                            ProbeLog* probes = nullptr);
 
 }  // namespace certfix

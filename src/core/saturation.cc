@@ -34,11 +34,10 @@ std::string FixConflict::ToString(const SchemaPtr& schema) const {
          "' (rule #" + std::to_string(rule_b) + ")";
 }
 
-SaturationResult Saturator::Run(const Tuple& t, AttrSet z0, int excluded,
+SaturationResult Saturator::Run(IdRow& row, AttrSet z0, int excluded,
                                 std::vector<FixMove>* proposals,
-                                PoolBridge* bridge, ProbeLog* probes) const {
+                                ProbeLog* probes) const {
   SaturationResult result;
-  result.fixed = t;
   result.covered = z0;
   AttrSet z = z0;
 
@@ -65,17 +64,14 @@ SaturationResult Saturator::Run(const Tuple& t, AttrSet z0, int excluded,
       AttrId b = rule.rhs();
       if (z.Contains(b)) continue;
       if (!rule.premise_set().SubsetOf(z)) continue;
-      if (!rule.pattern().Matches(result.fixed)) continue;
+      if (!rule.pattern().Matches(row)) continue;
       // The single master-data read of the whole engine. Recording the
       // probe even when the answer is empty matters: a later master insert
       // creating this key must invalidate the tuple.
-      if (probes != nullptr) {
-        probes->Add(ProbeKeyHash(i, result.fixed, rule.lhs()));
-      }
+      if (probes != nullptr) probes->Add(ProbeKeyHash(i, row, rule.lhs()));
       // Distinct proposed values only: a key matched by many master rows
       // with the same Bm value yields a single (equivalent) proposal.
-      for (const MasterIndex::RhsValue& rv :
-           index_->RhsValues(i, result.fixed, bridge)) {
+      for (const MasterIndex::RhsValue& rv : index_->RhsValues(i, row)) {
         round[b].push_back(Proposal{rv.value, rv.id, i, rv.row});
       }
     }
@@ -118,7 +114,7 @@ SaturationResult Saturator::Run(const Tuple& t, AttrSet z0, int excluded,
       }
       // Apply the first proposal even under conflict so the covered set
       // stays maximal; callers treat `unique == false` as inconsistent.
-      result.fixed.Set(attr, first.value);
+      row.Fix(attr, first.id);
       z.Add(attr);
       result.covered.Add(attr);
       result.steps.push_back(
@@ -129,24 +125,44 @@ SaturationResult Saturator::Run(const Tuple& t, AttrSet z0, int excluded,
   return result;
 }
 
+namespace {
+
+/// The Tuple entry points: `check` over t's IdRow, its fixed row returned
+/// as a tuple of a private pool (t's pool is never written).
+template <typename Check>
+SaturationResult OnTuple(const MasterIndex& index, const Tuple& t,
+                         const Check& check) {
+  IdRow row(index, [&t](AttrId a) -> const Value& { return t.at(a); });
+  SaturationResult result = check(row);
+  result.fixed = Tuple(t.schema());
+  for (AttrId a = 0; a < row.size(); ++a) result.fixed.Set(a, row.at(a));
+  return result;
+}
+
+}  // namespace
+
 SaturationResult Saturator::Saturate(const Tuple& t, AttrSet z0) const {
-  PoolBridge bridge(t.pool().get(), index_->pool().get());
-  return Run(t, z0, -1, nullptr, &bridge);
+  return OnTuple(*index_, t,
+                 [&](IdRow& row) { return Run(row, z0, -1, nullptr, nullptr); });
 }
 
 SaturationResult Saturator::SaturateExcluding(
     const Tuple& t, AttrSet z0, AttrId excluded,
     std::vector<FixMove>* proposals) const {
-  PoolBridge bridge(t.pool().get(), index_->pool().get());
-  return Run(t, z0, static_cast<int>(excluded), proposals, &bridge);
+  return OnTuple(*index_, t, [&](IdRow& row) {
+    return Run(row, z0, static_cast<int>(excluded), proposals, nullptr);
+  });
 }
 
-SaturationResult Saturator::CheckUniqueFix(const Tuple& t, AttrSet z0,
-                                           PoolBridge* bridge,
+SaturationResult Saturator::CheckUniqueFix(const Tuple& t, AttrSet z0) const {
+  return OnTuple(*index_, t,
+                 [&](IdRow& row) { return CheckUniqueFix(row, z0); });
+}
+
+SaturationResult Saturator::CheckUniqueFix(IdRow& row, AttrSet z0,
                                            ProbeLog* probes) const {
-  PoolBridge local(t.pool().get(), index_->pool().get());
-  if (bridge == nullptr) bridge = &local;
-  SaturationResult full = Run(t, z0, -1, nullptr, bridge, probes);
+  const IdRow input = row;
+  SaturationResult full = Run(row, z0, -1, nullptr, probes);
   if (!full.unique) return full;
   // Cross-round conflicts: for each attribute B that some move validated,
   // collect every value proposed for B by moves whose premises do not
@@ -154,8 +170,9 @@ SaturationResult Saturator::CheckUniqueFix(const Tuple& t, AttrSet z0,
   AttrSet targets = full.covered.Minus(z0);
   for (AttrId b : targets.ToVector()) {
     std::vector<FixMove> proposals;
+    IdRow excluded = input;
     SaturationResult excl =
-        Run(t, z0, static_cast<int>(b), &proposals, bridge, probes);
+        Run(excluded, z0, static_cast<int>(b), &proposals, probes);
     if (!excl.unique) {
       // Conflict on another attribute surfaced under this order; report.
       full.unique = false;

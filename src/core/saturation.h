@@ -37,7 +37,8 @@ struct FixConflict {
 
 /// \brief Outcome of saturating a tuple.
 struct SaturationResult {
-  Tuple fixed;                       ///< Tuple after all applied moves.
+  Tuple fixed;                       ///< Tuple after all applied moves
+                                     ///< (the Tuple entry points only).
   AttrSet covered;                   ///< Z0 plus every attribute fixed.
   bool unique = true;                ///< No conflicting proposals found.
   std::vector<FixMove> steps;        ///< Moves applied, in round order.
@@ -51,21 +52,17 @@ struct SaturationResult {
 
 /// \brief Saturation engine bound to (Sigma, Dm) plus its hash indexes.
 ///
+/// One round loop (Run) saturates an IdRow (master_index.h): a move points
+/// the attribute at the master value. The engines check their own rows;
+/// the Tuple entry points (the paper's interactive algorithms, the
+/// analyzer, the tests) build the row and return `fixed` in a private pool.
+///
 /// Thread safety: a fully constructed Saturator is safe for concurrent
-/// use — Saturate / SaturateExcluding / CheckUniqueFix keep all mutable
-/// state on the stack, the referenced RuleSet / Relation / MasterIndex
-/// are never written, and the one lazily initialized member (the Dom()
-/// cache) is guarded by a mutex — with ONE storage-layer caveat: applying
-/// a move interns the fixed value into the *input tuple's* ValuePool,
-/// which is not synchronized (value_pool.h). Concurrent saturations are
-/// therefore safe only when each thread's input tuples use a
-/// thread-owned pool — the parallel BatchRepair rebases every shard's
-/// rows into a shard-local pool for exactly this reason. Saturating
-/// tuples of one shared relation from multiple threads without rebasing
-/// is a data race. (Single-threaded callers are unaffected, though note
-/// that saturating rel.at(i) may append fix values to rel's pool — an
-/// append-only, content-invisible mutation.) SetDomHint must not race
-/// with readers.
+/// use. No entry point writes any pool: a run writes only the caller's
+/// IdRow and its own stack, the referenced RuleSet / Relation /
+/// MasterIndex are only read, and the one lazily initialized member (the
+/// Dom() cache) is guarded by a mutex. SetDomHint must not race with
+/// readers.
 class Saturator {
  public:
   Saturator(const RuleSet& rules, const Relation& dm,
@@ -87,14 +84,13 @@ class Saturator {
   /// Exact unique-fix decision (and the fix itself when unique): full
   /// saturation plus one excluded saturation per covered target attribute.
   /// Mirrors the consistency algorithm in the proof of Theorem 4.
-  /// `bridge`, when given, must translate t's pool into the master pool;
-  /// long-lived callers (BatchRepair shards) pass one bridge across many
-  /// rows so each distinct input value is hashed once per shard, not once
-  /// per row. Null builds a per-call bridge. `probes`, when given, records
-  /// every master-index probe across the full and excluded runs — the
-  /// dependency set the incremental engine invalidates on (fix_state.h).
-  SaturationResult CheckUniqueFix(const Tuple& t, AttrSet z0,
-                                  PoolBridge* bridge = nullptr,
+  SaturationResult CheckUniqueFix(const Tuple& t, AttrSet z0) const;
+  /// The same check over an engine's row: on return `row` holds the full
+  /// saturation's fix, and the result's `fixed` stays empty. `probes`,
+  /// when given, records every master-index probe across the full and
+  /// excluded runs — the dependency set the incremental engine
+  /// invalidates on (fix_state.h).
+  SaturationResult CheckUniqueFix(IdRow& row, AttrSet z0,
                                   ProbeLog* probes = nullptr) const;
 
   const RuleSet& rules() const { return *rules_; }
@@ -115,15 +111,12 @@ class Saturator {
   void SetDomHint(const std::set<Value>* dom) { dom_hint_ = dom; }
 
  private:
-  // Shared round loop; excluded < 0 disables exclusion. `bridge` is the
-  // caller-owned id translation from t's pool into the master pool, reused
-  // across the rounds (and, for CheckUniqueFix, across the per-attribute
-  // excluded runs) so each distinct input value is hashed at most once.
+  // The round loop; excluded < 0 disables exclusion. Fixes `row` in place.
   // `probes`, when non-null, records a ProbeKeyHash for every RhsValues
   // call this run performs.
-  SaturationResult Run(const Tuple& t, AttrSet z0, int excluded,
-                       std::vector<FixMove>* proposals, PoolBridge* bridge,
-                       ProbeLog* probes = nullptr) const;
+  SaturationResult Run(IdRow& row, AttrSet z0, int excluded,
+                       std::vector<FixMove>* proposals,
+                       ProbeLog* probes) const;
 
   const RuleSet* rules_;
   const Relation* dm_;

@@ -89,9 +89,7 @@ void DeltaRepairEngine::RepairShardBlock(
     size_t ring, std::vector<Pipeline::Ticket>& block,
     const Pipeline::Emit& emit) {
   CERTFIX_SPAN("delta.shard_repair");
-  ShardRepairer& shard = shards_[ring];
-  shard.RecycleIfOver(kShardPoolLimit);
-  shard.RepairBlock(
+  shards_[ring].RepairBlock(
       block.size(),
       [&block](size_t j) -> std::vector<Value>& {
         return block[j].job.values;
@@ -344,17 +342,9 @@ Status DeltaRepairEngine::MasterDelete(size_t pos) {
     for (size_t i = 0; i < every.size(); ++i) every[i] = i;
     InvalidateMasterRow(pos, every);
   }
-  // Relations have no erase; rebuild the master without the row. The
-  // MasterIndex rebuild right after is O(|Dm|) anyway. Old index/saturator
-  // reference the dropped relation — destroy them before it goes away.
-  index_.reset();
-  sat_.reset();
-  Relation next(master_schema_);
-  next.Reserve(master_.size() - 1);
-  for (size_t i = 0; i < master_.size(); ++i) {
-    if (i != pos) next.Append(master_.at(i));
-  }
-  master_ = std::move(next);
+  // In place: the pool keeps the row's values, so every master id a shard
+  // memo holds stays valid.
+  master_.EraseRow(pos);
   index_stale_ = true;
   ++counts_.deltas_applied;
   return Status::OK();
@@ -442,9 +432,6 @@ DeltaRepairStats DeltaRepairEngine::stats() {
 void DeltaRepairEngine::Publish() {
   DeltaRepairStats now = counts_;
   now.rows = order_.size();
-  for (const ShardRepairer& shard : shards_) {
-    now.pool_recycles += shard.recycles();
-  }
   now.max_reorder = pipeline_.max_reorder();
   telemetry::Registry& reg = *telemetry::Registry::Global();
   const std::string prefix = "delta.";
@@ -464,7 +451,6 @@ void DeltaRepairEngine::Publish() {
       {"delta.tuples_invalidated", &DeltaRepairStats::tuples_invalidated},
       {"delta.master_rebuilds", &DeltaRepairStats::master_rebuilds},
       {"delta.noop_updates", &DeltaRepairStats::noop_updates},
-      {"delta.pool_recycles", &DeltaRepairStats::pool_recycles},
   };
   for (const auto& [name, count] : kActivity) {
     reg.GetCounter(name)->Add(now.*count - published_.*count);

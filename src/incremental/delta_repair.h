@@ -49,8 +49,8 @@
 ///
 /// Memory: deleted rows leave tombstoned slots in the backing store (live
 /// order is an indirection vector); a long-lived engine under heavy churn
-/// grows with total inserts, not live rows. Shard pools recycle past
-/// kShardPoolLimit values, as in the streaming engine.
+/// grows with total inserts, not live rows. Master deltas only append to
+/// the master pool, so the master ids the shard memos key on stay valid.
 ///
 /// Threading contract for callers: all public methods must be called from
 /// one thread (the mutation stream is inherently ordered). Shard workers
@@ -96,7 +96,6 @@ struct DeltaRepairStats : RepairTally {
   uint64_t noop_updates = 0;       ///< updates/upserts changing no cell
   uint64_t rows = 0;               ///< live rows
   uint64_t max_reorder = 0;        ///< high-water mark of the reorder buffer
-  uint64_t pool_recycles = 0;      ///< shard pools reset (bounded memory)
 };
 
 /// \brief Long-lived engine owning the repaired relation plus its
@@ -239,9 +238,9 @@ class DeltaRepairEngine {
   std::vector<uint64_t> pending_memo_flush_;
 
   /// This engine's counts: the tally under the merge lock, the activity
-  /// fields on the caller thread (rows, max_reorder and pool_recycles are
-  /// filled in as it publishes). `published_` is what the last publish
-  /// added to the registry.
+  /// fields on the caller thread (rows and max_reorder are filled in as it
+  /// publishes). `published_` is what the last publish added to the
+  /// registry.
   DeltaRepairStats counts_;
   DeltaRepairStats published_;
   /// One per ring. Workers use shard r only inside step(r, ...); the

@@ -18,13 +18,6 @@ PatternValue PatternTuple::Get(AttrId attr) const {
   return it->second;
 }
 
-bool PatternTuple::Matches(const Tuple& t) const {
-  for (const auto& [attr, pv] : cells_) {
-    if (!pv.Matches(t.at(attr))) return false;
-  }
-  return true;
-}
-
 bool PatternTuple::MatchesOn(const Tuple& t, const AttrSet& subset) const {
   for (const auto& [attr, pv] : cells_) {
     if (!subset.Contains(attr)) continue;

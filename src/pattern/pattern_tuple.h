@@ -42,8 +42,15 @@ class PatternTuple {
   bool empty() const { return cells_.empty(); }
   size_t size() const { return cells_.size(); }
 
-  /// Matching t[Xp] ≈ tp[Xp].
-  bool Matches(const Tuple& t) const;
+  /// Matching t[Xp] ≈ tp[Xp]. `t` is a Tuple or any row that reads a
+  /// cell's Value with at(AttrId) (the engines' IdRow, master_index.h).
+  template <typename Row>
+  bool Matches(const Row& t) const {
+    for (const auto& [attr, pv] : cells_) {
+      if (!pv.Matches(t.at(attr))) return false;
+    }
+    return true;
+  }
   /// Matching restricted to attributes in `subset` (used when only part of
   /// a tuple is validated).
   bool MatchesOn(const Tuple& t, const AttrSet& subset) const;

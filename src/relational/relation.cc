@@ -42,6 +42,13 @@ AttrSet Relation::UpdateRow(size_t row, const Tuple& t) {
   return changed;
 }
 
+void Relation::EraseRow(size_t row) {
+  for (IdColumn& col : cols_) {
+    col.erase(col.begin() + static_cast<std::ptrdiff_t>(row));
+  }
+  --num_rows_;
+}
+
 Status Relation::Append(const Tuple& t) {
   CERTFIX_RETURN_IF_ERROR(CheckTupleSchema(t, schema_));
   if (t.pool() == pool_) {

@@ -77,6 +77,10 @@ class Relation {
   /// incremental engine skips re-repair on an empty mask.
   AttrSet UpdateRow(size_t row, const Tuple& t);
 
+  /// Removes row `row`; later rows move up one position. The pool keeps
+  /// the row's values (pools are append-only), so every id stays valid.
+  void EraseRow(size_t row);
+
   /// Appends a tuple; fails if the tuple's schema differs.
   Status Append(const Tuple& t);
   /// Appends parsing from strings (interns directly, no temporary tuple).

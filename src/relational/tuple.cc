@@ -66,23 +66,6 @@ void Tuple::EnsurePool() {
   if (pool_ == nullptr) pool_ = std::make_shared<ValuePool>();
 }
 
-Tuple Tuple::RebasedTo(const PoolPtr& pool) const {
-  Tuple out;
-  out.schema_ = schema_;
-  out.pool_ = pool;
-  if (pool_ == pool) {
-    out.ids_ = ids_;
-    return out;
-  }
-  out.ids_.reserve(ids_.size());
-  for (ValueId id : ids_) {
-    out.ids_.push_back(id == kNullValueId || pool_ == nullptr
-                           ? kNullValueId
-                           : pool->Intern(pool_->value(id)));
-  }
-  return out;
-}
-
 std::vector<Value> Tuple::Project(const std::vector<AttrId>& attrs) const {
   std::vector<Value> out;
   out.reserve(attrs.size());

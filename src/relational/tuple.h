@@ -62,10 +62,6 @@ class Tuple {
   /// discarded row view) fail to compile — use Relation::SetCell instead.
   void Set(AttrId id, Value v) &;
 
-  /// A copy of this tuple whose cells are interned into `pool` (used by
-  /// BatchRepair shards to keep interning thread-local).
-  Tuple RebasedTo(const PoolPtr& pool) const;
-
   /// Projection t[X] in list order.
   std::vector<Value> Project(const std::vector<AttrId>& attrs) const;
 

@@ -9,20 +9,15 @@
 
 namespace certfix {
 
-namespace {
-// Variant alternative index used for cross-type ordering and hashing.
-template <typename Rep>
-size_t AltIndex(const Rep& rep) {
-  return rep.index();
-}
-}  // namespace
-
 bool Value::operator<(const Value& other) const {
   if (rep_.index() != other.rep_.index()) {
     return rep_.index() < other.rep_.index();
   }
   if (is_int()) return as_int() < other.as_int();
-  if (is_double()) return as_double() < other.as_double();
+  if (is_double()) {
+    const double a = as_double(), b = other.as_double();
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  }
   if (is_string()) return as_string() < other.as_string();
   return false;  // both null
 }

@@ -4,6 +4,7 @@
 #ifndef CERTFIX_RELATIONAL_VALUE_H_
 #define CERTFIX_RELATIONAL_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -16,9 +17,11 @@ namespace certfix {
 /// \brief A single attribute value.
 ///
 /// Null represents a missing cell (e.g. t2[str, zip] in Fig. 1a of the
-/// paper). Equality is by type and content; null equals only null. Ordering
-/// is defined for use in sorted containers: null < int < double < string,
-/// then by content.
+/// paper). Equality is by type and content; null equals only null. The
+/// doubles -0.0 and 0.0 are two values (they render as "-0" and "0"), so
+/// no pool collapses one into the other; NaN equals nothing. Ordering is
+/// defined for use in sorted containers: null < int < double < string,
+/// then by content, with -0.0 before 0.0.
 class Value {
  public:
   /// Constructs a null value.
@@ -29,8 +32,6 @@ class Value {
   static Value Double(double v) { return Value(Rep(v)); }
   /// Constructs a string value.
   static Value Str(std::string v) { return Value(Rep(std::move(v))); }
-  /// Constructs the null value (alias of default construction).
-  static Value Null_() { return Value(); }
 
   bool is_null() const { return std::holds_alternative<Null>(rep_); }
   bool is_int() const { return std::holds_alternative<int64_t>(rep_); }
@@ -41,7 +42,11 @@ class Value {
   double as_double() const { return std::get<double>(rep_); }
   const std::string& as_string() const { return std::get<std::string>(rep_); }
 
-  bool operator==(const Value& other) const { return rep_ == other.rep_; }
+  bool operator==(const Value& other) const {
+    return rep_ == other.rep_ &&
+           (!is_double() || std::signbit(as_double()) ==
+                                std::signbit(other.as_double()));
+  }
   bool operator!=(const Value& other) const { return !(*this == other); }
   bool operator<(const Value& other) const;
 
@@ -51,7 +56,7 @@ class Value {
   /// Parses `text` as the given type. Empty text (or "<null>") yields null.
   static Value Parse(const std::string& text, DataType type);
 
-  /// Hash compatible with operator==.
+  /// Hash compatible with operator== (the two zeros share one).
   size_t Hash() const;
 
  private:

@@ -11,10 +11,9 @@
 /// translated id-to-id through a PoolBridge.
 ///
 /// Threading contract (see docs/ARCHITECTURE.md "Storage layer"): a pool
-/// is NOT internally synchronized for writes. The engine keeps interning
-/// single-writer — master pools are immutable after load and shared
-/// read-only by all BatchRepair shards, while each repair shard interns
-/// into its own local pool and results are merged on one thread. Any
+/// is NOT internally synchronized for writes. No repair step interns: the
+/// shards map their rows read-only (Find) into the master pool, which
+/// only the delta engine's caller thread appends to, between drains. Any
 /// number of concurrent readers (value / Find / size) are safe as long as
 /// no thread interns; interned values live in a deque, so references
 /// returned by value() are stable for the lifetime of the pool even
@@ -139,11 +138,11 @@ struct IdKeyHash {
 
 /// \brief Memoized id translation from one pool into another.
 ///
-/// Hot probe loops (saturation rounds over one tuple) translate the same
-/// handful of ids over and over; the bridge hashes each distinct source
-/// value at most once and answers repeats with an array lookup. When both
-/// ends are the same pool the translation is the identity and costs
-/// nothing. Not internally synchronized — use one bridge per thread.
+/// Probe loops over one tuple (TransFix, FlatKeyIndex::LookupTuple)
+/// translate the same handful of ids over and over; the bridge hashes each
+/// distinct source value at most once and answers repeats with an array
+/// lookup. When both ends are the same pool the translation is the
+/// identity. Not internally synchronized — use one bridge per thread.
 class PoolBridge {
  public:
   PoolBridge(const ValuePool* from, const ValuePool* to)

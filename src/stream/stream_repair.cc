@@ -76,11 +76,7 @@ void StreamRepairEngine::RepairShardBlock(
     size_t ring, std::vector<Pipeline::Ticket>& block,
     const Pipeline::Emit& emit) {
   CERTFIX_SPAN("stream.shard_repair");
-  ShardRepairer& shard = shards_[ring];
-  // Once per block, before any row is staged: the budget may overshoot
-  // by at most one block of values.
-  shard.RecycleIfOver(kShardPoolLimit);
-  shard.RepairBlock(
+  shards_[ring].RepairBlock(
       block.size(),
       [&block](size_t j) -> std::vector<Value>& { return block[j].job; },
       ShardOutput::kRows, emit);
@@ -107,15 +103,11 @@ StreamSnapshot StreamRepairEngine::Finish() {
     s.tuples_in = tuples_in_.load(std::memory_order_relaxed);
     s.backpressure_waits = pipeline_.backpressure_waits();
     s.max_reorder = pipeline_.max_reorder();
-    for (const ShardRepairer& shard : shards_) {
-      s.pool_recycles += shard.recycles();
-    }
     telemetry::Registry* reg = telemetry::Registry::Global();
     s.AddTo(*reg, "stream");
     reg->GetCounter("stream.tuples_in")->Add(s.tuples_in);
     reg->GetCounter("stream.tuples_out")->Add(s.tuples_out);
     reg->GetCounter("stream.backpressure_waits")->Add(s.backpressure_waits);
-    reg->GetCounter("stream.pool_recycles")->Add(s.pool_recycles);
     reg->GetMaxGauge("stream.max_reorder")->Note(s.max_reorder);
   }
   pipeline_.Drain();  // rethrows the first worker exception, once

@@ -19,16 +19,14 @@
 /// admission is gated by an in-flight window of `num_shards *
 /// kRingCapacity` tuples (Push blocks — backpressure — until the merge
 /// stage catches up), so the reorder buffer can never exceed the window;
-/// and each shard's ValuePool is recycled once it outgrows
-/// kShardPoolLimit values, so an unbounded stream of distinct values
-/// cannot grow a dictionary forever.
+/// and each shard memo, with its dictionary of values the master lacks,
+/// clears past RepairMemo::kMaxEntries, so an unbounded stream of
+/// distinct values cannot grow a shard forever.
 ///
 /// Single-writer pool contract (value_pool.h): the master pool is shared
-/// read-only; each shard worker interns into its own pool, probing the
-/// master through its own memoized PoolBridge; records cross the merge
-/// boundary as owned Values, never as pool-backed tuples. No pool is
-/// written concurrently, and no pool is read while another thread writes
-/// it.
+/// read-only and no repair step interns. Each pushed tuple's owned cell
+/// vector moves through its shard, which maps it to master ids, writes
+/// only the changed cells, and passes it on to the merge stage.
 ///
 /// Threading contract for callers: Push/PushStrings may be called from
 /// multiple producer threads, but Finish must not run concurrently with
@@ -57,7 +55,9 @@ struct StreamSnapshot : RepairTally {
   uint64_t tuples_out = 0;      ///< tuples emitted to the sink
   uint64_t backpressure_waits = 0;  ///< Push calls that blocked on a
                                     ///< full ring or in-flight window
-  uint64_t pool_recycles = 0;   ///< shard pools reset (bounded memory)
+  /// Always 0: shards hold no pools. Kept only because perfbench reads
+  /// it; a benchmark PR removes it.
+  uint64_t pool_recycles = 0;
   uint64_t max_reorder = 0;     ///< high-water mark of the merge buffer
 };
 

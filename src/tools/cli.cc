@@ -637,7 +637,6 @@ int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
   PrintTally(out, s.tuples_out, s);
   out << "shards: " << engine.num_shards()
       << "  backpressure waits: " << s.backpressure_waits
-      << "  pool recycles: " << s.pool_recycles
       << "  memo hits: " << s.memo_hits
       << "  memo misses: " << s.memo_misses << "\n";
   if (output_it != args.flags.end()) {

@@ -49,8 +49,9 @@ DirtyPair DirtyGenerator::Next() {
   pair.from_master = rng_.Bernoulli(options_.duplicate_rate);
   const Relation& pool = pair.from_master ? *master_ : *non_master_;
   pair.clean = pool.at(rng_.Index(pool.size()));
-  pair.dirty = pair.clean.RebasedTo(scratch_pool_);
+  pair.dirty = Tuple(pair.clean.schema(), scratch_pool_);
   for (AttrId a = 0; a < pair.dirty.size(); ++a) {
+    pair.dirty.Set(a, pair.clean.at(a));
     if (options_.protected_attrs.Contains(a)) continue;
     if (!rng_.Bernoulli(options_.noise_rate)) continue;
     Value corrupted =

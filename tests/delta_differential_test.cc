@@ -171,6 +171,67 @@ TEST_F(DeltaSupplierTest, MasterInsertRepairsPreviouslyUnmatchedTuple) {
   ExpectMatchesScratch(&engine, rules_, trusted, "unmatched-then-insert");
 }
 
+TEST_F(DeltaSupplierTest, MasterDeleteErasesInPlaceAndKeepsThePool) {
+  // The shard memos key on master ids, so a master delete must not
+  // renumber them: the row leaves the columns, its values stay pooled.
+  AttrSet trusted = Attrs(r_, {"AC", "phn", "type", "zip"});
+  for (size_t shards : {1, 2}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    DeltaRepairOptions options;
+    options.num_shards = shards;
+    DeltaRepairEngine engine(rules_, dm_, trusted, options);
+    Relation data(r_);
+    for (const Tuple& t : {T1(r_), T2(r_), T3(r_), T4(r_)}) {
+      ASSERT_TRUE(data.Append(t).ok());
+    }
+    ASSERT_TRUE(engine.Load(data).ok());
+    engine.Flush();
+    const ValuePool* pool = engine.master().pool().get();
+    const size_t values = pool->size();
+
+    ASSERT_TRUE(engine.MasterDelete(0).ok());
+    EXPECT_EQ(engine.master().pool().get(), pool) << label;
+    EXPECT_GE(engine.master().pool()->size(), values) << label;
+    ASSERT_EQ(engine.master().size(), 1u) << label;
+    EXPECT_EQ(engine.master().Cell(0, A(rm_, "FN")).as_string(), "Mark");
+    ExpectMatchesScratch(&engine, rules_, trusted, label);
+  }
+}
+
+TEST_F(DeltaSupplierTest, ValueTheMasterGainsKeysTheRowAnew) {
+  // T4's zip is a value the master lacks, so its memo key holds a
+  // memo-local id. Once a master insert brings that zip in, the same row
+  // keys on the master id and must repair against the new master row.
+  AttrSet trusted = Attrs(r_, {"AC", "phn", "type", "zip"});
+  for (size_t shards : {1, 2}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    DeltaRepairOptions options;
+    options.num_shards = shards;
+    DeltaRepairEngine engine(rules_, dm_, trusted, options);
+    ASSERT_TRUE(engine.Insert(T4(r_)).ok());
+    engine.Flush();
+    ASSERT_EQ(engine.master().pool()->Find(Value::Str("G1 1AA")),
+              kInvalidValueId);
+
+    Tuple s3(rm_, dm_.pool());
+    Tuple s1 = dm_.at(0);
+    for (size_t a = 0; a < rm_->num_attrs(); ++a) {
+      s3.Set(static_cast<AttrId>(a), s1.at(static_cast<AttrId>(a)));
+    }
+    s3.Set(A(rm_, "zip"), Value::Str("G1 1AA"));
+    s3.Set(A(rm_, "AC"), Value::Str("0131"));
+    s3.Set(A(rm_, "str"), Value::Str("7 Birch Way"));
+    s3.Set(A(rm_, "city"), Value::Str("Glasgow"));
+    ASSERT_TRUE(engine.MasterInsert(s3).ok());
+    ASSERT_TRUE(engine.Insert(T4(r_)).ok());
+    Relation repaired = engine.SnapshotRepaired();
+    ASSERT_EQ(repaired.size(), 2u) << label;
+    EXPECT_EQ(repaired.Cell(1, A(r_, "str")).as_string(), "7 Birch Way")
+        << label;
+    ExpectMatchesScratch(&engine, rules_, trusted, label);
+  }
+}
+
 TEST_F(DeltaSupplierTest, RejectsBadPositionsAndSchemas) {
   AttrSet trusted = Attrs(r_, {"AC", "phn", "type", "zip"});
   DeltaRepairEngine engine(rules_, dm_, trusted);

@@ -192,24 +192,31 @@ TEST(FlatKeyIndexTest, DifferentialAgainstKeyIndex) {
   }
 }
 
+/// A copy of `t` whose cells intern into `pool`.
+Tuple InPool(const Tuple& t, const PoolPtr& pool) {
+  Tuple out(t.schema(), pool);
+  for (AttrId a = 0; a < t.size(); ++a) out.Set(a, t.at(a));
+  return out;
+}
+
 TEST(FlatKeyIndexTest, LookupTupleBridgedMatchesKeyIndex) {
   Relation rel = RandomRel(300, 7);
   const std::vector<AttrId> attrs{0, 1};
   KeyIndex ref(rel, attrs);
   FlatKeyIndex flat(rel, attrs);
-  // Probes from a foreign pool, translated through a shared bridge —
-  // the shard-worker path. Include values absent from the index pool.
+  // Probes from a foreign pool, translated through a shared bridge.
+  // Include values absent from the index pool.
   PoolPtr foreign = std::make_shared<ValuePool>();
   PoolBridge ref_bridge(foreign.get(), rel.pool().get());
   PoolBridge flat_bridge(foreign.get(), rel.pool().get());
   for (size_t i = 0; i < rel.size(); ++i) {
-    Tuple probe = rel.at(i).RebasedTo(foreign);
+    Tuple probe = InPool(rel.at(i), foreign);
     ExpectSameRows(flat.LookupTuple(probe, attrs, &flat_bridge),
                    ref.LookupTuple(probe, attrs, &ref_bridge));
   }
-  Tuple miss = std::move(Tuple::FromStrings(S(), {"nope", "nada", "x"}))
-                   .ValueOrDie()
-                   .RebasedTo(foreign);
+  Tuple miss = InPool(
+      std::move(Tuple::FromStrings(S(), {"nope", "nada", "x"})).ValueOrDie(),
+      foreign);
   EXPECT_TRUE(flat.LookupTuple(miss, attrs, &flat_bridge).empty());
 }
 

@@ -1,9 +1,10 @@
 /// \file repair_memo_test.cc
 /// \brief RepairMemo on its own: a hit replays exactly what the miss
-/// computed (fixed row, FixReport, probe-hash set), both equal the naive
-/// reference engine (reference/naive_repair.h), FlushProbes evicts exactly
-/// the entries whose recorded probes contain a flushed hash, and Clear
-/// empties the memo.
+/// computed (changed cells, FixReport, probe-hash set), both equal the
+/// naive reference engine (reference/naive_repair.h), values the master
+/// lacks key apart through the memo's dictionary while equal values of
+/// any pool share an entry, FlushProbes evicts exactly the entries whose
+/// recorded probes contain a flushed hash, and Clear empties the memo.
 
 #include "core/repair_memo.h"
 
@@ -41,21 +42,15 @@ std::vector<Value> Cells(const Tuple& t) {
   return cells;
 }
 
-/// The row a repair leaves behind: the fix, or the input on conflict.
-std::vector<Value> Outcome(const Tuple& row, const TupleRepair& r) {
-  return Cells(r.report.conflicting() ? row : r.fixed);
-}
-
 /// The rules, master and trusted set one memo repairs under, plus the
-/// rows it is fed — interned in one shard-local pool, as the engines do.
-/// Pinned in place: the index and saturator point into `rules` and `dm`.
+/// rows it is fed, each in the pool it was built in. Pinned in place: the
+/// index and saturator point into `rules` and `dm`.
 struct World {
   RuleSet rules;
   Relation dm;
   AttrSet trusted;
   std::unique_ptr<MasterIndex> index;
   std::unique_ptr<Saturator> sat;
-  PoolPtr local = std::make_shared<ValuePool>();
   std::vector<Tuple> rows;
 
   World(RuleSet r, Relation m, AttrSet z)
@@ -65,7 +60,24 @@ struct World {
   }
   World(const World&) = delete;
   World& operator=(const World&) = delete;
-  void AddRow(const Tuple& t) { rows.push_back(t.RebasedTo(local)); }
+
+  /// `t` in master-id space, as a shard stages it.
+  IdRow Row(const Tuple& t) const {
+    return IdRow(*index, [&t](AttrId a) -> const Value& { return t.at(a); });
+  }
+  /// Repairs `t` through `memo`.
+  TupleRepair Repair(const Tuple& t, RepairMemo& memo,
+                     ProbeLog* probes = nullptr) const {
+    return RepairOneTuple(*sat, Row(t), trusted, rules.r_schema()->AllAttrs(),
+                          memo, probes);
+  }
+  /// The row a repair leaves behind: `t` with the changed cells
+  /// overwritten (the input itself on conflict).
+  std::vector<Value> Outcome(const Tuple& t, const TupleRepair& r) const {
+    std::vector<Value> cells = Cells(t);
+    for (const auto& [attr, id] : r.changed) cells[attr] = dm.pool()->value(id);
+    return cells;
+  }
 };
 
 std::unique_ptr<World> SupplierWorld() {
@@ -74,7 +86,7 @@ std::unique_ptr<World> SupplierWorld() {
   auto w = std::make_unique<World>(SupplierRules(r, rm), SupplierMaster(rm),
                                    Attrs(r, {"AC", "phn", "type", "zip"}));
   // t1 is fully fixable, t3 conflicts (Example 5), t4 matches no master.
-  for (const Tuple& t : {T1(r), T2(r), T3(r), T4(r)}) w->AddRow(t);
+  w->rows = {T1(r), T2(r), T3(r), T4(r)};
   return w;
 }
 
@@ -95,33 +107,29 @@ std::unique_ptr<World> HospWorld() {
   Rng rng2(3);
   Relation non_master = HospWorkload::MakeMaster(schema, 30, &rng2, 800000);
   DirtyGenerator gen(w->dm, non_master, options);
-  for (const DirtyPair& pair : gen.Generate(40)) w->AddRow(pair.dirty);
+  for (const DirtyPair& pair : gen.Generate(40)) w->rows.push_back(pair.dirty);
   return w;
 }
 
 void ExpectHitReplaysMissAndMatchesReference(const World& w) {
-  const AttrSet all = w.rules.r_schema()->AllAttrs();
-  PoolBridge bridge(w.local.get(), w.dm.pool().get());
   RepairMemo memo(w.rules, w.trusted);
   size_t fixed_rows = 0;
   for (const Tuple& row : w.rows) {
     SCOPED_TRACE(row.ToString());
     // A row whose projection an earlier row already memoized starts as a
     // hit; the first sighting of every projection is a miss.
-    const bool seen = memo.Find(row) != nullptr;
+    const bool seen = memo.Find(w.Row(row)) != nullptr;
     ProbeLog first_probes;
-    TupleRepair first = RepairOneTuple(*w.sat, row, w.trusted, all, memo,
-                                       &bridge, &first_probes);
+    TupleRepair first = w.Repair(row, memo, &first_probes);
     EXPECT_EQ(first.memo_hit, seen);
 
     ProbeLog replay_probes;
-    TupleRepair replay = RepairOneTuple(*w.sat, row, w.trusted, all, memo,
-                                        &bridge, &replay_probes);
+    TupleRepair replay = w.Repair(row, memo, &replay_probes);
     EXPECT_TRUE(replay.memo_hit) << "second sighting hits";
     EXPECT_EQ(replay.report.kind, first.report.kind);
     EXPECT_EQ(replay.report.cells_changed, first.report.cells_changed);
     EXPECT_EQ(replay.report.covered, first.report.covered);
-    EXPECT_EQ(Outcome(row, replay), Outcome(row, first));
+    EXPECT_EQ(replay.changed, first.changed);
     EXPECT_EQ(replay_probes.hashes, SortedUnique(first_probes.hashes));
 
     reference::RunResult want =
@@ -129,9 +137,12 @@ void ExpectHitReplaysMissAndMatchesReference(const World& w) {
     EXPECT_EQ(first.report.conflicting(), !want.unique);
     if (want.unique) {
       ++fixed_rows;
-      EXPECT_EQ(Outcome(row, first), Cells(want.fixed));
+      EXPECT_EQ(w.Outcome(row, first), Cells(want.fixed));
       EXPECT_EQ(first.report.covered, want.covered);
       EXPECT_EQ(first.report.cells_changed, row.DiffCount(want.fixed));
+      EXPECT_EQ(first.changed.size(), first.report.cells_changed);
+    } else {
+      EXPECT_TRUE(first.changed.empty());
     }
   }
   EXPECT_GT(fixed_rows, 0u);
@@ -150,35 +161,85 @@ TEST(RepairMemoTest, HitOnInertAttributeKeepsTheNewRowsValue) {
   // t1 left — and the replay fixes the new row, not a copy of t1.
   std::unique_ptr<World> world = SupplierWorld();
   const World& w = *world;
-  const AttrSet all = w.rules.r_schema()->AllAttrs();
   const AttrId item = A(w.rules.r_schema(), "item");
-  PoolBridge bridge(w.local.get(), w.dm.pool().get());
   RepairMemo memo(w.rules, w.trusted);
   const Tuple& t1 = w.rows[0];
-  TupleRepair miss = RepairOneTuple(*w.sat, t1, w.trusted, all, memo, &bridge);
+  TupleRepair miss = w.Repair(t1, memo);
   Tuple other = t1;
   other.Set(item, Value::Str("Vinyl"));
-  TupleRepair hit =
-      RepairOneTuple(*w.sat, other, w.trusted, all, memo, &bridge);
+  TupleRepair hit = w.Repair(other, memo);
   EXPECT_FALSE(miss.memo_hit);
   EXPECT_TRUE(hit.memo_hit);
   ASSERT_FALSE(hit.report.conflicting());
-  EXPECT_EQ(hit.fixed.at(item), Value::Str("Vinyl"));
-  Tuple want = miss.fixed;
-  want.Set(item, Value::Str("Vinyl"));
-  EXPECT_EQ(Cells(hit.fixed), Cells(want));
+  std::vector<Value> want = w.Outcome(t1, miss);
+  want[item] = Value::Str("Vinyl");
+  EXPECT_EQ(w.Outcome(other, hit), want);
+}
+
+TEST(RepairMemoTest, ValuesTheMasterLacksKeySeparateEntries) {
+  // `type` is a pattern constant, never a master value: t1 (type 2) and a
+  // copy with type 3 differ only in a value the master lacks. Only type 2
+  // lets phi4/phi5 fix fn, so the two must not share an entry.
+  std::unique_ptr<World> world = SupplierWorld();
+  const World& w = *world;
+  const AttrId type = A(w.rules.r_schema(), "type");
+  const AttrId fn = A(w.rules.r_schema(), "fn");
+  const Tuple& t1 = w.rows[0];
+  Tuple t1_type3 = t1;
+  t1_type3.Set(type, Value::Str("3"));
+  ASSERT_EQ(w.Row(t1).id_at(type), kInvalidValueId);
+  ASSERT_EQ(w.Row(t1_type3).id_at(type), kInvalidValueId);
+
+  RepairMemo memo(w.rules, w.trusted);
+  TupleRepair miss2 = w.Repair(t1, memo);
+  TupleRepair miss3 = w.Repair(t1_type3, memo);
+  EXPECT_FALSE(miss2.memo_hit);
+  EXPECT_FALSE(miss3.memo_hit);
+  EXPECT_EQ(memo.entries(), 2u);
+  EXPECT_GE(memo.local_values(), 2u);
+  EXPECT_EQ(w.Outcome(t1, miss2)[fn], Value::Str("Robert"));
+  EXPECT_EQ(w.Outcome(t1_type3, miss3)[fn], Value::Str("Bob"));
+
+  // Each row replays its own repair.
+  TupleRepair hit2 = w.Repair(t1, memo);
+  TupleRepair hit3 = w.Repair(t1_type3, memo);
+  EXPECT_TRUE(hit2.memo_hit);
+  EXPECT_TRUE(hit3.memo_hit);
+  EXPECT_EQ(hit2.changed, miss2.changed);
+  EXPECT_EQ(hit3.changed, miss3.changed);
+  EXPECT_NE(hit2.changed, hit3.changed);
+}
+
+TEST(RepairMemoTest, EqualValuesFromDifferentPoolsHitOneEntry) {
+  // t1 from its own private pool, then the same values read in place from
+  // a relation's pool (master values and values the master lacks alike).
+  std::unique_ptr<World> world = SupplierWorld();
+  const World& w = *world;
+  Relation rel(w.rules.r_schema());
+  ASSERT_TRUE(rel.AppendStrings({"Bob", "Brady", "020", "079172485", "2",
+                                 "501 Elm St.", "Edi", "EH7 4AH", "CDs"})
+                  .ok());
+  const Tuple& t1 = w.rows[0];
+  ASSERT_NE(rel.pool(), t1.pool());
+
+  RepairMemo memo(w.rules, w.trusted);
+  TupleRepair miss = w.Repair(t1, memo);
+  TupleRepair hit = w.Repair(rel.at(0), memo);
+  EXPECT_FALSE(miss.memo_hit);
+  EXPECT_TRUE(hit.memo_hit);
+  EXPECT_EQ(memo.entries(), 1u);
+  EXPECT_EQ(hit.changed, miss.changed);
+  EXPECT_EQ(w.Outcome(rel.at(0), hit), w.Outcome(t1, miss));
 }
 
 TEST(RepairMemoTest, FlushProbesEvictsExactlyTheEntriesThatProbedTheHash) {
   std::unique_ptr<World> world = HospWorld();
   const World& w = *world;
-  const AttrSet all = w.rules.r_schema()->AllAttrs();
-  PoolBridge bridge(w.local.get(), w.dm.pool().get());
   RepairMemo memo(w.rules, w.trusted);
   std::vector<std::vector<uint64_t>> probes;  // per row, sorted
   for (const Tuple& row : w.rows) {
     ProbeLog log;
-    RepairOneTuple(*w.sat, row, w.trusted, all, memo, &bridge, &log);
+    w.Repair(row, memo, &log);
     probes.push_back(SortedUnique(log.hashes));
   }
   const size_t entries = memo.entries();
@@ -213,7 +274,7 @@ TEST(RepairMemoTest, FlushProbesEvictsExactlyTheEntriesThatProbedTheHash) {
   for (size_t i = 0; i < w.rows.size(); ++i) {
     const bool probed = std::binary_search(probes[i].begin(),
                                            probes[i].end(), hot);
-    EXPECT_EQ(memo.Find(w.rows[i]) == nullptr, probed) << "row " << i;
+    EXPECT_EQ(memo.Find(w.Row(w.rows[i])) == nullptr, probed) << "row " << i;
   }
 
   // A hash no entry recorded evicts nothing.
@@ -227,16 +288,14 @@ TEST(RepairMemoTest, FlushProbesEvictsExactlyTheEntriesThatProbedTheHash) {
 TEST(RepairMemoTest, ClearEmptiesTheMemo) {
   std::unique_ptr<World> world = HospWorld();
   const World& w = *world;
-  const AttrSet all = w.rules.r_schema()->AllAttrs();
-  PoolBridge bridge(w.local.get(), w.dm.pool().get());
   RepairMemo memo(w.rules, w.trusted);
-  for (const Tuple& row : w.rows) {
-    RepairOneTuple(*w.sat, row, w.trusted, all, memo, &bridge);
-  }
+  for (const Tuple& row : w.rows) w.Repair(row, memo);
   ASSERT_GT(memo.entries(), 0u);
+  ASSERT_GT(memo.local_values(), 0u);
   memo.Clear();
   EXPECT_EQ(memo.entries(), 0u);
-  for (const Tuple& row : w.rows) EXPECT_EQ(memo.Find(row), nullptr);
+  EXPECT_EQ(memo.local_values(), 0u);
+  for (const Tuple& row : w.rows) EXPECT_EQ(memo.Find(w.Row(row)), nullptr);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "test_util.h"
 
 namespace certfix {
@@ -175,6 +179,41 @@ TEST_F(SaturationTest, MasterDisagreementIsConflict) {
   Saturator sat2(rules_, dm2, index2);
   SaturationResult result = sat2.CheckUniqueFix(T1(r_), Attrs(r_, {"zip"}));
   EXPECT_FALSE(result.unique);
+}
+
+TEST_F(SaturationTest, ConcurrentChecksOverOneRelationWriteNoPool) {
+  // Rows of one shared relation whose fixes carry master values the
+  // relation lacks ("Robert", "131", "51 Elm Row", ...). Four threads
+  // check them at once; no entry point may write the relation's pool.
+  Relation data(r_);
+  for (size_t i = 0; i < 48; ++i) {
+    ASSERT_TRUE(data.Append(i % 3 == 0 ? T1(r_) : i % 3 == 1 ? T3(r_)
+                                                              : T4(r_))
+                    .ok());
+  }
+  ASSERT_EQ(data.pool()->Find(Value::Str("Robert")), kInvalidValueId);
+  const AttrSet z = Attrs(r_, {"zip", "phn", "type"});
+  const size_t pool_size = data.pool()->size();
+  auto check_all = [&] {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < data.size(); ++i) {
+      SaturationResult r = sat_->CheckUniqueFix(data.at(i), z);
+      out.push_back(r.fixed.ToString() + (r.unique ? " unique " : " conflict ") +
+                    std::to_string(r.steps.size()));
+    }
+    return out;
+  };
+  const std::vector<std::string> want = check_all();
+
+  std::vector<std::vector<std::string>> got(4);
+  std::vector<std::thread> threads;
+  for (std::vector<std::string>& g : got) {
+    threads.emplace_back([&check_all, &g] { g = check_all(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<std::string>& g : got) EXPECT_EQ(g, want);
+  EXPECT_EQ(data.pool()->size(), pool_size);
+  EXPECT_EQ(want[0], T1Truth(r_).ToString() + " unique 5");
 }
 
 }  // namespace

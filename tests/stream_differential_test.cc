@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/batch_repair.h"
@@ -121,11 +122,12 @@ TEST_F(StreamSupplierTest, MoreTuplesThanTheWindowMatchBatch) {
   ExpectMatchesBatch(batch, run, "3 windows");
 }
 
-TEST_F(StreamSupplierTest, PoolRecyclingKeepsOutputIdentical) {
+TEST_F(StreamSupplierTest, BoundedMemoKeepsOutputIdentical) {
   // Four fresh strings per row (fn, ln, str and city, all of which the
-  // rules fix) push the one shard's pool past kShardPoolLimit.
+  // rules fix): every row misses and adds four values the master lacks to
+  // its shard memo's dictionary, so the memos clear many times over.
   Relation data(r_);
-  const size_t rows = kShardPoolLimit / 3;
+  const size_t rows = RepairMemo::kMaxEntries + 1;
   for (size_t i = 0; i < rows; ++i) {
     Tuple t = T1(r_);
     const std::string n = std::to_string(i);
@@ -137,11 +139,72 @@ TEST_F(StreamSupplierTest, PoolRecyclingKeepsOutputIdentical) {
   AttrSet trusted = Attrs(r_, {"zip", "phn", "type", "item"});
   BatchRepairResult batch = BatchRepair(*sat_).Repair(data, trusted);
   ASSERT_EQ(batch.fully_covered, rows);
-  StreamOptions options;
-  options.num_shards = 1;
-  StreamRun run = RunStream(*sat_, data, trusted, options);
-  ExpectMatchesBatch(batch, run, "recycled");
-  EXPECT_GT(run.stats.pool_recycles, 0u);
+  for (size_t shards : {1, 2}) {
+    StreamOptions options;
+    options.num_shards = shards;
+    StreamRun run = RunStream(*sat_, data, trusted, options);
+    ExpectMatchesBatch(batch, run, "shards=" + std::to_string(shards));
+    EXPECT_EQ(run.stats.memo_misses, rows);
+  }
+  // The bound itself, checked after every row on one shard: entries and
+  // dictionary together never pass kMaxEntries.
+  ShardRepairer shard(rules_, trusted);
+  shard.Bind(*sat_);
+  size_t high_water = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    shard.RepairBlock(
+        1, [&](size_t) { return data.at(i); }, ShardOutput::kChangedRows,
+        [](size_t, const RepairedRow&) {});
+    const RepairMemo& memo = shard.memo();
+    ASSERT_LE(memo.entries() + memo.local_values(), RepairMemo::kMaxEntries)
+        << "row " << i;
+    high_water = std::max(high_water, memo.entries() + memo.local_values());
+  }
+  EXPECT_GT(high_water, RepairMemo::kMaxEntries / 2);
+}
+
+TEST(StreamSignedZeroTest, EveryRowKeepsItsOwnZeroAtAnyShardCount) {
+  // -0.0 == 0.0 as doubles, but the two render apart ("-0" and "0"). `w`
+  // feeds no rule, so every row's zero passes through the stream
+  // untouched, and batch must print the same bytes at any shard count.
+  SchemaPtr schema = Schema::Make(
+      "R", std::vector<Attribute>{{"zip", DataType::kString},
+                                  {"city", DataType::kString},
+                                  {"w", DataType::kDouble}});
+  Relation master(schema);
+  ASSERT_TRUE(master.AppendStrings({"EH7", "Edi", "1.5"}).ok());
+  ASSERT_TRUE(master.AppendStrings({"NW1", "Lnd", "2.5"}).ok());
+  Result<RuleSet> rules =
+      ParseRules("rule r: (zip | zip) -> (city | city)\n", schema, schema);
+  ASSERT_TRUE(rules.ok()) << rules.status();
+  MasterIndex index(*rules, master);
+  Saturator sat(*rules, master, index);
+  const AttrSet trusted = Attrs(schema, {"zip"});
+  const std::vector<std::vector<std::string>> rows = {
+      {"EH7", "Edi", "0.0"},
+      {"NW1", "Bad", "-0.0"},
+      {"EH7", "Edi", "-0.0"},
+      {"NW1", "Lnd", "0.0"}};
+  Relation data(schema);
+  for (const std::vector<std::string>& row : rows) {
+    ASSERT_TRUE(data.AppendStrings(row).ok());
+  }
+  const std::string batch =
+      ToCsv(BatchRepair(sat).Repair(data, trusted).repaired);
+  EXPECT_EQ(batch,
+            "zip,city,w\nEH7,Edi,0\nNW1,Lnd,-0\nEH7,Edi,-0\nNW1,Lnd,0\n");
+  for (size_t shards : {1, 2, 4}) {
+    std::ostringstream out;
+    CsvStreamSink sink(schema, out);
+    StreamOptions options;
+    options.num_shards = shards;
+    StreamRepairEngine engine(sat, trusted, &sink, options);
+    for (const std::vector<std::string>& row : rows) {
+      ASSERT_TRUE(engine.PushStrings(row).ok());
+    }
+    engine.Finish();
+    EXPECT_EQ(out.str(), batch) << "shards=" << shards;
+  }
 }
 
 TEST_F(StreamSupplierTest, RepeatedFinishReturnsTheSameSnapshot) {

@@ -154,15 +154,5 @@ TEST(ColumnarRelationTest, SetCellAndSetRowAcrossPools) {
   EXPECT_EQ(rel.Cell(0, 0), Value::Str("p"));
 }
 
-TEST(ColumnarRelationTest, RebasedTuplePreservesValues) {
-  SchemaPtr schema = Schema::Make("R", std::vector<std::string>{"a", "b", "c"});
-  Tuple t(schema, {Value::Str("s"), Value::Int(7), Value()});
-  PoolPtr other = std::make_shared<ValuePool>();
-  Tuple moved = t.RebasedTo(other);
-  EXPECT_EQ(moved.pool(), other);
-  EXPECT_EQ(moved, t);  // cross-pool equality compares values
-  EXPECT_TRUE(moved.at(2).is_null());
-}
-
 }  // namespace
 }  // namespace certfix

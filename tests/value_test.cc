@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <unordered_set>
+
+#include "relational/value_pool.h"
 
 namespace certfix {
 namespace {
@@ -72,6 +75,43 @@ TEST(ValueTest, OrderingIsStrictWeak) {
   EXPECT_TRUE(it->is_null());
   ++it;
   EXPECT_EQ(it->as_int(), 1);
+}
+
+TEST(ValueTest, SignedZerosAreTwoValues) {
+  const Value neg = Value::Double(-0.0);
+  const Value pos = Value::Double(0.0);
+  EXPECT_NE(neg, pos);
+  EXPECT_EQ(neg, Value::Double(-0.0));
+  EXPECT_EQ(pos, Value::Double(0.0));
+  // -0 orders before +0, and both sit between the negatives and the
+  // positives.
+  EXPECT_TRUE(neg < pos);
+  EXPECT_FALSE(pos < neg);
+  EXPECT_FALSE(neg < neg);
+  EXPECT_TRUE(Value::Double(-1.0) < neg);
+  EXPECT_TRUE(pos < Value::Double(1e-300));
+  std::set<Value> s{pos, neg, Value::Double(0.0), Value::Double(-0.0)};
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s.begin()->ToString(), "-0");
+  EXPECT_EQ(s.rbegin()->ToString(), "0");
+  // The hash may stay shared: equality tells them apart.
+  EXPECT_EQ(neg.Hash(), pos.Hash());
+  std::unordered_set<Value, ValueHash> h{neg, pos};
+  EXPECT_EQ(h.size(), 2u);
+  // NaN still equals nothing, itself included.
+  const Value nan = Value::Double(std::nan(""));
+  EXPECT_NE(nan, nan);
+}
+
+TEST(ValueTest, PoolInternsTheTwoZerosApart) {
+  ValuePool pool;
+  const ValueId pos = pool.Intern(Value::Double(0.0));
+  const ValueId neg = pool.Intern(Value::Double(-0.0));
+  EXPECT_NE(pos, neg);
+  EXPECT_EQ(pool.Intern(Value::Double(-0.0)), neg);
+  EXPECT_EQ(pool.Find(Value::Double(0.0)), pos);
+  EXPECT_EQ(pool.value(neg).ToString(), "-0");
+  EXPECT_EQ(pool.value(pos).ToString(), "0");
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {

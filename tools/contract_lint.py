@@ -11,8 +11,10 @@ Checks (each line-anchored, reported as file:line):
   pool-writer     ValuePool::Intern is allowed only in the relational
                   layer (Tuple/Relation/CSV construct values) — the
                   engines must stay on the read-only side of the
-                  single-writer pool contract (value_pool.h) and reach
-                  foreign pools through PoolBridge.
+                  single-writer pool contract (value_pool.h): they map
+                  rows into master ids with ValuePool::Find (IdRow),
+                  and the few Tuple probes left (TransFix, Suggest)
+                  reach foreign pools through PoolBridge.
 
   status-discard  A bare statement calling a method this repo declares
                   as returning Status/Result must not drop the verdict:
